@@ -130,19 +130,11 @@ def cmd_sphere(ns) -> int:
     cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
     spec = sphere.spectrum(t, cutoff)
     if ns.json:
-        payload = {
-            "t": t,
-            "cutoff": cutoff,
-            "eigenvalues": [
-                {
-                    "value": e.value,
-                    "multiplicity": e.multiplicity,
-                    "labels": [list(lbl) for lbl in e.labels],
-                }
-                for e in spec
-            ],
-        }
-        _print_json(payload)
+        _print_json({"t": t, "cutoff": cutoff, "eigenvalues": [
+            {"value": e.value, "multiplicity": e.multiplicity,
+             "labels": [list(lbl) for lbl in e.labels]}
+            for e in spec
+        ]})
     elif ns.csv:
         print("value,multiplicity,labels")
         for e in spec:
@@ -180,17 +172,13 @@ def cmd_sphere_curve(ns) -> int:
 
 def cmd_collisions(ns) -> int:
     k_max = int(ns.k_max)
-    rows = []
-    curves = [(k, p) for k in range(k_max + 1) for p in range(k)]
-    for i, (k, p) in enumerate(curves):
-        for k2, p2 in curves[i + 1:]:
-            if 2 * (p - p2) == k - k2:
-                continue
-            t = sphere.collision_t(k, p, k2, p2)
-            rows.append({
-                "k": k, "p": p, "k2": k2, "p2": p2,
-                "t": t, "f0": sphere.f0(k, p, t),
-            })
+    ks, ps = np.tril_indices(max(k_max + 1, 0), -1)  # curves (k, p), 0 <= p < k
+    i, j = np.triu_indices(len(ks), 1)
+    keep = 2 * (ps[i] - ps[j]) != ks[i] - ks[j]
+    cols = [ks[i[keep]], ps[i[keep]], ks[j[keep]], ps[j[keep]]]
+    cols.append(sphere.collision_t(*cols))
+    rows = [{"k": k, "p": p, "k2": k2, "p2": p2, "t": t, "f0": sphere.f0(k, p, t)}
+            for k, p, k2, p2, t in zip(*(c.tolist() for c in cols))]
     if ns.json:
         _print_json({"k_max": k_max, "collisions": rows})
     else:
@@ -206,25 +194,21 @@ def cmd_collisions(ns) -> int:
 def cmd_torus(ns) -> int:
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
-    zm = torus.zero_mode(data)
-    payload = {
-        "eigenvalues": [
-            {
-                "value": e.value,
-                "multiplicity": e.multiplicity,
-                "modes": [list(m) for m in e.labels],
-            }
-            for e in spec
-        ],
-        "zero_mode": None if zm is None else [int(c) for c in zm],
-    }
     if ns.csv:
         print("value,multiplicity,modes")
         for e in spec:
             modes = ";".join(" ".join(str(c) for c in m) for m in e.labels)
             print(f"{_fmt(e.value)},{e.multiplicity},{modes}")
-    else:
-        _print_json(payload)
+        return 0
+    zm = torus.zero_mode(data)
+    _print_json({
+        "eigenvalues": [
+            {"value": e.value, "multiplicity": e.multiplicity,
+             "modes": [list(m) for m in e.labels]}
+            for e in spec
+        ],
+        "zero_mode": None if zm is None else [int(c) for c in zm],
+    })
     return 0
 
 

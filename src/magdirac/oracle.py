@@ -225,10 +225,7 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     for _ in range(samples):
         data = _random_spinc(rng, n)
         m = rng.integers(-6, 7, size=n)
-        closed = np.sort(np.repeat(
-            [v for v, _ in mode_eigenvalues(data, m)],
-            [mu for _, mu in mode_eigenvalues(data, m)],
-        ))
+        closed = np.sort(np.repeat(*zip(*mode_eigenvalues(data, m))))
         got = hermitian_eigs(torus_mode_matrix(data, m))
         scale = 1.0 + float(np.max(np.abs(closed))) if closed.size else 1.0
         rel = float(np.max(np.abs(got - closed))) / scale

@@ -39,58 +39,86 @@ class SpectrumEntry:
 
 
 class Spectrum:
-    """Ascending list of distinct eigenvalues with multiplicities."""
+    """Ascending list of distinct eigenvalues with multiplicities, held as
+    arrays; the entries with their label tuples are built on first access."""
 
     def __init__(self, entries):
-        self.entries = list(entries)
+        self._entries = list(entries)
+        self._values = np.array([e.value for e in self._entries], dtype=np.float64)
+        self._mults = np.array([e.multiplicity for e in self._entries], dtype=np.int64)
 
     @classmethod
     def from_triples(cls, triples, tolerance: float | None = None) -> "Spectrum":
         """Build from (value, multiplicity, label) triples, merging values
-        that form a chain with consecutive gaps <= tolerance."""
+        that form a chain with consecutive gaps <= tolerance.
+
+        ``triples`` may also be a structured array with fields value, mult
+        and label (integer rows, returned as tuples).  A merged value is the
+        multiplicity-weighted mean, summed left to right in value order.
+        """
         tol = merge_tolerance() if tolerance is None else float(tolerance)
-        items = sorted(triples, key=lambda tr: tr[0])
-        entries = []
-        i = 0
-        while i < len(items):
-            j = i + 1
-            while j < len(items) and items[j][0] - items[j - 1][0] <= tol:
-                j += 1
-            group = items[i:j]
-            mult = sum(g[1] for g in group)
-            value = sum(g[0] * g[1] for g in group) / mult
-            labels = tuple(g[2] for g in group)
-            entries.append(SpectrumEntry(float(value), int(mult), labels))
-            i = j
-        return cls(entries)
+        if isinstance(triples, np.ndarray):
+            values, mults, labels = triples["value"], triples["mult"], triples["label"]
+        else:
+            values, mults, labels = list(zip(*triples)) or ((), (), ())
+        values = np.asarray(values, dtype=np.float64)
+        order = np.argsort(values, kind="stable")
+        values, mults = values[order], np.asarray(mults, dtype=np.int64)[order]
+        starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
+        sizes = np.diff(starts, append=len(values))
+        weighted, sums, live = values * mults, np.zeros(len(starts)), np.arange(len(starts))
+        for j in range(int(sizes.max(initial=0))):  # np.add.reduceat would sum pairwise
+            live = live[sizes[live] > j]
+            sums[live] += weighted[starts[live] + j]
+        spec = cls([])
+        spec._mults = np.add.reduceat(mults, starts) if len(starts) else mults
+        spec._values = sums / spec._mults
+
+        def group_labels():  # called once, by the first read of entries
+            if isinstance(labels, np.ndarray):
+                ordered = list(map(tuple, labels[order].tolist()))
+            else:
+                ordered = [labels[i] for i in order.tolist()]
+            return [tuple(ordered[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
+
+        spec._entries = group_labels
+        return spec
+
+    @property
+    def entries(self) -> list:
+        if callable(self._entries):
+            self._entries = list(map(
+                SpectrumEntry, self._values.tolist(), self._mults.tolist(), self._entries()
+            ))
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._values)
 
     def __iter__(self):
         return iter(self.entries)
 
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=np.float64)
+        return self._values.copy()
 
     def multiplicities(self) -> np.ndarray:
-        return np.array([e.multiplicity for e in self.entries], dtype=np.int64)
+        return self._mults.copy()
 
     def total_multiplicity(self) -> int:
-        return int(sum(e.multiplicity for e in self.entries))
+        return int(self._mults.sum())
 
     def min_abs(self) -> float:
         """Smallest eigenvalue in absolute value."""
-        if not self.entries:
+        if not len(self):
             raise ValueError("spectrum is empty")
-        return float(min(abs(e.value) for e in self.entries))
+        return float(np.abs(self._values).min())
 
     def first_positive(self) -> float:
         """Smallest strictly positive eigenvalue."""
-        pos = [e.value for e in self.entries if e.value > 0.0]
-        if not pos:
+        pos = self._values[self._values > 0.0]
+        if not pos.size:
             raise ValueError("spectrum has no positive eigenvalues")
-        return float(min(pos))
+        return float(pos.min())
 
     def in_window(self, lo: float, hi: float) -> "Spectrum":
         """Entries with lo <= value <= hi."""
@@ -99,6 +127,4 @@ class Spectrum:
     def multiplicity_at(self, value: float, tolerance: float | None = None) -> int:
         """Total multiplicity within tolerance of the given value."""
         tol = merge_tolerance() if tolerance is None else float(tolerance)
-        return int(
-            sum(e.multiplicity for e in self.entries if abs(e.value - value) <= tol)
-        )
+        return int(self._mults[np.abs(self._values - value) <= tol].sum())

@@ -12,14 +12,17 @@ with the branch discriminant
 
     f0(k, p, t) = (1 + t + 2p - k)^2 + 4(k - p)(p + 1).
 
+Expanding the square gives a form linear in p, f0 = (k + 1 - t)^2 +
+4t(p + 1), so sqrt(f0) >= |k + 1 - |t||: every member of level k has
+|value| >= k + 1/2 - |t|, and no level k > cutoff + |t| reaches the window
+|value| <= cutoff.
+
 The degenerate cases p = k and p = -1 fold the plus/minus families into the
 same square-root expression, f0(k, k, t) = (1 + t + k)^2 and
 f0(k, -1, t) = (1 - t + k)^2, and f0(k, p, -t) = f0(k, k - p - 1, t) makes
 the spectrum even in t.  The flow-invariant (basic) sector consists of the
 branch modes with k = 2p + 1, where f0 collapses to t^2 + 4(p + 1)^2.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,24 +73,17 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
         raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
 
     edge = cutoff + 1e-12
-    # branch values satisfy |1/2 -+ sqrt(f0)| >= 2 sqrt(k) - 1/2, so no
-    # family contributes once 4k > (cutoff + 1/2)^2
-    k_max = int(np.ceil(max((cutoff + 0.5) ** 2 / 4.0, cutoff + abs(t)))) + 1
+    # f0 = (k + 1 - t)^2 + 4t(p + 1) >= (k + 1 - |t|)^2: every value of
+    # level k has |value| >= k + 1/2 - |t|, so levels > cutoff + |t| drop out
+    k_max = int(np.ceil(cutoff + abs(t))) + 1
     triples = []
     for k in range(k_max + 1):
-        mult = k + 1
-        v = 1.5 + t + k
-        if abs(v) <= edge:
-            triples.append((v, mult, ("plus", k, None, None)))
-        v = 1.5 - t + k
-        if abs(v) <= edge:
-            triples.append((v, mult, ("minus", k, None, None)))
+        members = [(1.5 + t + k, ("plus", k, None, None)),
+                   (1.5 - t + k, ("minus", k, None, None))]
         for p in range(k):
             root = np.sqrt(f0(k, p, t))
-            for sign in (1, -1):
-                v = 0.5 + sign * root
-                if abs(v) <= edge:
-                    triples.append((v, mult, ("branch", k, p, sign)))
+            members += [(0.5 + root, ("branch", k, p, 1)), (0.5 - root, ("branch", k, p, -1))]
+        triples += [(v, k + 1, label) for v, label in members if abs(v) <= edge]
     return Spectrum.from_triples(triples, tolerance=merge_tol)
 
 
@@ -114,35 +110,28 @@ def lambda1_basic(t: float) -> float:
     return 0.5 + np.sqrt(t * t + 4.0)
 
 
-def collision_t(k: int, p: int, k2: int, p2: int) -> float:
+def collision_t(k, p, k2, p2):
     """Coupling t at which branch curves (k, p) and (k2, p2) collide.
 
-    Solves f0(k, p, t) = f0(k2, p2, t), which is linear in t with slope
-    2(p - p2) - (k - k2); raises ValueError when that slope vanishes (the
-    curves are parallel translates and never cross, or coincide).
-    The value is computed in exact rational arithmetic before conversion.
+    Solves the linear equation f0(k, p, t) = f0(k2, p2, t), giving
+    t = (k - k2)(k + k2 + 2) / (2(k - k2) - 4(p - p2)): one correctly
+    rounded division of exact integers.  Raises ValueError for parallel
+    curves (zero denominator) or indices outside 0 <= p < k.  Takes integer
+    scalars (returns a float) or integer arrays (one t per curve pair).
     """
-    k = _check_level(k)
-    k2 = _check_level(k2)
-    p, p2 = int(p), int(p2)
-    if not 0 <= p < k:
-        raise ValueError(f"branch index p={p} outside 0..k-1 for k={k}")
-    if not 0 <= p2 < k2:
-        raise ValueError(f"branch index p={p2} outside 0..k-1 for k={k2}")
-    if 2 * (p - p2) == k - k2:
-        raise ValueError(
-            f"curves (k={k}, p={p}) and (k={k2}, p={p2}) have equal slope "
-            "in t; no collision point"
-        )
-    delta = (k2 - p2) * (p2 + 1) - (k - p) * (p + 1)
-    tc = (
-        Fraction(2 * delta, 2 * (p - p2) - (k - k2))
-        + Fraction(k + k2, 2)
-        - p
-        - p2
-        - 1
-    )
-    return float(tc)
+    args = np.broadcast_arrays(*(np.asarray(x) for x in (k, p, k2, p2)))
+    if any(x.dtype.kind not in "iu" for x in args):
+        raise ValueError("levels and branch indices must be integers")
+    k, p, k2, p2 = (x.astype(np.int64) for x in args)
+    den = 2 * (k - k2) - 4 * (p - p2)
+    for bad, why in (((p < 0) | (p >= k) | (p2 < 0) | (p2 >= k2), "p outside 0..k-1"),
+                     (den == 0, "equal slopes in t; no collision point")):
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise ValueError(f"curves (k={k.flat[i]}, p={p.flat[i]}) and "
+                             f"(k={k2.flat[i]}, p={p2.flat[i]}): {why}")
+    tc = (k - k2) * (k + k2 + 2) / den + 0.0  # + 0.0 maps 0/(-4) = -0.0 to 0.0
+    return float(tc) if tc.ndim == 0 else tc
 
 
 def curve_samples(t_values, k_max: int, window: tuple[float, float] | None = None):

@@ -19,7 +19,7 @@ delta + theta + L A / (2 pi) is an integer.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,32 +41,26 @@ class SpinCData:
     def __post_init__(self):
         n = self.lattice.n
         delta = np.asarray(self.delta, dtype=np.int64)
-        if delta.shape != (n,):
-            raise ValueError(f"delta has shape {delta.shape}, expected ({n},)")
+        theta = np.asarray(self.theta, dtype=np.float64)
+        A = np.asarray(self.A, dtype=np.float64)
+        for name, arr in (("delta", delta), ("theta", theta), ("A", A)):
+            if arr.shape != (n,):
+                raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} contains non-finite entries")
         if not np.all((delta == 0) | (delta == 1)):
             raise ValueError(f"delta entries must be 0 or 1, got {delta.tolist()}")
-        theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.shape != (n,):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({n},)")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta contains non-finite entries")
         if np.any(theta < 0.0) or np.any(theta >= 1.0):
             warnings.warn(
-                "theta reduced into [0, 1) (holonomy parameters are periodic)",
+                "theta reduced into [0, 1); an odd integer part flips delta "
+                "(the mode shift (delta + theta)/2 has period 2 in theta)",
                 stacklevel=2,
             )
+            delta = (delta + np.mod(np.floor(theta), 2.0).astype(np.int64)) % 2
             theta = np.mod(theta, 1.0)
-        A = np.asarray(self.A, dtype=np.float64)
-        if A.shape != (n,):
-            raise ValueError(f"A has shape {A.shape}, expected ({n},)")
-        if not np.all(np.isfinite(A)):
-            raise ValueError("A contains non-finite entries")
-        delta.setflags(write=False)
-        theta.setflags(write=False)
-        A.setflags(write=False)
-        self.delta = delta
-        self.theta = theta
-        self.A = A
+        for arr in (delta, theta, A):
+            arr.setflags(write=False)
+        self.delta, self.theta, self.A = delta, theta, A
 
     @property
     def n(self) -> int:
@@ -83,9 +77,8 @@ class SpinCData:
 
     def theta_mode(self, m) -> np.ndarray:
         """Dual point shifted by spin structure and holonomy only (no A)."""
-        m = np.asarray(m, dtype=np.float64)
         half = (self.delta + self.theta) / 2.0
-        return self.lattice.dual_basis @ (m + half)
+        return self.lattice.dual_basis @ (np.asarray(m, dtype=np.float64) + half)
 
     def theta_prime(self, m) -> np.ndarray:
         """Shifted dual point of the mode with integer coordinates m."""
@@ -104,17 +97,32 @@ def potential_from_fluxes(lattice: Lattice, fluxes) -> np.ndarray:
     return lattice.dual_basis @ fluxes
 
 
+def _mode_triples(data: SpinCData, modes) -> np.ndarray:
+    """Structured array of the (value, mult, label) triples of the modes.
+
+    theta' = (m + (delta + theta)/2) @ dual^T + A/(4 pi) for all modes in
+    one product; a mode gives -2 pi |theta'| then 2 pi |theta'| (N/2 each),
+    0 (N) if |theta'| <= ZERO_MODE_TOL, or for n = 1 the signed 2 pi theta'.
+    """
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, data.n)
+    half = (data.delta + data.theta) / 2.0
+    tp = (modes + half) @ data.lattice.dual_basis.T + data.A / (4.0 * np.pi)
+    if data.n == 1:
+        values, mults = 2.0 * np.pi * tp, np.ones(tp.shape, np.int64)
+    else:  # row-wise dot products, rounded like np.linalg.norm of one row
+        r = np.sqrt(np.matmul(tp[:, None, :], tp[:, :, None])[:, 0, 0])
+        zero = (r <= ZERO_MODE_TOL)[:, None]
+        values = np.where(zero, 0.0, 2.0 * np.pi * np.stack([-r, r], axis=1))
+        mults = np.where(zero, [data.spinor_dim, 0], data.spinor_dim // 2)
+    out = np.empty(values.size, [("value", "f8"), ("mult", "i8"), ("label", "i8", (data.n,))])
+    out["value"], out["mult"] = values.ravel(), mults.ravel()
+    out["label"] = np.repeat(modes, values.shape[1], axis=0)
+    return out[out["mult"] > 0]
+
+
 def mode_eigenvalues(data: SpinCData, m) -> list[tuple[float, int]]:
     """(value, multiplicity) pairs contributed by one dual mode."""
-    tp = data.theta_prime(m)
-    r = float(np.linalg.norm(tp))
-    N = data.spinor_dim
-    if data.n == 1:
-        return [(2.0 * np.pi * float(tp[0]), 1)]
-    if r <= ZERO_MODE_TOL:
-        return [(0.0, N)]
-    half = N // 2
-    return [(-2.0 * np.pi * r, half), (2.0 * np.pi * r, half)]
+    return [(float(v), int(mu)) for v, mu, _ in _mode_triples(data, m).tolist()]
 
 
 def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> Spectrum:
@@ -128,13 +136,8 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
         raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
     radius = cutoff / (2.0 * np.pi)
     modes = data.lattice.dual().enumerate_shifted(data.base_shift(), radius)
-    triples = []
-    edge = cutoff + 1e-12
-    for m in modes:
-        label = tuple(int(c) for c in m)
-        for value, mult in mode_eigenvalues(data, m):
-            if abs(value) <= edge:
-                triples.append((value, mult, label))
+    triples = _mode_triples(data, modes)
+    triples = triples[np.abs(triples["value"]) <= cutoff + 1e-12]
     return Spectrum.from_triples(triples, tolerance=merge_tol)
 
 
@@ -171,22 +174,19 @@ def symmetry_check(data: SpinCData, cutoff: float) -> SymmetryReport:
     symmetric only when delta + theta + L A / (2 pi) is an integer.
     """
     spec = spectrum(data, cutoff)
-    entries = spec.entries
-    worst = 0.0
-    witness = None
-    for e in entries:
-        mirrored = sum(
-            x.multiplicity for x in entries if abs(x.value + e.value) <= 1e-9
-        )
-        gap = float(abs(e.multiplicity - mirrored))
-        if gap > worst:
-            worst = gap
-            witness = (e.value, e.multiplicity, mirrored)
-    if witness is None:
+    values, mults = spec.values(), spec.multiplicities()
+    # total multiplicity within 1e-9 of each negated value, by bisection
+    cum = np.concatenate(([0], np.cumsum(mults)))
+    mirrored = (cum[np.searchsorted(values, 1e-9 - values, side="right")]
+                - cum[np.searchsorted(values, -values - 1e-9, side="left")])
+    gaps = np.abs(mults - mirrored)
+    if not gaps.any():
         return SymmetryReport(True, 0.0, None, "every eigenvalue mirrors")
+    i = int(np.argmax(gaps))
+    witness = (float(values[i]), int(mults[i]), int(mirrored[i]))
     return SymmetryReport(
         False,
-        worst,
+        float(gaps[i]),
         witness,
         f"value {witness[0]!r} has multiplicity {witness[1]} but its negative "
         f"has {witness[2]}",

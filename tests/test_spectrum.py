@@ -29,6 +29,14 @@ def test_merge_is_chained_across_consecutive_gaps():
     assert spec.entries[0].multiplicity == 3
 
 
+def test_gap_equal_to_tolerance_chains():
+    spec = Spectrum.from_triples(
+        [(0.5, 1, None), (0.0, 1, None), (0.25, 1, None), (1.0, 1, None)],
+        tolerance=0.25,
+    )
+    assert [(e.value, e.multiplicity) for e in spec] == [(0.25, 3), (1.0, 1)]
+
+
 def test_no_merge_beyond_tolerance():
     spec = Spectrum.from_triples(
         [(0.0, 1, None), (1e-6, 1, None)], tolerance=1e-9
@@ -82,3 +90,58 @@ def test_tolerance_environment_override(monkeypatch):
         merge_tolerance()
     monkeypatch.delenv("MAGDIRAC_TOLERANCE")
     assert merge_tolerance() == 1e-9
+
+
+def _reference_merge(triples, tol):
+    """Sorted scan with left-to-right group sums, one entry per chain."""
+    items = sorted(triples, key=lambda tr: tr[0])
+    out, i = [], 0
+    while i < len(items):
+        j = i + 1
+        while j < len(items) and items[j][0] - items[j - 1][0] <= tol:
+            j += 1
+        group = items[i:j]
+        mult = sum(g[1] for g in group)
+        value = sum(g[0] * g[1] for g in group) / mult
+        out.append((float(value), int(mult), tuple(g[2] for g in group)))
+        i = j
+    return out
+
+
+def _random_triples(rng, tol):
+    values = list(rng.uniform(-50.0, 50.0, size=int(rng.integers(0, 400))))
+    for _ in range(int(rng.integers(1, 6))):
+        # a chain of gaps just below tol: it spans up to 200 tol
+        start = float(rng.uniform(-50.0, 50.0))
+        steps = rng.uniform(0.3, 0.999, size=int(rng.integers(2, 200))) * tol
+        values += list(start + np.cumsum(steps))
+    values += list(rng.choice(values, size=len(values) // 4))  # exact repeats
+    values += [0.0, -0.0]
+    rng.shuffle(values)
+    return [
+        (float(v), int(rng.integers(1, 9)), (int(i), int(rng.integers(-5, 6))))
+        for i, v in enumerate(values)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_array_merge_equals_left_to_right_reference(seed):
+    rng = np.random.default_rng(seed)
+    tol = [1e-9, 1e-6, 1e-3][seed % 3]
+    triples = _random_triples(rng, tol)
+    expected = _reference_merge(triples, tol)
+    value_of = {lbl: v for v, _, lbl in triples}
+    spans = [max(value_of[l] for l in g) - min(value_of[l] for l in g) for *_, g in expected]
+    assert max(spans) > tol  # some chain merges values further apart than tol
+    spec = Spectrum.from_triples(triples, tolerance=tol)
+    got = [(e.value, e.multiplicity, e.labels) for e in spec]
+    assert got == expected
+    assert all(np.copysign(1.0, a) == np.copysign(1.0, b)
+               for (a, *_), (b, *_) in zip(got, expected))
+    # the same triples as a structured array with integer-row labels
+    records = np.array(
+        [(v, m, lbl) for v, m, lbl in triples],
+        dtype=[("value", "f8"), ("mult", "i8"), ("label", "i8", (2,))],
+    )
+    columnar = Spectrum.from_triples(records, tolerance=tol)
+    assert [(e.value, e.multiplicity, e.labels) for e in columnar] == expected

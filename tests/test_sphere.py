@@ -1,7 +1,10 @@
 """Closed-form 3-sphere spectrum of the twisted operator."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magdirac import sphere
 
@@ -167,3 +170,101 @@ def test_curve_samples_window_and_content():
 def test_spectrum_rejects_bad_cutoff():
     with pytest.raises(ValueError):
         sphere.spectrum(0.0, -1.0)
+
+
+def _merge_left_to_right(triples, tol=1e-9):
+    """Chain merge of (value, mult, label) triples, one group at a time."""
+    items = sorted(triples, key=lambda tr: tr[0])
+    out, i = [], 0
+    while i < len(items):
+        j = i + 1
+        while j < len(items) and items[j][0] - items[j - 1][0] <= tol:
+            j += 1
+        group = items[i:j]
+        mult = sum(g[1] for g in group)
+        value = sum(g[0] * g[1] for g in group) / mult
+        out.append((float(value), mult, {g[2] for g in group}))
+        i = j
+    return out
+
+
+def _brute_force_triples(t, cutoff):
+    """Every family member up to the old level bound (cutoff + 1/2)^2 / 4."""
+    edge = cutoff + 1e-12
+    k_max = int(np.ceil(max((cutoff + 0.5) ** 2 / 4.0, cutoff + abs(t)))) + 1
+    triples = []
+    for k in range(k_max + 1):
+        for fam, v in (("plus", 1.5 + t + k), ("minus", 1.5 - t + k)):
+            if abs(v) <= edge:
+                triples.append((v, k + 1, (fam, k, None, None)))
+        for p in range(k):
+            root = np.sqrt((1.0 + t + 2 * p - k) ** 2 + 4.0 * (k - p) * (p + 1))
+            for sign in (1, -1):
+                if abs(0.5 + sign * root) <= edge:
+                    triples.append((0.5 + sign * root, k + 1, ("branch", k, p, sign)))
+    return triples
+
+
+@pytest.mark.parametrize("t, cutoff", [
+    (0.0, 7.0), (0.0, 12.5), (1.0, 9.0), (-3.0, 8.0),     # integer t
+    (0.5, 3.0), (-1.5, 6.5), (2.5, 10.5),                 # half-integer t
+    (0.25, 5.75), (-2.5, 8.5),                            # cutoff + |t| integer
+    (0.37, 11.0), (-4.123, 6.3), (5.9, 2.0),              # generic t
+])
+def test_tight_level_bound_matches_brute_force(t, cutoff):
+    got = [(e.value, e.multiplicity, set(e.labels)) for e in sphere.spectrum(t, cutoff)]
+    assert got == _merge_left_to_right(_brute_force_triples(t, cutoff))
+
+
+def test_value_on_the_cutoff_is_kept():
+    # t = 1/2, cutoff 3: plus(k=1) sits exactly at 3/2 + 1/2 + 1 = 3
+    spec = sphere.spectrum(0.5, 3.0)
+    assert ("plus", 1, None, None) in spec.entries[-1].labels
+    assert spec.entries[-1].value == 3.0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 300),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+    t=st.floats(-60.0, 60.0, allow_nan=False),
+)
+def test_f0_linear_form_and_level_bound(k, frac, t):
+    p = int(frac * k)
+    f = sphere.f0(k, p, t)
+    linear = (k + 1 - t) ** 2 + 4 * t * (p + 1)
+    scale = (k + 1 + abs(t)) ** 2 + 4 * abs(t) * (p + 1)
+    assert abs(f - linear) <= 1e-13 * scale
+    assert np.sqrt(f) >= abs(k + 1 - abs(t)) - 1e-12 * (k + 1 + abs(t))
+
+
+def _collision_fraction(k, p, k2, p2):
+    """Crossing coupling in exact rational arithmetic, then rounded once."""
+    delta = (k2 - p2) * (p2 + 1) - (k - p) * (p + 1)
+    tc = Fraction(2 * delta, 2 * (p - p2) - (k - k2)) + Fraction(k + k2, 2) - p - p2 - 1
+    return float(tc)
+
+
+def test_collision_closed_form_equals_rational_reference():
+    curves = [(k, p) for k in range(21) for p in range(k)]
+    pairs = [  # both orders: equal levels then give 0/(+-4) and must be +0.0
+        (k, p, k2, p2)
+        for k, p in curves
+        for k2, p2 in curves
+        if 2 * (p - p2) != k - k2
+    ]
+    expected = [_collision_fraction(*pair) for pair in pairs]
+    got = sphere.collision_t(*np.array(pairs).T)
+    assert got.tolist() == expected
+    assert all(np.copysign(1.0, t) == np.copysign(1.0, e) for t, e in zip(got, expected))
+    for pair, e in zip(pairs[::97], expected[::97]):
+        assert sphere.collision_t(*pair) == e
+
+
+def test_collision_arrays_reject_any_parallel_or_invalid_pair():
+    with pytest.raises(ValueError):
+        sphere.collision_t([1, 2], [0, 1], [2, 4], [1, 2])  # (2,1)-(4,2) parallel
+    with pytest.raises(ValueError):
+        sphere.collision_t([1, 1], [0, 1], [2, 2], [1, 0])  # p = k out of range
+    with pytest.raises(ValueError):
+        sphere.collision_t(1.0, 0, 2, 1)  # levels are integers

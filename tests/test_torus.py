@@ -160,3 +160,55 @@ def test_spectrum_cutoff_validation_and_window():
     spec = torus.spectrum(data, 8.0)
     assert all(abs(e.value) <= 8.0 + 1e-9 for e in spec)
     assert spec.total_multiplicity() > 4
+
+
+def test_theta_reduction_keeps_the_spin_c_structure():
+    # the mode shift (delta + theta)/2 has period 2 in theta: theta = 1.3 on
+    # delta = 0 is theta = 0.3 on delta = 1, not theta = 0.3 on delta = 0
+    lat = square(1)
+    with pytest.warns(UserWarning):
+        reduced = SpinCData(lat, [0], [1.3], np.zeros(1))
+    assert reduced.delta.tolist() == [1]
+    assert reduced.theta[0] == pytest.approx(0.3, abs=1e-15)
+    got = torus.spectrum(reduced, 5.0)
+    want = torus.spectrum(SpinCData(lat, [1], [0.3], np.zeros(1)), 5.0)
+    assert np.allclose(got.values(), want.values(), atol=1e-12)
+    assert np.allclose(got.values(), [2 * np.pi * -0.35, 2 * np.pi * 0.65], atol=1e-12)
+    assert np.array_equal(got.multiplicities(), want.multiplicities())
+    # an even integer part leaves delta alone
+    with pytest.warns(UserWarning):
+        assert SpinCData(lat, [1], [-1.7], np.zeros(1)).delta.tolist() == [1]
+    with pytest.warns(UserWarning):
+        assert SpinCData(lat, [1], [-0.7], np.zeros(1)).delta.tolist() == [0]
+
+
+def _pairwise_symmetry(spec):
+    """(max mismatch, witness) by comparing every entry with every other."""
+    worst, witness = 0.0, None
+    for e in spec:
+        mirrored = sum(x.multiplicity for x in spec if abs(x.value + e.value) <= 1e-9)
+        if abs(e.multiplicity - mirrored) > worst:
+            worst = float(abs(e.multiplicity - mirrored))
+            witness = (e.value, e.multiplicity, mirrored)
+    return worst, witness
+
+
+def test_symmetry_check_matches_pairwise_reference():
+    lat = square(1)
+    cases = [
+        (SpinCData(lat, [d], [th], np.array([a])), 10.0)
+        for d, th, a in [(1, 0.0, 0.0), (1, 0.0, 1.0), (1, 0.0, 2 * np.pi),
+                         (0, 0.5, 0.0), (0, 0.2, 0.9), (1, 0.75, -2.0)]
+    ]
+    rng = np.random.default_rng(53)
+    for _ in range(6):
+        n = int(rng.integers(2, 5))
+        lattice = Lattice.from_rows(rng.normal(size=(n, n)) + 3 * np.eye(n))
+        data = SpinCData(lattice, rng.integers(0, 2, size=n),
+                         rng.uniform(0, 1, size=n), rng.normal(size=n))
+        cases.append((data, {2: 12.0, 3: 8.0, 4: 5.0}[n]))
+    for data, cutoff in cases:
+        rep = torus.symmetry_check(data, cutoff)
+        worst, witness = _pairwise_symmetry(torus.spectrum(data, cutoff))
+        assert (rep.symmetric, rep.max_mismatch, rep.witness) == (
+            witness is None, worst, witness)
