@@ -3,7 +3,6 @@ flat tori, matrix oracles that cross-validate the closed forms, and
 evaluators for the associated eigenvalue bounds."""
 
 from . import bounds, clifford, oracle, sphere, torus
-from ._backend import NUMBA_ENABLED, backend_name
 from .lattice import Lattice
 from .spectrum import Spectrum, SpectrumEntry, merge_tolerance
 from .torus import SpinCData
@@ -21,7 +20,5 @@ __all__ = [
     "SpectrumEntry",
     "SpinCData",
     "merge_tolerance",
-    "backend_name",
-    "NUMBA_ENABLED",
     "__version__",
 ]

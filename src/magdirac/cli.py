@@ -323,8 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=int, default=5)
     p.add_argument("--window", default="-5:5",
                    help="keep lo <= value <= hi, or 'none'")
-    p.add_argument("--csv", action="store_true",
-                   help="accepted for symmetry; output is always CSV")
     p.set_defaults(func=cmd_sphere_curve)
 
     p = sub.add_parser("collisions",
@@ -356,8 +354,6 @@ def build_parser() -> _Parser:
     p.add_argument("--A", default=None)
     p.add_argument("--flux", default=None)
     p.add_argument("--cutoff", type=float, default=20.0)
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; output is always JSON")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="matrix-oracle cross-checks")

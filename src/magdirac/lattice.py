@@ -6,7 +6,10 @@ The dual basis columns gamma_j* satisfy <gamma_i, gamma_j*> = delta_ij.
 Enumeration of {m in Z^n : |basis @ m + shift| <= radius} runs on the
 Cholesky factor of the Gram matrix and is complete by construction (every
 candidate is membership-checked exactly at the boundary, inclusive up to an
-absolute 1e-9 slack on the radius).
+absolute 1e-9 slack on the radius).  It is the level-synchronous form of
+Fincke-Pohst enumeration (Math. Comp. 44, 1985): coordinates are fixed from
+n-1 down to 0 for all partial points at once, so memory is O(points at the
+widest level).
 """
 
 import warnings
@@ -14,7 +17,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import enumerate_core
+
+def enumerate_core(R, center, r_eff):
+    """All integer vectors m with |R @ (m + center)| <= r_eff.
+
+    ``R`` is the upper-triangular Cholesky factor (positive diagonal) of the
+    quadratic form.  Level i expands every partial point (coordinates
+    i+1..n-1 fixed) over its interval [lo, hi] for coordinate i, the budget
+    left over from the fixed levels.  Interval bounds and pruning carry a
+    1e-7 slack and every candidate is re-checked exactly against r_eff at
+    the leaf, so slack never admits a wrong point and pruning never loses a
+    right one.  Returns a (count, n) int64 array, ordered lexicographically
+    by (m[n-1], ..., m[0]).
+    """
+    n = R.shape[0]
+    r2 = r_eff * r_eff
+    slack = 1e-7
+    m = np.zeros((1, n), dtype=np.int64)
+    rem = np.array([r2])
+    spart = np.zeros(1)
+    for i in range(n - 1, -1, -1):
+        t = np.sqrt(rem) + slack
+        lo = np.ceil((-t - spart) / R[i, i] - center[i]).astype(np.int64)
+        hi = np.floor((t - spart) / R[i, i] - center[i]).astype(np.int64)
+        width = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(lo.size), width)
+        offset = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        mi = lo[parent] + offset
+        ui = R[i, i] * (mi + center[i]) + spart[parent]
+        contrib = ui * ui
+        keep = contrib <= rem[parent] + slack
+        parent, mi, contrib = parent[keep], mi[keep], contrib[keep]
+        m = m[parent]
+        m[:, i] = mi
+        rem = np.maximum(rem[parent] - contrib, 0.0)
+        if i > 0:
+            spart = np.zeros(parent.size)
+            for j in range(i, n):
+                spart += R[i - 1, j] * (m[:, j] + center[j])
+    # exact membership check, independent of the pruning slack
+    q = np.zeros(m.shape[0])
+    for a in range(n):
+        acc = np.zeros(m.shape[0])
+        for b in range(a, n):
+            acc += R[a, b] * (m[:, b] + center[b])
+        q += acc * acc
+    return m[q <= r2]
 
 
 @dataclass

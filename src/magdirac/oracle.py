@@ -8,25 +8,20 @@ Three matrix routes cross-check the formulas:
 * a truncated Fourier-mode assembly of the full operator for oscillating
   potentials, used for gauge-invariance and curvature-identity checks.
 
-Eigenvalues of oracle matrices come from the in-house cyclic Jacobi kernel
-up to a backend-dependent size and from LAPACK above it, so the closed
-forms are never compared against themselves.
+Eigenvalues of oracle matrices come from LAPACK (``numpy.linalg.eigvalsh``),
+which never sees the closed forms, so they are never compared against
+themselves.
 """
 
 import itertools
 
 import numpy as np
 
-from ._backend import NUMBA_ENABLED
-from ._kernels import jacobi_eigvals
 from .clifford import build_rep, two_form_action, vector_action, volume_element
 from .lattice import Lattice
 from .sphere import f0
 from .torus import SpinCData, mode_eigenvalues
 
-# The Jacobi kernel is preferred while it stays cheap; without the JIT the
-# pure-Python sweeps get expensive quickly, so the crossover drops.
-JACOBI_MAX_DIM = 256 if NUMBA_ENABLED else 64
 MAX_OPERATOR_DIM = 4096
 GAUGE_TOL = 1e-6
 
@@ -53,31 +48,15 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def eigenvalues(self, method: str = "auto") -> np.ndarray:
-        return hermitian_eigs(self, method=method)
+    def eigenvalues(self) -> np.ndarray:
+        return hermitian_eigs(self)
 
 
-def hermitian_eigs(H, method: str = "auto") -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    ``method`` is "auto", "jacobi", or "lapack"; auto uses the cyclic
-    Jacobi kernel up to JACOBI_MAX_DIM and LAPACK above.  The Jacobi route
-    raises ArithmeticError if the off-diagonal norm fails to converge.
-    """
+def hermitian_eigs(H) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, by LAPACK."""
     if not isinstance(H, HermitianMatrix):
         H = HermitianMatrix(H)
-    if method == "auto":
-        method = "jacobi" if H.dim <= JACOBI_MAX_DIM else "lapack"
-    if method == "jacobi":
-        vals, converged = jacobi_eigvals(H.data.astype(np.complex128).copy())
-        if not converged:
-            raise ArithmeticError(
-                f"Jacobi sweeps did not converge on a {H.dim}x{H.dim} matrix"
-            )
-        return vals
-    if method == "lapack":
-        return np.linalg.eigvalsh(H.data)
-    raise ValueError(f"unknown eigenvalue method {method!r}")
+    return np.linalg.eigvalsh(H.data)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +194,7 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     """Cross-check closed per-mode eigenvalues against Clifford matrices.
 
     Draws random lattices, spin-c data, and modes; compares the sorted
-    closed-form eigenvalue list (with multiplicity) to the Jacobi spectrum
+    closed-form eigenvalue list (with multiplicity) to the LAPACK spectrum
     of 2 pi i c(theta').
     """
     rng = np.random.default_rng(seed)

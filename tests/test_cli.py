@@ -210,6 +210,8 @@ def test_invalid_inputs_exit_one(capsys):
     assert run(capsys, "sphere", "--t", "abc")[0] == 1
     assert run(capsys, "torus", "--basis", "not-json", "--cutoff", "3")[0] == 1
     assert run(capsys, "sphere-curve", "--t-range", "1:2")[0] == 1
+    assert run(capsys, "sphere-curve", "--csv")[0] == 1
+    assert run(capsys, "bounds", "--model", "sphere", "--json")[0] == 1
     assert run(capsys, "torus", "--basis", "[[1,2],[2,4]]", "--cutoff", "3")[0] == 1
     assert run(capsys)[0] == 1
 

@@ -1,9 +1,11 @@
 """Lattice geometry and shifted-point enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from magdirac.lattice import Lattice
+from magdirac.lattice import Lattice, enumerate_core
 
 
 def test_from_rows_stores_generators_as_columns():
@@ -107,3 +109,48 @@ def test_enumeration_shift_validates_shape():
     lat = Lattice.from_rows(np.eye(2))
     with pytest.raises(ValueError):
         lat.enumerate_shifted(np.zeros(3), 1.0)
+
+
+def brute_force_points(R, center, radius):
+    # |m_i + c_i| <= radius * |row i of R^-1|, so this box holds every point
+    reach = radius * np.linalg.norm(np.linalg.inv(R), axis=1) + 1e-6
+    axes = [range(int(np.floor(-r - c)), int(np.ceil(r - c)) + 1)
+            for r, c in zip(reach, center)]
+    return sorted(
+        m for m in itertools.product(*axes)
+        if np.linalg.norm(R @ (np.array(m) + center)) <= radius + 1e-9
+    )
+
+
+def test_enumerate_core_matches_brute_force():
+    rng = np.random.default_rng(34)
+    for trial in range(44):
+        if trial < 40:
+            n = int(rng.integers(1, 4))
+            A = rng.normal(size=(n, n))
+            gram = A.T @ A + 0.3 * np.eye(n)
+            center = rng.normal(size=n)
+            radius = float(rng.uniform(0.3, 2.5))
+        else:
+            # n = 4, near-cubic, radius 3: hundreds of partial points per
+            # level inside a brute-force box of a few thousand
+            n = 4
+            A = np.eye(n) + 0.15 * rng.normal(size=(n, n))
+            gram = A.T @ A
+            center = rng.uniform(-0.5, 0.5, size=n)
+            radius = float(rng.uniform(2.5, 3.5))
+        R = np.linalg.cholesky(gram).T.copy()
+        pts = enumerate_core(R, center, radius)
+        assert pts.dtype == np.int64 and pts.shape[1] == n
+        got = sorted(tuple(int(c) for c in row) for row in pts)
+        assert got == brute_force_points(R, center, radius)
+
+
+def test_enumerate_core_empty_and_growth():
+    R = np.eye(2)
+    pts = enumerate_core(R, np.array([0.4, 0.4]), 0.1)
+    assert pts.shape == (0, 2)
+    pts = enumerate_core(R, np.zeros(2), 9.0)
+    assert len(pts) > 64
+    norms = np.linalg.norm(pts, axis=1)
+    assert np.max(norms) <= 9.0 + 1e-6

@@ -17,19 +17,6 @@ def test_hermitian_matrix_rejects_asymmetric():
     assert H.hermiticity_defect == 0.0
 
 
-def test_hermitian_eigs_methods_agree():
-    rng = np.random.default_rng(61)
-    A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    H = HermitianMatrix((A + A.conj().T) / 2)
-    ej = oracle.hermitian_eigs(H, method="jacobi")
-    el = oracle.hermitian_eigs(H, method="lapack")
-    ea = oracle.hermitian_eigs(H, method="auto")
-    assert np.max(np.abs(ej - el)) < 1e-11
-    assert np.max(np.abs(ea - el)) < 1e-11
-    with pytest.raises(ValueError):
-        oracle.hermitian_eigs(H, method="magic")
-
-
 def test_sphere_block_entries_and_eigenvalues():
     rng = np.random.default_rng(62)
     for _ in range(50):
