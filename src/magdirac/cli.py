@@ -47,24 +47,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
+def _json_default(obj):
+    """numpy values json cannot encode itself (np.float64 is a float)."""
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _print_json(payload):
-    print(json.dumps(_jsonable(payload), indent=2))
+    print(json.dumps(payload, indent=2, default=_json_default))
 
 
 def _parse_grid(text: str) -> np.ndarray:

@@ -80,17 +80,17 @@ def volume_element(gens: list[np.ndarray]) -> np.ndarray:
 
 
 def vector_action(v: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
-    """Clifford action sum_j v_j g_j of a (real or complex) vector."""
+    """Clifford action sum_j v_j g_j of a (real or complex) vector.
+
+    ``v`` may also be a stack (..., n) of vectors; the result is then the
+    stack (..., N, N) of their actions, from one contraction.
+    """
     v = np.asarray(v)
-    if v.shape != (len(gens),):
+    if v.shape[-1:] != (len(gens),):
         raise ValueError(
-            f"vector has shape {v.shape}, expected ({len(gens)},)"
+            f"vector has shape {v.shape}, expected (..., {len(gens)})"
         )
-    dim = gens[0].shape[0]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for vj, g in zip(v, gens):
-        out += vj * g
-    return out
+    return np.einsum("...j,jab->...ab", v, gens)
 
 
 def two_form_action(omega: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:

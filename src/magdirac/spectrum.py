@@ -13,6 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
+# requests estimated past this many torus modes or sphere triples are
+# refused before any work (the largest routine ones need ~5e3)
+MAX_SPECTRUM_SIZE = 10**6
+
+
+def check_size(estimate: float, what: str) -> None:
+    """Raise ValueError if a request would produce more than the cap."""
+    if estimate > MAX_SPECTRUM_SIZE:
+        raise ValueError(
+            f"about {estimate:.3g} {what} exceed the cap {MAX_SPECTRUM_SIZE}; "
+            "reduce the cutoff"
+        )
 
 
 def merge_tolerance() -> float:

@@ -26,7 +26,7 @@ branch modes with k = 2p + 1, where f0 collapses to t^2 + 4(p + 1)^2.
 
 import numpy as np
 
-from .spectrum import Spectrum
+from .spectrum import Spectrum, check_size
 
 
 def f0(k: int, p: int, t: float) -> float:
@@ -65,7 +65,8 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     p = None, sign = None.  Merging uses the active tolerance; at t = 0 the
     plus/minus values and all k positive branch values of level k coincide
     at 3/2 + k, which therefore appears once with multiplicity
-    (k + 2)(k + 1).
+    (k + 2)(k + 1).  Refused (ValueError) before any work when the level
+    loop would visit more than ``spectrum.MAX_SPECTRUM_SIZE`` members.
     """
     t = _check_coupling(t)
     cutoff = float(cutoff)
@@ -75,9 +76,11 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     edge = cutoff + 1e-12
     # f0 = (k + 1 - t)^2 + 4t(p + 1) >= (k + 1 - |t|)^2: every value of
     # level k has |value| >= k + 1/2 - |t|, so levels > cutoff + |t| drop out
-    k_max = int(np.ceil(cutoff + abs(t))) + 1
+    # (a float, so an overflowing cutoff + |t| is refused as inf, not raised)
+    k_max = float(np.ceil(cutoff + abs(t))) + 1.0
+    check_size(triple_count(k_max), "triples")
     triples = []
-    for k in range(k_max + 1):
+    for k in range(int(k_max) + 1):
         members = [(1.5 + t + k, ("plus", k, None, None)),
                    (1.5 - t + k, ("minus", k, None, None))]
         for p in range(k):
@@ -85,6 +88,11 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
             members += [(0.5 + root, ("branch", k, p, 1)), (0.5 - root, ("branch", k, p, -1))]
         triples += [(v, k + 1, label) for v, label in members if abs(v) <= edge]
     return Spectrum.from_triples(triples, tolerance=merge_tol)
+
+
+def triple_count(k_max: float) -> float:
+    """Members of levels 0..k_max, all visited by ``spectrum``: 2 + 2k each."""
+    return (k_max + 1.0) * (k_max + 2.0)
 
 
 def lambda1(t: float, cutoff: float | None = None) -> float:

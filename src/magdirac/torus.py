@@ -18,13 +18,14 @@ one-dimensional and each mode contributes the single *signed* eigenvalue
 delta + theta + L A / (2 pi) is an integer.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import Lattice
-from .spectrum import Spectrum
+from .spectrum import Spectrum, check_size
 
 ZERO_MODE_TOL = 1e-10
 
@@ -76,12 +77,17 @@ class SpinCData:
         return self.lattice.dual_basis @ half + self.A / (4.0 * np.pi)
 
     def theta_mode(self, m) -> np.ndarray:
-        """Dual point shifted by spin structure and holonomy only (no A)."""
+        """Dual point shifted by spin structure and holonomy only (no A).
+
+        ``m`` is one mode (n,) or a stack (..., n); every row is rounded
+        exactly as a single mode is.
+        """
         half = (self.delta + self.theta) / 2.0
-        return self.lattice.dual_basis @ (np.asarray(m, dtype=np.float64) + half)
+        x = np.asarray(m, dtype=np.float64) + half
+        return (self.lattice.dual_basis @ x[..., None])[..., 0]
 
     def theta_prime(self, m) -> np.ndarray:
-        """Shifted dual point of the mode with integer coordinates m."""
+        """Shifted dual point(s) of the mode(s) with integer coordinates m."""
         return self.theta_mode(m) + self.A / (4.0 * np.pi)
 
 
@@ -125,15 +131,27 @@ def mode_eigenvalues(data: SpinCData, m) -> list[tuple[float, int]]:
     return [(float(v), int(mu)) for v, mu, _ in _mode_triples(data, m).tolist()]
 
 
+def mode_count_estimate(lattice: Lattice, cutoff: float) -> float:
+    """Weyl estimate of the modes below the cutoff: the dual points in a
+    ball of radius cutoff / 2 pi, vol(B_n) * |det basis|."""
+    n = lattice.n
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)  # unit ball volume
+    # a product, not a power: it overflows to inf instead of raising
+    radius_n = math.prod([cutoff / (2.0 * math.pi)] * n)
+    return ball * radius_n * abs(float(np.linalg.det(lattice.basis)))
+
+
 def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged across modes.
 
     Labels are the integer mode coordinates (as tuples); a merged entry
-    lists every contributing mode.
+    lists every contributing mode.  Refused (ValueError) before any work
+    when the mode count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
     """
     cutoff = float(cutoff)
     if not np.isfinite(cutoff) or cutoff <= 0.0:
         raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
+    check_size(mode_count_estimate(data.lattice, cutoff), "modes")
     radius = cutoff / (2.0 * np.pi)
     modes = data.lattice.dual().enumerate_shifted(data.base_shift(), radius)
     triples = _mode_triples(data, modes)

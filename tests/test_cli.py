@@ -216,6 +216,16 @@ def test_invalid_inputs_exit_one(capsys):
     assert run(capsys)[0] == 1
 
 
+def test_oversized_requests_exit_one(capsys, monkeypatch):
+    from magdirac import spectrum
+
+    monkeypatch.setattr(spectrum, "MAX_SPECTRUM_SIZE", 10)
+    code, out, err = run(capsys, "sphere", "--t", "0", "--cutoff", "3")
+    assert code == 1 and out == "" and "cap 10" in err
+    code, out, err = run(capsys, "torus", "--basis", "[[1,0],[0,1]]", "--cutoff", "30")
+    assert code == 1 and out == "" and "cap 10" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

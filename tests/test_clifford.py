@@ -104,6 +104,17 @@ def test_vector_action_is_skew_for_real_and_rejects_bad_shape():
     assert np.max(np.abs(act + act.conj().T)) == 0.0
     with pytest.raises(ValueError):
         clifford.vector_action(np.ones(3), gens)
+    with pytest.raises(ValueError):
+        clifford.vector_action(np.ones((2, 3)), gens)
+
+
+def test_vector_action_of_a_stack_is_the_stack_of_actions():
+    rng = np.random.default_rng(14)
+    for n in range(1, 7):
+        gens = clifford.build_rep(n)
+        stack = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        loop = [sum(vj * g for vj, g in zip(v, gens)) for v in stack]
+        assert np.array_equal(clifford.vector_action(stack, gens), np.array(loop))
 
 
 def test_two_form_action_matches_generator_products():

@@ -1,9 +1,11 @@
 """Matrix oracles: block assembly, Fourier operators, cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from magdirac import oracle, sphere, torus
+from magdirac import clifford, oracle, sphere, torus
 from magdirac.lattice import Lattice
 from magdirac.oracle import FourierPotential, HermitianMatrix
 from magdirac.torus import SpinCData
@@ -226,3 +228,57 @@ def test_verify_gauge_detects_large_truncation_error():
     data = SpinCData(lat, [1, 0], [0.0, 0.0], np.zeros(2))
     rep = oracle.verify_gauge(data, [((1, 0), 40.0)], cutoffs=(3, 4))
     assert not rep["pass"]
+
+
+def _random_spinc(rng, n):
+    lat = Lattice.from_rows(rng.normal(size=(n, n)) + 3 * np.eye(n))
+    return SpinCData(
+        lat, rng.integers(0, 2, size=n), rng.uniform(0, 1, size=n), rng.normal(size=n)
+    )
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 4), (2, 2), (3, 1), (4, 1)])
+def test_fourier_operator_matches_brute_force_loop(n, cutoff):
+    rng = np.random.default_rng(80 + n)
+    data = _random_spinc(rng, n)
+    gens = clifford.build_rep(n)
+    N = data.spinor_dim
+    # one shift of sup-norm <= 2 (partly inside the window) and one that
+    # leaves it from every mode
+    near = tuple(int(c) for c in rng.integers(-2, 3, size=n))
+    shifts = [near if any(near) else (1,) * n, (2 * cutoff + 1,) + (0,) * (n - 1)]
+    terms = []
+    for nu in shifts:
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        terms += [(nu, a), (tuple(-c for c in nu), np.conj(a))]
+    pot = FourierPotential(data.lattice, terms)
+
+    window = list(itertools.product(range(-cutoff, cutoff + 1), repeat=n))
+    for potential in (None, pot):
+        H, modes = oracle.torus_fourier_operator(data, potential, cutoff)
+        assert [tuple(m) for m in modes] == window
+        ref = np.zeros((len(window) * N,) * 2, dtype=np.complex128)
+        for i, m in enumerate(window):
+            ref[i * N:(i + 1) * N, i * N:(i + 1) * N] = (
+                oracle.torus_mode_matrix(data, m).data
+            )
+            for nu, a in (potential.table.items() if potential else ()):
+                target = tuple(x + y for x, y in zip(m, nu))
+                if target in window:
+                    j = window.index(target)
+                    ref[j * N:(j + 1) * N, i * N:(i + 1) * N] += 0.5j * sum(
+                        aj * g for aj, g in zip(a, gens)
+                    )
+        assert np.max(np.abs(H.data - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 4), (3, 2)])
+def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
+    rng = np.random.default_rng(90 + n)
+    data = _random_spinc(rng, n)
+    H, modes = oracle.torus_fourier_operator(data, None, cutoff)
+    dense = np.linalg.eigvalsh(H.data)
+    blocks = np.sort(np.concatenate([
+        np.linalg.eigvalsh(oracle.torus_mode_matrix(data, m).data) for m in modes
+    ]))
+    assert np.max(np.abs(dense - blocks)) <= 1e-12

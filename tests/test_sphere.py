@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magdirac import sphere
+from magdirac import spectrum as spectrum_mod
 
 
 def test_f0_definition_and_scalar_edges():
@@ -170,6 +171,34 @@ def test_curve_samples_window_and_content():
 def test_spectrum_rejects_bad_cutoff():
     with pytest.raises(ValueError):
         sphere.spectrum(0.0, -1.0)
+
+
+@pytest.mark.parametrize("t, cutoff",
+                         [(0.0, 3.0), (0.37, 12.5), (-2.5, 7.0), (4.0, 1.0)])
+def test_triple_count_is_the_members_visited(monkeypatch, t, cutoff):
+    calls = []
+    real_f0 = sphere.f0
+    monkeypatch.setattr(sphere, "f0",
+                        lambda k, p, t: calls.append(k) or real_f0(k, p, t))
+    kept = len(sphere.spectrum(t, cutoff, merge_tol=0.0).entries)
+    k_max = max(calls)
+    # two scalar members per level and two branch members per f0 call
+    assert 2 * (k_max + 1) + 2 * len(calls) == sphere.triple_count(k_max)
+    assert kept <= sphere.triple_count(k_max)
+
+
+def test_spectrum_refuses_past_the_size_cap_before_any_level(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("visited a level past the cap")
+
+    # cutoff 3 at t = 0.5 visits levels 0..5: 6 * 7 = 42 members
+    monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 41)
+    with monkeypatch.context() as m:
+        m.setattr(sphere, "f0", no_work)
+        with pytest.raises(ValueError, match="cap 41"):
+            sphere.spectrum(0.5, 3.0)
+    monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 42)
+    assert sphere.spectrum(0.5, 3.0).total_multiplicity() > 0
 
 
 def _merge_left_to_right(triples, tol=1e-9):

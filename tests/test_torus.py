@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from magdirac import spectrum as spectrum_mod
 from magdirac import torus
 from magdirac.lattice import Lattice
 from magdirac.torus import SpinCData
@@ -160,6 +161,36 @@ def test_spectrum_cutoff_validation_and_window():
     spec = torus.spectrum(data, 8.0)
     assert all(abs(e.value) <= 8.0 + 1e-9 for e in spec)
     assert spec.total_multiplicity() > 4
+
+
+def test_mode_count_estimate_follows_actual_counts():
+    rng = np.random.default_rng(58)
+    for n, cutoff in ((1, 400.0), (2, 120.0), (3, 60.0), (4, 40.0)):
+        lat = Lattice.from_rows(np.eye(n) + 0.3 * rng.uniform(-1, 1, size=(n, n)))
+        data = SpinCData(lat, rng.integers(0, 2, size=n), rng.uniform(0, 1, size=n),
+                         rng.normal(size=n))
+        radius = cutoff / (2 * np.pi)
+        count = len(lat.dual().enumerate_shifted(data.base_shift(), radius))
+        estimate = torus.mode_count_estimate(lat, cutoff)
+        assert count > 100, (n, count)
+        assert abs(count - estimate) <= 0.03 * estimate, (n, count, estimate)
+
+
+def test_spectrum_refuses_past_the_size_cap_before_enumerating(monkeypatch):
+    data = SpinCData(square(2), [1, 0], [0.0, 0.0], np.zeros(2))
+    estimate = torus.mode_count_estimate(data.lattice, 20.0)  # 100 / pi
+    assert 31 < estimate < 32
+    monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 31)
+
+    def no_work(*args):
+        raise AssertionError("enumerated past the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(Lattice, "enumerate_shifted", no_work)
+        with pytest.raises(ValueError, match="cap 31"):
+            torus.spectrum(data, 20.0)
+    monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 32)
+    assert torus.spectrum(data, 20.0).total_multiplicity() > 0
 
 
 def test_theta_reduction_keeps_the_spin_c_structure():
