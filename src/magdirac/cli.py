@@ -24,6 +24,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import oracle, sphere, torus
 from .lattice import Lattice
+from .spectrum import check_size
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,6 +168,8 @@ def cmd_sphere_curve(ns) -> int:
 
 def cmd_collisions(ns) -> int:
     k_max = int(ns.k_max)
+    curves = max(k_max, 0) * (k_max + 1) / 2
+    check_size(curves * (curves - 1) / 2, "curve pairs")
     ks, ps = np.tril_indices(max(k_max + 1, 0), -1)  # curves (k, p), 0 <= p < k
     i, j = np.triu_indices(len(ks), 1)
     keep = 2 * (ps[i] - ps[j]) != ks[i] - ks[j]
@@ -385,7 +388,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

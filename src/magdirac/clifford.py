@@ -11,14 +11,16 @@ and -iI when n = 1 (mod 4); in particular n = 1 gives the one-dimensional
 representation g_1 = [-i].
 """
 
+import functools
+
 import numpy as np
 
 _MAX_DIM = 12
 
 _ID2 = np.eye(2, dtype=np.complex128)
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
 def _kron_chain(factors):
@@ -28,11 +30,14 @@ def _kron_chain(factors):
     return out
 
 
-def build_rep(n: int) -> list[np.ndarray]:
+# typed, so build_rep(2.0) is refused even after build_rep(2) is cached
+@functools.lru_cache(maxsize=None, typed=True)
+def build_rep(n: int) -> tuple[np.ndarray, ...]:
     """Clifford generators for R^n acting on C^(2**floor(n/2)).
 
-    Returns a list of n read-only complex arrays.  Raises ValueError for
-    n < 1 or n > 12 (spinor dimension beyond 64 is past any use here).
+    Returns a tuple of n read-only complex arrays, built once per n and
+    shared by every caller.  Raises ValueError for n < 1 or n > 12 (spinor
+    dimension beyond 64 is past any use here).
     """
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"dimension must be an integer, got {n!r}")
@@ -45,12 +50,12 @@ def build_rep(n: int) -> list[np.ndarray]:
     m = n // 2
     gens = []
     for j in range(1, m + 1):
-        prefix = [_PAULI_Z] * (j - 1)
+        prefix = [PAULI_Z] * (j - 1)
         suffix = [_ID2] * (m - j)
-        gens.append(1j * _kron_chain(prefix + [_PAULI_X] + suffix))
-        gens.append(1j * _kron_chain(prefix + [_PAULI_Y] + suffix))
+        gens.append(1j * _kron_chain(prefix + [PAULI_X] + suffix))
+        gens.append(1j * _kron_chain(prefix + [PAULI_Y] + suffix))
     if n % 2 == 1:
-        last = 1j * _kron_chain([_PAULI_Z] * m)
+        last = 1j * _kron_chain([PAULI_Z] * m)
         # fix the sign so the volume element lands on -I (n = 3 mod 4)
         # or -iI (n = 1 mod 4)
         vol = _volume_with(gens, last)
@@ -61,7 +66,7 @@ def build_rep(n: int) -> list[np.ndarray]:
 
     for g in gens:
         g.setflags(write=False)
-    return gens
+    return tuple(gens)
 
 
 def _volume_with(gens, last):
@@ -71,7 +76,7 @@ def _volume_with(gens, last):
     return vol @ last
 
 
-def volume_element(gens: list[np.ndarray]) -> np.ndarray:
+def volume_element(gens: tuple[np.ndarray, ...]) -> np.ndarray:
     """Product g_1 g_2 ... g_n of the generators."""
     vol = np.eye(gens[0].shape[0], dtype=np.complex128)
     for g in gens:
@@ -79,7 +84,7 @@ def volume_element(gens: list[np.ndarray]) -> np.ndarray:
     return vol
 
 
-def vector_action(v: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
+def vector_action(v: np.ndarray, gens: tuple[np.ndarray, ...]) -> np.ndarray:
     """Clifford action sum_j v_j g_j of a (real or complex) vector.
 
     ``v`` may also be a stack (..., n) of vectors; the result is then the
@@ -93,7 +98,7 @@ def vector_action(v: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
     return np.einsum("...j,jab->...ab", v, gens)
 
 
-def two_form_action(omega: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
+def two_form_action(omega: np.ndarray, gens: tuple[np.ndarray, ...]) -> np.ndarray:
     """Clifford action sum_{i<j} omega_ij g_i g_j of an antisymmetric matrix.
 
     ``omega`` holds the exterior components of the two-form (antisymmetric,

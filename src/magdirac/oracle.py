@@ -2,8 +2,8 @@
 
 Three matrix routes cross-check the formulas:
 
-* 2x2 (and degenerate 1x1) coupling blocks for the 3-sphere families,
-  assembled directly from the recursion coefficients;
+* Peter-Weyl level matrices of the 3-sphere operator, built from spin
+  ladder entries and Pauli matrices and solved per weight block;
 * single-mode Clifford matrices 2 pi i c(theta') for flat-torus modes;
 * a truncated Fourier-mode assembly of the full operator for oscillating
   potentials, used for gauge-invariance and curvature-identity checks.
@@ -15,9 +15,10 @@ themselves.
 
 import numpy as np
 
-from .clifford import build_rep, two_form_action, vector_action, volume_element
+from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
+                       vector_action, volume_element)
 from .lattice import Lattice
-from .sphere import f0
+from .sphere import curve_samples
 from .torus import SpinCData, mode_eigenvalues
 
 MAX_OPERATOR_DIM = 4096
@@ -46,9 +47,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return hermitian_eigs(self)
-
 
 def hermitian_eigs(H) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, by LAPACK."""
@@ -58,109 +56,81 @@ def hermitian_eigs(H) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 3-sphere blocks
+# 3-sphere levels (Peter-Weyl)
 
 
-def _check_block_indices(k, p):
-    k, p = int(k), int(p)
-    if k < 0 or not 0 <= p < k:
-        raise ValueError(f"block indices need 0 <= p < k, got k={k}, p={p}")
-    return k, p
+def sphere_level_matrix(k: int):
+    """Level k of the sphere operator, on C^2 (x) V_k with V_k of spin k/2.
 
-
-def sphere_block(k: int, p: int, t: float) -> HermitianMatrix:
-    """Traceless 2x2 coupling block of the sphere operator at (k, p).
-
-    In the orthonormalized pair basis the block is
-
-        [[1 + t + 2p - k,          -2i sqrt((p+1)(k-p))],
-         [2i sqrt((p+1)(k-p)),      k - t - 2p - 1     ]],
-
-    with eigenvalues +-sqrt(f0(k, p, t)); the operator itself acts as
-    1/2 + block, giving the branch values 1/2 +- sqrt(f0).
-    """
-    k, p = _check_block_indices(k, p)
-    a = 1.0 + t + 2 * p - k
-    off = 2.0 * np.sqrt((p + 1) * (k - p))
-    return HermitianMatrix([[a, -1j * off], [1j * off, -a]])
-
-
-def sphere_block_raw(k: int, p: int, t: float) -> np.ndarray:
-    """Coupling block in the unnormalized pair basis.
-
-    Not Hermitian unless k - p = p + 1, but similar to the balanced block:
-    same trace (0), determinant (-f0), and eigenvalues.
-    """
-    k, p = _check_block_indices(k, p)
-    a = 1.0 + t + 2 * p - k
-    return np.array(
-        [[a, -2j * (p + 1)], [2j * (k - p), -a]], dtype=np.complex128
-    )
-
-
-def sphere_family_scalar(k: int, t: float, family: str) -> HermitianMatrix:
-    """Degenerate 1x1 block of the plus (p = k) / minus (p = -1) families.
-
-    The coupling coefficient vanishes at the chain ends, leaving the single
-    diagonal entry; the operator value is 1/2 + entry.
+    Peter-Weyl splits L^2(S^3) = L^2(SU(2)) into levels V_k (x) V_k*, each
+    carried k + 1 times.  In a left-invariant frame (X_a = -2i J_a,
+    c(e_a) = i sigma_a; Milnor 1976, Baer 1992) one copy of level k carries
+    H0 + t S, with H0 = 2 sum_a sigma_a (x) J_a + 3/2 and S = sigma_3 (x) I,
+    built from the ladder entries sqrt(j(j+1) - m(m+1)) and the Pauli
+    matrices alone.  Returns (H0, S, weight), with the weight
+    sigma_3/2 + J_3 of each basis vector, which both matrices preserve.
     """
     k = int(k)
     if k < 0:
         raise ValueError(f"level must be non-negative, got {k}")
-    if family == "plus":
-        return HermitianMatrix([[1.0 + t + k]])
-    if family == "minus":
-        return HermitianMatrix([[1.0 - t + k]])
-    raise ValueError(f"family must be 'plus' or 'minus', got {family!r}")
-
-
-def sphere_block_eigenvalues(k: int, p: int, t: float) -> np.ndarray:
-    """Branch pair at (k, p) via the matrix route: 1/2 + eig(block)."""
-    return 0.5 + hermitian_eigs(sphere_block(k, p, t))
+    j = k / 2.0
+    m = np.arange(k + 1) - j
+    up = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)  # J_+
+    spin = ((up + up.T) / 2, (up - up.T) / 2j, np.diag(m))
+    H0 = 2.0 * sum(np.kron(s, J) for s, J in zip((PAULI_X, PAULI_Y, PAULI_Z), spin))
+    H0 += 1.5 * np.eye(2 * k + 2)
+    S = np.kron(PAULI_Z, np.eye(k + 1))
+    return H0, S, np.add.outer([0.5, -0.5], m).ravel()
 
 
 def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
-    """Cross-check every closed-form sphere eigenvalue against its block.
+    """Cross-check every closed-form sphere eigenvalue against the levels.
 
-    Covers all branch pairs 0 <= p < k and both scalar families for
-    k <= k_max on the coupling grid (default 17 points on [-4, 4]).
-    Relative residuals are measured against 1 + |value|.
+    Sorted by weight, level k splits into 1x1 ends (lowest weight: minus,
+    highest: plus) and k 2x2 blocks whose ascending pairs are the branch
+    members (k, p, -1), (k, p, +1); all blocks are solved at every coupling
+    by one batched LAPACK call.  Every row of ``sphere.curve_samples``
+    (k <= k_max; default grid 17 points on [-4, 4]) is compared with the
+    member of its label, relative to 1 + |value|; a member no row reaches
+    fails too.  Raises ValueError if a level couples two different weights.
     """
     if t_values is None:
         t_values = np.linspace(-4.0, 4.0, 17)
-    checks = 0
-    worst = 0.0
-    failures = []
+    rows = curve_samples(t_values, k_max)  # validates, refuses oversized grids
+    ts = np.unique(np.asarray(t_values, dtype=np.float64))
+    labels, ends, blocks = [], [], []
+    for k in range(k_max + 1):
+        H0, S, w = sphere_level_matrix(k)
+        HS = np.stack([H0, S])
+        order = np.argsort(w, kind="stable")  # minus end, k pairs, plus end
+        tips, pairs = order[[0, -1]], order[1:-1].reshape(k, 2, 1)
+        end, pair = HS[:, tips, tips], HS[:, pairs, pairs.transpose(0, 2, 1)]
+        # the split is exact only if every nonzero entry lies in an end or a pair
+        if np.count_nonzero(HS) != np.count_nonzero(end) + np.count_nonzero(pair):
+            raise ValueError(f"level {k} couples two different weights")
+        ends.append(end.real)
+        blocks.append(pair)
+        labels += [("minus", k, None, None), ("plus", k, None, None)]
+    labels += [("branch", k, p, s) for k in range(k_max + 1) for p in range(k) for s in (-1, 1)]
+    ends, blocks = np.concatenate(ends, axis=1), np.concatenate(blocks, axis=1)
+    branch = np.linalg.eigvalsh(blocks[0] + ts[:, None, None, None] * blocks[1])
+    got = np.hstack([ends[0] + ts[:, None] * ends[1], branch.reshape(len(ts), 2 * blocks.shape[1])])
 
-    def record(closed, got, where):
-        nonlocal checks, worst
-        checks += 1
-        rel = abs(got - closed) / (1.0 + abs(closed))
-        if rel > worst:
-            worst = rel
-        if rel > 1e-12:
-            failures.append({**where, "closed": closed, "oracle": got})
-
-    for t in t_values:
-        t = float(t)
-        for k in range(k_max + 1):
-            for family in ("plus", "minus"):
-                sgn = 1.0 if family == "plus" else -1.0
-                closed = 1.5 + sgn * t + k
-                got = 0.5 + hermitian_eigs(sphere_family_scalar(k, t, family))[0]
-                record(closed, float(got), {"t": t, "k": k, "family": family})
-            for p in range(k):
-                root = np.sqrt(f0(k, p, t))
-                got = sphere_block_eigenvalues(k, p, t)
-                record(0.5 - root, float(got[0]),
-                       {"t": t, "k": k, "p": p, "sign": -1})
-                record(0.5 + root, float(got[1]),
-                       {"t": t, "k": k, "p": p, "sign": 1})
-
+    t_at = {t: i * len(labels) for i, t in enumerate(ts.tolist())}
+    column = {label: c for c, label in enumerate(labels)}
+    at = np.array([t_at[r[0]] + column[r[1:5]] for r in rows], dtype=np.int64)
+    closed = np.array([r[5] for r in rows], dtype=np.float64)
+    rel = np.abs(got.flat[at] - closed) / (1.0 + np.abs(closed))
+    missing = np.setdiff1d(np.arange(got.size), at)  # members no row reaches
+    keys = ("t", "family", "k", "p", "sign", "closed")
+    failures = [{**dict(zip(keys, rows[i])), "oracle": got.flat[at[i]]}
+                for i in np.flatnonzero(~(rel <= 1e-12))[:20]]
+    failures += [{**dict(zip(keys, (ts[i // len(labels)], *labels[i % len(labels)], None))),
+                  "oracle": got.flat[i]} for i in missing[:20]]
     return {
-        "checks": checks,
-        "max_residual": worst,
-        "pass": worst <= 1e-12,
+        "checks": len(rows),
+        "max_residual": float(np.max(rel, initial=0.0)),
+        "pass": not failures,
         "failures": failures[:20],
     }
 
@@ -195,28 +165,24 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     of 2 pi i c(theta').
     """
     rng = np.random.default_rng(seed)
-    checks = 0
-    worst = 0.0
-    failures = []
+    residuals, failures = [], []
     for _ in range(samples):
         data = _random_spinc(rng, n)
         m = rng.integers(-6, 7, size=n)
         closed = np.sort(np.repeat(*zip(*mode_eigenvalues(data, m))))
         got = hermitian_eigs(torus_mode_matrix(data, m))
         scale = 1.0 + float(np.max(np.abs(closed))) if closed.size else 1.0
-        rel = float(np.max(np.abs(got - closed))) / scale
-        checks += 1
-        if rel > worst:
-            worst = rel
-        if rel > 1e-12:
+        residuals.append(float(np.max(np.abs(got - closed))) / scale)
+        if residuals[-1] > 1e-12:
             failures.append({
                 "mode": [int(c) for c in m],
                 "theta_prime": data.theta_prime(m).tolist(),
                 "closed": closed.tolist(),
                 "oracle": got.tolist(),
             })
+    worst = max(residuals, default=0.0)
     return {
-        "checks": checks,
+        "checks": len(residuals),
         "max_residual": worst,
         "pass": worst <= 1e-12,
         "failures": failures[:20],
@@ -294,9 +260,7 @@ class FourierPotential:
 
     def bandwidth(self) -> int:
         """Largest sup-norm of any frequency (0 when empty)."""
-        if not self.table:
-            return 0
-        return max(max(abs(c) for c in nu) for nu in self.table)
+        return max((max(abs(c) for c in nu) for nu in self.table), default=0)
 
     def is_closed(self, tol: float = 1e-10) -> bool:
         """Whether every coefficient is parallel to its own frequency."""
@@ -494,7 +458,6 @@ def _lowest_by_abs(values: np.ndarray, count: int) -> np.ndarray:
     the pairing stable when the spectrum contains +-pairs that are equal
     in magnitude only up to rounding.
     """
-    values = np.asarray(values, dtype=np.float64)
     return np.sort(values[np.argsort(np.abs(values), kind="stable")[:count]])
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-9
-# requests estimated past this many torus modes or sphere triples are
-# refused before any work (the largest routine ones need ~5e3)
+# requests estimated past this many torus modes, sphere triples, curve rows
+# or collision pairs are refused before any work (routine ones need ~1e4)
 MAX_SPECTRUM_SIZE = 10**6
 
 
@@ -23,7 +23,7 @@ def check_size(estimate: float, what: str) -> None:
     if estimate > MAX_SPECTRUM_SIZE:
         raise ValueError(
             f"about {estimate:.3g} {what} exceed the cap {MAX_SPECTRUM_SIZE}; "
-            "reduce the cutoff"
+            "reduce the cutoff or k_max"
         )
 
 

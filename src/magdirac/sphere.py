@@ -148,9 +148,11 @@ def curve_samples(t_values, k_max: int, window: tuple[float, float] | None = Non
     Returns (t, family, k, p, sign, value) tuples for every family member
     of level <= k_max, keeping only values inside the window (default: no
     filter).  Branch rows carry the sign of the square root; plus/minus
-    rows have p = None, sign = None.
+    rows have p = None, sign = None.  Refused (ValueError) before any work
+    past ``spectrum.MAX_SPECTRUM_SIZE`` rows.
     """
     k_max = _check_level(k_max)
+    check_size(len(t_values) * triple_count(k_max), "curve rows")
     rows = []
     for t in t_values:
         t = _check_coupling(t)

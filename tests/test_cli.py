@@ -226,6 +226,39 @@ def test_oversized_requests_exit_one(capsys, monkeypatch):
     assert code == 1 and out == "" and "cap 10" in err
 
 
+def test_oversized_collisions_and_curves_exit_one(capsys, monkeypatch):
+    from magdirac import spectrum
+
+    # collisions --k-max 4: 10 curves, 45 pairs; sphere-curve and verify
+    # sphere-blocks on 3 couplings x levels 0..2: 36 rows
+    monkeypatch.setattr(spectrum, "MAX_SPECTRUM_SIZE", 44)
+    code, out, err = run(capsys, "collisions", "--k-max", "4")
+    assert code == 1 and out == "" and "cap 44" in err
+    monkeypatch.setattr(spectrum, "MAX_SPECTRUM_SIZE", 35)
+    for argv in (("sphere-curve", "--t-range", "0:1:3"),
+                 ("verify", "sphere-blocks", "--t-grid", "0:1:3")):
+        code, out, err = run(capsys, *argv, "--k-max", "2")
+        assert code == 1 and out == "" and "cap 35" in err
+    monkeypatch.setattr(spectrum, "MAX_SPECTRUM_SIZE", 45)
+    assert run(capsys, "collisions", "--k-max", "4")[0] == 0
+    assert run(capsys, "sphere-curve", "--t-range", "0:1:3", "--k-max", "2")[0] == 0
+    assert run(capsys, "verify", "sphere-blocks", "--t-grid", "0:1:3", "--k-max", "2")[0] == 0
+    for verb in ("collisions", "sphere-curve"):  # past any float: refused, not raised
+        code, out, err = run(capsys, verb, "--k-max", "1" + "0" * 400)
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_collisions_cap_admits_k_max_52_and_refuses_53(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("built the curve pairs")
+
+    monkeypatch.setattr(np, "tril_indices", no_work)
+    code, out, err = run(capsys, "collisions", "--k-max", "53")  # 1,023,165 pairs
+    assert code == 1 and out == "" and "cap 1000000" in err
+    with pytest.raises(AssertionError, match="built the curve pairs"):
+        run(capsys, "collisions", "--k-max", "52")  # 948,753 pairs: past the check
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -73,6 +73,16 @@ def test_generators_are_read_only():
         gens[0][0, 0] = 5.0
 
 
+def test_build_rep_is_built_once_per_dimension():
+    gens = clifford.build_rep(4)
+    assert clifford.build_rep(4) is gens
+    assert isinstance(gens, tuple) and len(gens) == 4
+    assert not any(g.flags.writeable for g in gens)
+    clifford.build_rep(2)
+    with pytest.raises(ValueError):  # a float is refused, even with 2 cached
+        clifford.build_rep(2.0)
+
+
 def test_vector_action_squares_to_minus_norm():
     rng = np.random.default_rng(11)
     for n in range(1, 7):

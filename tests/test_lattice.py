@@ -1,6 +1,7 @@
 """Lattice geometry and shifted-point enumeration."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,19 @@ def test_dual_of_dual_is_original():
     lat = Lattice.from_rows(np.array([[2.0, 1.0], [0.0, 1.5]]))
     back = lat.dual().dual()
     assert np.allclose(back.basis, lat.basis, atol=1e-12)
+
+
+def test_moderately_conditioned_basis_is_accepted():
+    # a unimodular image B U with cond 145: a Gram-determinant consistency
+    # check at 1e-12 refused it from rounding alone
+    basis = [[10.102919888014092, -7.058351769549555],
+             [0.930152179600358, -0.5454672406591385]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lat = Lattice(basis)
+    assert 140 < np.linalg.cond(lat.basis) < 150
+    assert np.max(np.abs(lat.basis.T @ lat.dual_basis - np.eye(2))) < 1e-12 * 145
+    assert len(lat.enumerate_shifted(np.zeros(2), 3.0)) > 0
 
 
 def test_point_uses_integer_combinations_of_columns():

@@ -19,47 +19,72 @@ def test_hermitian_matrix_rejects_asymmetric():
     assert H.hermiticity_defect == 0.0
 
 
-def test_sphere_block_entries_and_eigenvalues():
-    rng = np.random.default_rng(62)
-    for _ in range(50):
-        k = int(rng.integers(1, 12))
-        p = int(rng.integers(0, k))
-        t = float(rng.uniform(-4, 4))
-        blk = oracle.sphere_block(k, p, t).data
-        a = 1.0 + t + 2 * p - k
-        x = (p + 1) * (k - p)
-        assert abs(blk[0, 0] - a) < 1e-12
-        assert abs(blk[1, 1] + a) < 1e-12
-        assert abs(blk[0, 1] + 2j * np.sqrt(x)) < 1e-12
-        assert abs(np.trace(blk)) < 1e-12
-        root = np.sqrt(sphere.f0(k, p, t))
-        got = oracle.sphere_block_eigenvalues(k, p, t)
-        assert np.max(np.abs(got - np.array([0.5 - root, 0.5 + root]))) < 1e-11
+def _closed_level(k, t):
+    """Closed-form members of level k at coupling t, ascending."""
+    return np.sort([1.5 + t + k, 1.5 - t + k] + [
+        0.5 + s * np.sqrt(sphere.f0(k, p, t)) for p in range(k) for s in (-1, 1)
+    ])
 
 
-def test_sphere_block_raw_is_similar_to_balanced():
-    rng = np.random.default_rng(63)
-    for _ in range(50):
-        k = int(rng.integers(1, 10))
-        p = int(rng.integers(0, k))
-        t = float(rng.uniform(-3, 3))
-        raw = oracle.sphere_block_raw(k, p, t)
-        bal = oracle.sphere_block(k, p, t).data
-        assert abs(np.trace(raw) - np.trace(bal)) < 1e-12
-        assert abs(np.linalg.det(raw) - np.linalg.det(bal)) < 1e-10
-        assert abs(np.linalg.det(bal) + sphere.f0(k, p, t)) < 1e-10
-
-
-def test_sphere_scalar_families():
-    for k in range(5):
-        t = 0.7
-        plus = oracle.sphere_family_scalar(k, t, "plus").data
-        minus = oracle.sphere_family_scalar(k, t, "minus").data
-        assert plus.shape == (1, 1) and minus.shape == (1, 1)
-        assert abs(0.5 + plus[0, 0] - (1.5 + t + k)) < 1e-12
-        assert abs(0.5 + minus[0, 0] - (1.5 - t + k)) < 1e-12
+def test_sphere_level_matrix_spectrum_is_the_closed_form():
+    # the whole level solved densely, without the split by weight
+    for k in range(13):
+        H0, S, weight = oracle.sphere_level_matrix(k)
+        assert H0.shape == S.shape == (2 * k + 2, 2 * k + 2)
+        # weights -(k+1)/2 and (k+1)/2 once, each of -(k-1)/2..(k-1)/2 twice
+        assert np.array_equal(np.sort(weight), np.sort(np.concatenate(
+            [np.arange(k + 2) - (k + 1) / 2, np.arange(k) - (k - 1) / 2])))
+        W = np.diag(weight)
+        assert np.max(np.abs(W @ H0 - H0 @ W)) == 0.0
+        for t in (-3.7, -1.0, 0.0, 0.45, 2.5):
+            got = oracle.hermitian_eigs(H0 + t * S)
+            closed = _closed_level(k, t)
+            assert np.max(np.abs(got - closed)) <= 1e-12 * (1 + np.max(np.abs(closed)))
     with pytest.raises(ValueError):
-        oracle.sphere_family_scalar(1, 0.0, "sideways")
+        oracle.sphere_level_matrix(-1)
+
+
+def test_verify_sphere_blocks_catches_a_wrong_discriminant(monkeypatch):
+    # the discriminant with 4(k - p)(p + 2) in place of 4(k - p)(p + 1)
+    monkeypatch.setattr(sphere, "f0", lambda k, p, t: (
+        (1.0 + t + 2 * p - k) ** 2 + 4.0 * (k - p) * (p + 2)))
+    rep = oracle.verify_sphere_blocks(k_max=3, t_values=[-1.0, 0.0, 1.0])
+    assert rep["pass"] is False and rep["max_residual"] > 1e-3
+    bad = rep["failures"][0]
+    assert bad["family"] == "branch" and bad["sign"] in (-1, 1)
+    assert 0 <= bad["p"] < bad["k"] <= 3
+
+
+def test_verify_sphere_blocks_catches_swapped_families(monkeypatch):
+    real = sphere.curve_samples
+    swap = {"plus": "minus", "minus": "plus"}
+
+    def swapped(t_values, k_max, window=None):
+        return [(t, swap.get(fam, fam), k, p, s, v)
+                for t, fam, k, p, s, v in real(t_values, k_max, window)]
+
+    monkeypatch.setattr(oracle, "curve_samples", swapped)
+    rep = oracle.verify_sphere_blocks(k_max=3, t_values=[-1.0, 0.5])
+    assert rep["pass"] is False
+    assert {f["family"] for f in rep["failures"]} == {"plus", "minus"}
+    assert all(f["p"] is None and f["sign"] is None for f in rep["failures"])
+
+
+def test_verify_sphere_blocks_reports_members_no_row_reaches(monkeypatch):
+    real = sphere.curve_samples
+    monkeypatch.setattr(oracle, "curve_samples", lambda t_values, k_max: [
+        r for r in real(t_values, k_max) if r[1:5] != ("branch", 2, 1, -1)])
+    rep = oracle.verify_sphere_blocks(k_max=3, t_values=[0.25])
+    assert rep["pass"] is False and rep["checks"] == 4 * 5 - 1
+    (miss,) = rep["failures"]
+    assert (miss["family"], miss["k"], miss["p"], miss["sign"]) == ("branch", 2, 1, -1)
+    assert miss["closed"] is None and miss["t"] == 0.25
+
+
+def test_verify_sphere_blocks_counts_and_duplicate_couplings():
+    assert oracle.verify_sphere_blocks(k_max=3, t_values=[-1.0, 0.0, 1.0])["checks"] == 60
+    rep = oracle.verify_sphere_blocks(k_max=2, t_values=[0.5, 0.5])
+    assert rep["pass"] and rep["checks"] == 2 * 3 * 4
 
 
 def test_verify_sphere_blocks_small():

@@ -201,6 +201,20 @@ def test_spectrum_refuses_past_the_size_cap_before_any_level(monkeypatch):
     assert sphere.spectrum(0.5, 3.0).total_multiplicity() > 0
 
 
+def test_curve_samples_refuse_past_the_size_cap_before_any_row(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sampled a curve past the cap")
+
+    # 3 couplings x levels 0..2: 3 * (3 * 4) = 36 rows
+    monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 35)
+    with monkeypatch.context() as m:
+        m.setattr(sphere, "f0", no_work)
+        with pytest.raises(ValueError, match="cap 35"):
+            sphere.curve_samples([0.0, 0.5, 1.0], 2)
+    monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 36)
+    assert len(sphere.curve_samples([0.0, 0.5, 1.0], 2)) == 36
+
+
 def _merge_left_to_right(triples, tol=1e-9):
     """Chain merge of (value, mult, label) triples, one group at a time."""
     items = sorted(triples, key=lambda tr: tr[0])

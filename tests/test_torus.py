@@ -1,7 +1,11 @@
-"""Flat-torus spectrum: modes, zero modes, symmetry."""
+"""Flat-torus spectrum: modes, zero modes, symmetry, invariances."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magdirac import spectrum as spectrum_mod
 from magdirac import torus
@@ -243,3 +247,61 @@ def test_symmetry_check_matches_pairwise_reference():
         worst, witness = _pairwise_symmetry(torus.spectrum(data, cutoff))
         assert (rep.symmetric, rep.max_mismatch, rep.witness) == (
             witness is None, worst, witness)
+
+
+# metamorphic invariances: the same torus presented two ways has the same
+# spectrum.  Spectra are merged only at exact equality and compared as
+# sorted value lists expanded by multiplicity, strictly inside the cutoff,
+# so neither a merge nor the cutoff boundary can round differently.
+
+
+@st.composite
+def spin_c_tori(draw):
+    n = draw(st.integers(1, 4))
+    small = st.floats(-0.3, 0.3)
+    basis = np.eye(n) + np.reshape(draw(st.lists(small, min_size=n * n, max_size=n * n)), (n, n))
+    delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    A = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    return SpinCData(Lattice(basis), delta, theta, A)
+
+
+def _expanded_window(data):
+    """Sorted values (with multiplicity) of about 300 modes' worth of spectrum."""
+    n = data.n
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    det = abs(np.linalg.det(data.lattice.basis))
+    cutoff = 2 * math.pi * (300 * det / ball) ** (1 / n)
+    spec = torus.spectrum(data, cutoff, merge_tol=0.0)
+    values = np.repeat(spec.values(), spec.multiplicities())
+    return values[np.abs(values) <= cutoff * (1 - 1e-9)]
+
+
+def _same_values(a, b):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= 1e-11 * (1.0 + np.max(np.abs(a)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=spin_c_tori(), moves=st.lists(
+    st.tuples(st.integers(0, 3), st.integers(1, 3), st.integers(-3, 3)), max_size=6))
+def test_spectrum_is_invariant_under_unimodular_basis_change(data, moves):
+    n = data.n
+    U = np.eye(n, dtype=np.int64)
+    for i, shift, c in moves:  # add c times column i to column i + shift
+        i, j = i % n, (i + shift) % n
+        if i != j:
+            U[:, j] += c * U[:, i]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # U^T (delta + theta) leaves [0, 1)
+        moved = SpinCData(Lattice(data.lattice.basis @ U), np.zeros(n, dtype=np.int64),
+                          U.T @ (data.delta + data.theta), data.A)
+    _same_values(_expanded_window(data), _expanded_window(moved))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=spin_c_tori(), gamma=st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_spectrum_is_invariant_under_dual_lattice_shifts_of_A(data, gamma):
+    shift = 4 * np.pi * (data.lattice.dual_basis @ np.array(gamma[:data.n]))
+    shifted = SpinCData(data.lattice, data.delta, data.theta, data.A + shift)
+    _same_values(_expanded_window(data), _expanded_window(shifted))
