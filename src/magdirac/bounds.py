@@ -246,16 +246,11 @@ def compare(
     if bound.vacuous:
         raise ValueError(f"cannot compare vacuous bound {bound.name}: {bound.reason}")
     if bound.form in ("squared", "absolute", "first_positive"):
-        satisfied = reference >= bound.value - tolerance
+        satisfied, margin = reference >= bound.value - tolerance, reference - bound.value
     elif bound.form == "upper_squared":
-        satisfied = reference <= bound.value + tolerance
+        satisfied, margin = reference <= bound.value + tolerance, bound.value - reference
     else:
         raise ValueError(f"unknown bound form {bound.form!r}")
-    margin = (
-        reference - bound.value
-        if bound.form != "upper_squared"
-        else bound.value - reference
-    )
     equality = abs(reference - bound.value) <= tolerance * (1.0 + abs(bound.value))
     return BoundReport(
         name=bound.name,

@@ -210,38 +210,33 @@ def cmd_torus(ns) -> int:
     return 0
 
 
+def _sphere_diamagnetic(data, t):
+    """Diamagnetic upper bound on S^3: the smaller of the two Sasakian sectors."""
+    ups = [bounds_mod.diamagnetic_upper(*bounds_mod.sasaki_q(1, 0.0, s), data.eta_Linf, t)
+           for s in ("top", "bottom")]
+    return min(ups, key=lambda b: b.value)
+
+
+# bound name -> evaluator (GeometricData, t) -> BoundValue on the round S^3
+_SPHERE_BOUNDS = {"friedrich": bounds_mod.friedrich, "hijazi": bounds_mod.hijazi,
+                  "basic": bounds_mod.basic, "diamagnetic": _sphere_diamagnetic}
+
+
 def cmd_bounds(ns) -> int:
     t = float(ns.t)
     which = [w.strip() for w in ns.which.split(",") if w.strip()]
-    known = ("friedrich", "hijazi", "basic", "diamagnetic")
     for w in which:
-        if w not in known:
-            raise ValueError(f"unknown bound {w!r}; choose from {', '.join(known)}")
-    reports = []
+        if w not in _SPHERE_BOUNDS:
+            raise ValueError(f"unknown bound {w!r}; choose from {', '.join(_SPHERE_BOUNDS)}")
 
     if ns.model == "sphere":
         data = bounds_mod.sphere3_data()
         lam1 = sphere.lambda1(t)
-        for w in which:
-            if w == "friedrich":
-                bv = bounds_mod.friedrich(data, t)
-                reports.append(bounds_mod.compare(bv, lam1**2))
-            elif w == "hijazi":
-                bv = bounds_mod.hijazi(data, t)
-                reports.append(bounds_mod.compare(bv, lam1))
-            elif w == "basic":
-                bv = bounds_mod.basic(data, t)
-                reports.append(bounds_mod.compare(bv, sphere.lambda1_basic(t)))
-            elif w == "diamagnetic":
-                ups = [
-                    bounds_mod.diamagnetic_upper(lam, q, data.eta_Linf, t)
-                    for lam, q in (
-                        bounds_mod.sasaki_q(1, 0.0, "top"),
-                        bounds_mod.sasaki_q(1, 0.0, "bottom"),
-                    )
-                ]
-                best = min(ups, key=lambda b: b.value)
-                reports.append(bounds_mod.compare(best, lam1**2))
+        # the exact quantity each bound form is compared against (see compare)
+        reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
+                     "first_positive": sphere.lambda1_basic(t)}
+        reports = [bounds_mod.compare(b, reference[b.form])
+                   for b in (_SPHERE_BOUNDS[w](data, t) for w in which)]
         payload = {"model": "sphere", "t": t, "bounds": [vars(r) for r in reports]}
     elif ns.model == "torus":
         data_sc = _spinc_from_args(ns)

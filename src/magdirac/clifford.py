@@ -58,7 +58,7 @@ def build_rep(n: int) -> tuple[np.ndarray, ...]:
         last = 1j * _kron_chain([PAULI_Z] * m)
         # fix the sign so the volume element lands on -I (n = 3 mod 4)
         # or -iI (n = 1 mod 4)
-        vol = _volume_with(gens, last)
+        vol = volume_element(gens + [last])
         target = -1.0 if n % 4 == 3 else -1.0j
         if not np.allclose(vol, target * np.eye(vol.shape[0])):
             last = -last
@@ -67,13 +67,6 @@ def build_rep(n: int) -> tuple[np.ndarray, ...]:
     for g in gens:
         g.setflags(write=False)
     return tuple(gens)
-
-
-def _volume_with(gens, last):
-    vol = np.eye(last.shape[0], dtype=np.complex128)
-    for g in gens:
-        vol = vol @ g
-    return vol @ last
 
 
 def volume_element(gens: tuple[np.ndarray, ...]) -> np.ndarray:

@@ -51,13 +51,13 @@ class SpectrumEntry:
 
 
 class Spectrum:
-    """Ascending list of distinct eigenvalues with multiplicities, held as
-    arrays; the entries with their label tuples are built on first access."""
+    """Ascending list of distinct eigenvalues with multiplicities: ``entries``
+    (built at construction) plus value and multiplicity arrays for queries."""
 
-    def __init__(self, entries):
-        self._entries = list(entries)
-        self._values = np.array([e.value for e in self._entries], dtype=np.float64)
-        self._mults = np.array([e.multiplicity for e in self._entries], dtype=np.int64)
+    def __init__(self, entries=()):
+        self.entries = list(entries)
+        self._values = np.array([e.value for e in self.entries], dtype=np.float64)
+        self._mults = np.array([e.multiplicity for e in self.entries], dtype=np.int64)
 
     @classmethod
     def from_triples(cls, triples, tolerance: float | None = None) -> "Spectrum":
@@ -70,7 +70,8 @@ class Spectrum:
         """
         tol = merge_tolerance() if tolerance is None else float(tolerance)
         if isinstance(triples, np.ndarray):
-            values, mults, labels = triples["value"], triples["mult"], triples["label"]
+            values, mults = triples["value"], triples["mult"]
+            labels = list(map(tuple, triples["label"].tolist()))
         else:
             values, mults, labels = list(zip(*triples)) or ((), (), ())
         values = np.asarray(values, dtype=np.float64)
@@ -82,27 +83,10 @@ class Spectrum:
         for j in range(int(sizes.max(initial=0))):  # np.add.reduceat would sum pairwise
             live = live[sizes[live] > j]
             sums[live] += weighted[starts[live] + j]
-        spec = cls([])
-        spec._mults = np.add.reduceat(mults, starts) if len(starts) else mults
-        spec._values = sums / spec._mults
-
-        def group_labels():  # called once, by the first read of entries
-            if isinstance(labels, np.ndarray):
-                ordered = list(map(tuple, labels[order].tolist()))
-            else:
-                ordered = [labels[i] for i in order.tolist()]
-            return [tuple(ordered[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
-
-        spec._entries = group_labels
-        return spec
-
-    @property
-    def entries(self) -> list:
-        if callable(self._entries):
-            self._entries = list(map(
-                SpectrumEntry, self._values.tolist(), self._mults.tolist(), self._entries()
-            ))
-        return self._entries
+        mults = np.add.reduceat(mults, starts) if len(starts) else mults
+        labels = [labels[i] for i in order.tolist()]
+        groups = [tuple(labels[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
+        return cls(map(SpectrumEntry, (sums / mults).tolist(), mults.tolist(), groups))
 
     def __len__(self) -> int:
         return len(self._values)

@@ -79,15 +79,20 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     # (a float, so an overflowing cutoff + |t| is refused as inf, not raised)
     k_max = float(np.ceil(cutoff + abs(t))) + 1.0
     check_size(triple_count(k_max), "triples")
-    triples = []
-    for k in range(int(k_max) + 1):
-        members = [(1.5 + t + k, ("plus", k, None, None)),
-                   (1.5 - t + k, ("minus", k, None, None))]
-        for p in range(k):
-            root = np.sqrt(f0(k, p, t))
-            members += [(0.5 + root, ("branch", k, p, 1)), (0.5 - root, ("branch", k, p, -1))]
-        triples += [(v, k + 1, label) for v, label in members if abs(v) <= edge]
+    triples = [(v, k + 1, label) for k in range(int(k_max) + 1)
+               for v, label in _level(k, t) if abs(v) <= edge]
     return Spectrum.from_triples(triples, tolerance=merge_tol)
+
+
+def _level(k: int, t: float) -> list:
+    """(value, label) of every member of level k, as ``spectrum`` and
+    ``curve_samples`` read them: plus, minus, then the +-1 branches of p < k."""
+    members = [(1.5 + t + k, ("plus", k, None, None)),
+               (1.5 - t + k, ("minus", k, None, None))]
+    for p in range(k):
+        root = np.sqrt(f0(k, p, t))
+        members += [(0.5 + root, ("branch", k, p, 1)), (0.5 - root, ("branch", k, p, -1))]
+    return members
 
 
 def triple_count(k_max: float) -> float:
@@ -153,16 +158,8 @@ def curve_samples(t_values, k_max: int, window: tuple[float, float] | None = Non
     """
     k_max = _check_level(k_max)
     check_size(len(t_values) * triple_count(k_max), "curve rows")
-    rows = []
-    for t in t_values:
-        t = _check_coupling(t)
-        for k in range(k_max + 1):
-            rows.append((t, "plus", k, None, None, 1.5 + t + k))
-            rows.append((t, "minus", k, None, None, 1.5 - t + k))
-            for p in range(k):
-                root = np.sqrt(f0(k, p, t))
-                rows.append((t, "branch", k, p, 1, 0.5 + root))
-                rows.append((t, "branch", k, p, -1, 0.5 - root))
+    rows = [(t, *label, v) for t in map(_check_coupling, t_values)
+            for k in range(k_max + 1) for v, label in _level(k, t)]
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         rows = [r for r in rows if lo <= r[5] <= hi]

@@ -170,6 +170,14 @@ def test_bounds_torus_reports_inapplicable(capsys):
         assert by_name[name]["applicable"] is False
         assert by_name[name]["reason"]
 
+    # the circle (default basis [[1]]): Friedrich needs n >= 2 too
+    code, out, _ = run(capsys, "bounds", "--model", "torus")
+    assert code == 0
+    by_name = {b["name"]: b for b in json.loads(out)["bounds"]}
+    assert list(by_name) == ["friedrich", "hijazi", "basic", "diamagnetic"]
+    assert all(b["applicable"] is False and b["reason"] for b in by_name.values())
+    assert by_name["friedrich"]["reason"] == "needs dimension >= 2, got n=1"
+
 
 def test_verify_sphere_blocks_cli(capsys):
     code, out, _ = run(
@@ -214,6 +222,16 @@ def test_invalid_inputs_exit_one(capsys):
     assert run(capsys, "bounds", "--model", "sphere", "--json")[0] == 1
     assert run(capsys, "torus", "--basis", "[[1,2],[2,4]]", "--cutoff", "3")[0] == 1
     assert run(capsys)[0] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("sphere-curve", "--t-range", "0:1:0"), "grid needs at least one step"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0], 0.1]]"),
+     "each f-term must be"),
+])
+def test_refusals(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith(f"error: {message}")
 
 
 def test_oversized_requests_exit_one(capsys, monkeypatch):

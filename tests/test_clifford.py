@@ -162,3 +162,12 @@ def test_simple_two_form_eigenvalues():
         om[0, 1], om[1, 0] = 1.0, -1.0
         act = clifford.two_form_action(om, gens)
         assert np.max(np.abs(act @ act + np.eye(act.shape[0]))) == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: clifford.two_form_action(np.zeros((2, 2)), clifford.build_rep(3)),
+     "two-form has shape"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -168,3 +168,12 @@ def test_enumerate_core_empty_and_growth():
     assert len(pts) > 64
     norms = np.linalg.norm(pts, axis=1)
     assert np.max(norms) <= 9.0 + 1e-6
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Lattice(np.ones((2, 3))), "basis must be square"),
+    (lambda: Lattice(np.eye(2)).enumerate_shifted([0, 0], np.inf), "radius must be finite"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -307,3 +307,55 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
         np.linalg.eigvalsh(oracle.torus_mode_matrix(data, m).data) for m in modes
     ]))
     assert np.max(np.abs(dense - blocks)) <= 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HermitianMatrix(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0, 0), np.ones(2))]), "wrong length"),
+    (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0), np.array([np.inf, 0.0]))]),
+     "not finite"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_verify_sphere_blocks_refuses_a_level_that_couples_two_weights(monkeypatch):
+    real = oracle.sphere_level_matrix
+
+    def coupled(k):
+        H0, S, w = real(k)
+        if k == 2:  # weights 3/2 and 1/2 (see the weight array w)
+            assert w[0] != w[1]
+            H0[0, 1] = H0[1, 0] = 0.5
+        return H0, S, w
+
+    monkeypatch.setattr(oracle, "sphere_level_matrix", coupled)
+    with pytest.raises(ValueError, match="level 2 couples two different weights"):
+        oracle.verify_sphere_blocks(3, [0.5])
+
+
+def test_verify_sphere_blocks_default_grid():
+    # 17 couplings x levels 0..2 with 2k + 2 members each
+    assert oracle.verify_sphere_blocks(k_max=2)["checks"] == 17 * (2 + 4 + 6)
+
+
+def test_verify_sphere_blocks_checks_the_members_the_spectrum_merges(monkeypatch):
+    # a shifted minus family in the one member list reaches spectrum and oracle alike
+    real = sphere._level
+    monkeypatch.setattr(sphere, "_level", lambda k, t: [
+        (v + 0.25 if label[0] == "minus" else v, label) for v, label in real(k, t)])
+    assert sphere.spectrum(0.0, 2.0).values().tolist() == [-1.5, 1.5, 1.75]
+    rep = oracle.verify_sphere_blocks(k_max=4, t_values=[-1.0, 0.5])
+    assert rep["pass"] is False
+    assert {f["family"] for f in rep["failures"]} == {"minus"}
+
+
+def test_verify_torus_modes_reports_each_failing_mode(monkeypatch):
+    real = oracle.mode_eigenvalues
+    monkeypatch.setattr(oracle, "mode_eigenvalues",
+                        lambda data, m: [(v + 1e-6, mu) for v, mu in real(data, m)])
+    rep = oracle.verify_torus_modes(n=2, samples=5)
+    assert rep["pass"] is False and rep["checks"] == 5 and len(rep["failures"]) == 5
+    assert all(set(f) == {"closed", "mode", "oracle", "theta_prime"} for f in rep["failures"])
+    assert 1e-7 < rep["max_residual"] < 2e-7

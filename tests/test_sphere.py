@@ -311,3 +311,26 @@ def test_collision_arrays_reject_any_parallel_or_invalid_pair():
         sphere.collision_t([1, 1], [0, 1], [2, 2], [1, 0])  # p = k out of range
     with pytest.raises(ValueError):
         sphere.collision_t(1.0, 0, 2, 1)  # levels are integers
+
+
+@pytest.mark.parametrize("t, cutoff",
+                         [(0.0, 4.0), (0.37, 6.5), (-2.5, 3.0), (1.0, 0.75), (5.5, 11.2)])
+def test_spectrum_merges_exactly_the_curve_rows_in_the_window(monkeypatch, t, cutoff):
+    merged = []
+    monkeypatch.setattr(sphere.Spectrum, "from_triples",
+                        lambda triples, tolerance=None: merged.extend(triples))
+    sphere.spectrum(t, cutoff)
+    rows = sphere.curve_samples([t], int(cutoff + abs(t)) + 3, window=(-cutoff, cutoff))
+    assert merged == [(v, k + 1, (fam, k, p, s)) for _, fam, k, p, s, v in rows]
+    assert len(merged) > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sphere.f0(2.5, 0, 0.0), "level must be an integer"),
+    (lambda: sphere.curve_samples([0.0], 2.5), "level must be an integer"),
+    (lambda: sphere.spectrum(float("nan"), 3.0), "coupling must be finite"),
+    (lambda: sphere.lambda1(float("inf")), "coupling must be finite"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

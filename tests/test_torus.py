@@ -305,3 +305,11 @@ def test_spectrum_is_invariant_under_dual_lattice_shifts_of_A(data, gamma):
     shift = 4 * np.pi * (data.lattice.dual_basis @ np.array(gamma[:data.n]))
     shifted = SpinCData(data.lattice, data.delta, data.theta, data.A + shift)
     _same_values(_expanded_window(data), _expanded_window(shifted))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: torus.potential_from_fluxes(Lattice(np.eye(2)), [1.0]), "fluxes has shape"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
