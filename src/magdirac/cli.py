@@ -63,6 +63,43 @@ def _print_json(payload):
     print(json.dumps(payload, indent=2, default=_json_default))
 
 
+# The eigenvalue lists of `sphere` and `torus` are written from the
+# spectrum's arrays with fixed templates, in the layout json.dumps(indent=2)
+# gives; floats are float.__repr__, as json prints them.
+
+
+def _json_list(items: list, indent: str) -> str:
+    """A list in json.dumps(indent=2) layout; ``items`` are rendered one
+    level deeper than ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _json_row(cells: list, indent: str) -> str:
+    """Template of a flat list that is an item at ``indent``: one cell
+    template per element."""
+    return indent + _json_list([indent + "  " + c for c in cells], indent)
+
+
+def _json_entry(key: str) -> str:
+    """Template of one eigenvalue object: value, multiplicity, member list."""
+    return ('    {\n      "value": %r,\n      "multiplicity": %d,\n      "'
+            + key + '": [\n%s\n      ]\n    }')
+
+
+def _entry_lines(spec, template: str, members: list, sep: str) -> list:
+    """``template % (value, multiplicity, its members joined by sep)`` per
+    entry; ``members`` holds one rendered string per label in merged order."""
+    bounds = spec.members()[1].tolist()
+    return [template % (v, m, sep.join(members[a:b])) for v, m, a, b in
+            zip(spec.values().tolist(), spec.multiplicities().tolist(), bounds, bounds[1:])]
+
+
+def _sphere_members(spec, end: str, branch: str) -> list:
+    """Each (family, k, p, sign) label rendered by the plus/minus template
+    (family, k) or the branch template (family, k, p, sign)."""
+    return [end % lbl[:2] if lbl[2] is None else branch % lbl for lbl in spec.members()[0]]
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Parse 'start:stop:steps' into a uniform grid."""
     parts = text.split(":")
@@ -126,28 +163,20 @@ def cmd_sphere(ns) -> int:
     cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
     spec = sphere.spectrum(t, cutoff)
     if ns.json:
-        _print_json({"t": t, "cutoff": cutoff, "eigenvalues": [
-            {"value": e.value, "multiplicity": e.multiplicity,
-             "labels": [list(lbl) for lbl in e.labels]}
-            for e in spec
-        ]})
+        members = _sphere_members(spec, _json_row(['"%s"', "%d", "null", "null"], " " * 8),
+                                  _json_row(['"%s"', "%d", "%d", "%d"], " " * 8))
+        lines = _entry_lines(spec, _json_entry("labels"), members, ",\n")
+        print('{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": %s\n}'
+              % (t, cutoff, _json_list(lines, "  ")))
     elif ns.csv:
-        print("value,multiplicity,labels")
-        for e in spec:
-            lbls = ";".join(
-                f"{fam}:k={k}" + ("" if p is None else f":p={p}:s={s:+d}")
-                for fam, k, p, s in e.labels
-            )
-            print(f"{_fmt(e.value)},{e.multiplicity},{lbls}")
+        members = _sphere_members(spec, "%s:k=%d", "%s:k=%d:p=%d:s=%+d")
+        print("\n".join(["value,multiplicity,labels",
+                         *_entry_lines(spec, "%r,%d,%s", members, ";")]))
     else:
-        print(f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}")
-        print(f"{'value':>24}  {'mult':>5}  families")
-        for e in spec:
-            lbls = " ".join(
-                f"{fam}(k={k}" + ("" if p is None else f",p={p},{s:+d}") + ")"
-                for fam, k, p, s in e.labels
-            )
-            print(f"{_fmt(e.value):>24}  {e.multiplicity:>5}  {lbls}")
+        members = _sphere_members(spec, "%s(k=%d)", "%s(k=%d,p=%d,%+d)")
+        print("\n".join([f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}",
+                         f"{'value':>24}  {'mult':>5}  families",
+                         *_entry_lines(spec, "%24r  %5d  %s", members, " ")]))
     return 0
 
 
@@ -192,21 +221,18 @@ def cmd_collisions(ns) -> int:
 def cmd_torus(ns) -> int:
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
+    modes = spec.members()[0].tolist()
     if ns.csv:
-        print("value,multiplicity,modes")
-        for e in spec:
-            modes = ";".join(" ".join(str(c) for c in m) for m in e.labels)
-            print(f"{_fmt(e.value)},{e.multiplicity},{modes}")
+        mode = " ".join(["%d"] * data.n)
+        members = [mode % tuple(m) for m in modes]
+        print("\n".join(["value,multiplicity,modes",
+                         *_entry_lines(spec, "%r,%d,%s", members, ";")]))
         return 0
     zm = torus.zero_mode(data)
-    _print_json({
-        "eigenvalues": [
-            {"value": e.value, "multiplicity": e.multiplicity,
-             "modes": [list(m) for m in e.labels]}
-            for e in spec
-        ],
-        "zero_mode": None if zm is None else [int(c) for c in zm],
-    })
+    mode = _json_row(["%d"] * data.n, " " * 8)
+    lines = _entry_lines(spec, _json_entry("modes"), [mode % tuple(m) for m in modes], ",\n")
+    zero = "null" if zm is None else _json_list(["    %d" % c for c in zm.tolist()], "  ")
+    print('{\n  "eigenvalues": %s,\n  "zero_mode": %s\n}' % (_json_list(lines, "  "), zero))
     return 0
 
 

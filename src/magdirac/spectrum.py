@@ -9,6 +9,7 @@ environment variable.
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,13 +52,20 @@ class SpectrumEntry:
 
 
 class Spectrum:
-    """Ascending list of distinct eigenvalues with multiplicities: ``entries``
-    (built at construction) plus value and multiplicity arrays for queries."""
+    """Ascending list of distinct eigenvalues with multiplicities.
 
-    def __init__(self, entries=()):
-        self.entries = list(entries)
-        self._values = np.array([e.value for e in self.entries], dtype=np.float64)
-        self._mults = np.array([e.multiplicity for e in self.entries], dtype=np.int64)
+    Held as arrays: values, multiplicities, the member labels in merged
+    order (an (M, n) integer array or a list) and the group offsets, so that
+    the labels of entry i are ``labels[offsets[i]:offsets[i + 1]]``.
+    ``entries`` (and iteration) builds ``SpectrumEntry`` objects from them
+    on first use.
+    """
+
+    def __init__(self, values=(), mults=(), labels=(), offsets=(0,)):
+        self._values = np.asarray(values, dtype=np.float64)
+        self._mults = np.asarray(mults, dtype=np.int64)
+        self._labels = labels
+        self._offsets = np.asarray(offsets, dtype=np.int64)
 
     @classmethod
     def from_triples(cls, triples, tolerance: float | None = None) -> "Spectrum":
@@ -65,13 +73,13 @@ class Spectrum:
         that form a chain with consecutive gaps <= tolerance.
 
         ``triples`` may also be a structured array with fields value, mult
-        and label (integer rows, returned as tuples).  A merged value is the
-        multiplicity-weighted mean, summed left to right in value order.
+        and label (integer rows, kept as an (M, n) array and returned as
+        tuples by ``entries``).  A merged value is the multiplicity-weighted
+        mean, summed left to right in value order.
         """
         tol = merge_tolerance() if tolerance is None else float(tolerance)
         if isinstance(triples, np.ndarray):
-            values, mults = triples["value"], triples["mult"]
-            labels = list(map(tuple, triples["label"].tolist()))
+            values, mults, labels = triples["value"], triples["mult"], triples["label"]
         else:
             values, mults, labels = list(zip(*triples)) or ((), (), ())
         values = np.asarray(values, dtype=np.float64)
@@ -84,9 +92,20 @@ class Spectrum:
             live = live[sizes[live] > j]
             sums[live] += weighted[starts[live] + j]
         mults = np.add.reduceat(mults, starts) if len(starts) else mults
-        labels = [labels[i] for i in order.tolist()]
-        groups = [tuple(labels[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
-        return cls(map(SpectrumEntry, (sums / mults).tolist(), mults.tolist(), groups))
+        if isinstance(labels, np.ndarray):
+            labels = labels[order]
+        else:
+            labels = [labels[i] for i in order.tolist()]
+        return cls(sums / mults, mults, labels, np.append(starts, len(values)))
+
+    @cached_property
+    def entries(self) -> list:
+        labels = self._labels
+        if isinstance(labels, np.ndarray):
+            labels = list(map(tuple, labels.tolist()))
+        bounds = self._offsets.tolist()
+        return [SpectrumEntry(v, m, tuple(labels[a:b])) for v, m, a, b in
+                zip(self._values.tolist(), self._mults.tolist(), bounds, bounds[1:])]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -99,6 +118,10 @@ class Spectrum:
 
     def multiplicities(self) -> np.ndarray:
         return self._mults.copy()
+
+    def members(self) -> tuple:
+        """(labels in merged order, group offsets of length len + 1)."""
+        return self._labels, self._offsets.copy()
 
     def total_multiplicity(self) -> int:
         return int(self._mults.sum())
@@ -118,7 +141,11 @@ class Spectrum:
 
     def in_window(self, lo: float, hi: float) -> "Spectrum":
         """Entries with lo <= value <= hi."""
-        return Spectrum([e for e in self.entries if lo <= e.value <= hi])
+        keep = np.flatnonzero((lo <= self._values) & (self._values <= hi))
+        i, j = (keep[0], keep[-1] + 1) if keep.size else (0, 0)  # values ascend
+        a, b = self._offsets[i], self._offsets[j]
+        return Spectrum(self._values[i:j], self._mults[i:j], self._labels[a:b],
+                        self._offsets[i:j + 1] - a)
 
     def multiplicity_at(self, value: float, tolerance: float | None = None) -> int:
         """Total multiplicity within tolerance of the given value."""

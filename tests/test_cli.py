@@ -1,12 +1,18 @@
 """Command-line interface: output schemas and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from magdirac import cli
+from magdirac import cli, torus
+from magdirac.lattice import Lattice
+from magdirac.torus import SpinCData
 
 
 def run(capsys, *argv):
@@ -368,3 +374,60 @@ def test_sphere_and_collisions_stdout_is_pinned(capsys, request_line):
     code, out, _ = run(capsys, *request_line.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[request_line]
+
+
+@st.composite
+def torus_requests(draw):
+    """(rows, delta, theta, A, cutoff) of a random torus with up to ~300
+    modes; a third get a constructed zero mode, a third a cutoff below the
+    first eigenvalue (an empty list)."""
+    n = draw(st.integers(1, 4))
+    cells = draw(st.lists(st.floats(-0.2, 0.2), min_size=n * n, max_size=n * n))
+    rows = (np.eye(n) + np.reshape(cells, (n, n))).tolist()
+    delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    theta = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    A = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["plain", "zero mode", "empty"]))
+    data = SpinCData(Lattice.from_rows(rows), delta, theta, A)
+    if kind == "zero mode":  # A = -4 pi theta_mode(m) cancels mode m
+        m = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        A = (-4.0 * np.pi * data.theta_mode(m)).tolist()
+    modes = draw(st.floats(1.0, 300.0))
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    cutoff = 2 * math.pi * (modes * abs(np.linalg.det(rows)) / ball) ** (1 / n)
+    if kind == "empty":
+        values = torus.spectrum(data, cutoff).values()
+        assume(np.all(values != 0.0))  # a zero mode of its own and no list below it
+        cutoff = 0.5 * np.abs(values).min(initial=cutoff)
+    return rows, delta, theta, A, float(cutoff)
+
+
+def _torus_stdout(rows, delta, theta, A, cutoff, *fmt):
+    argv = ["torus", "--basis", json.dumps(rows), "--delta", ",".join(map(str, delta)),
+            "--theta", ",".join(map(repr, theta)), "--A", ",".join(map(repr, A)),
+            "--cutoff", repr(cutoff), *fmt]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return buf.getvalue()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(request=torus_requests())
+@example(request=([[1.0]], [1], [0.0], [0.0], 3.0))  # n = 1, lambda_1 = pi: empty
+@example(request=([[1.0, 0.0], [0.0, 1.0]], [0, 0], [0.0, 0.0], [0.0, 0.0], 7.0))
+def test_torus_writer_equals_the_json_encoder_and_the_csv_loop(request):
+    rows, delta, theta, A, cutoff = request
+    data = SpinCData(Lattice.from_rows(rows), delta, theta, A)
+    spec, zm = torus.spectrum(data, cutoff), torus.zero_mode(data)
+    payload = {
+        "eigenvalues": [{"value": e.value, "multiplicity": e.multiplicity,
+                         "modes": [list(m) for m in e.labels]} for e in spec.entries],
+        "zero_mode": None if zm is None else [int(c) for c in zm],
+    }
+    assert _torus_stdout(*request) == json.dumps(payload, indent=2) + "\n"
+    lines = ["value,multiplicity,modes"]
+    for e in spec.entries:
+        modes = ";".join(" ".join(str(c) for c in m) for m in e.labels)
+        lines.append(f"{e.value!r},{e.multiplicity},{modes}")
+    assert _torus_stdout(*request, "--csv") == "".join(line + "\n" for line in lines)

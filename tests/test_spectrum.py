@@ -145,3 +145,17 @@ def test_array_merge_equals_left_to_right_reference(seed):
     )
     columnar = Spectrum.from_triples(records, tolerance=tol)
     assert [(e.value, e.multiplicity, e.labels) for e in columnar] == expected
+
+
+@pytest.mark.parametrize("window", [(-20.0, 20.0), (-1e3, 1e3), (3.0, 3.0), (5.0, -5.0),
+                                    (60.0, 70.0)])
+def test_in_window_slices_the_member_labels(window):
+    rng = np.random.default_rng(11)
+    triples = _random_triples(rng, 1e-6)
+    records = np.array(triples, dtype=[("value", "f8"), ("mult", "i8"), ("label", "i8", (2,))])
+    for spec in (Spectrum.from_triples(triples, 1e-6), Spectrum.from_triples(records, 1e-6)):
+        lo, hi = window
+        win = spec.in_window(lo, hi)
+        assert win.entries == [e for e in spec.entries if lo <= e.value <= hi]
+        labels, offsets = win.members()
+        assert len(labels) == offsets[-1] == sum(len(e.labels) for e in win)

@@ -307,6 +307,26 @@ def test_spectrum_is_invariant_under_dual_lattice_shifts_of_A(data, gamma):
     _same_values(_expanded_window(data), _expanded_window(shifted))
 
 
+def _ball_volume(n, r):
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * max(r, 0.0) ** n
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=spin_c_tori(), cutoff=st.floats(5.0, 40.0))
+def test_weyl_counting_sandwich(data, cutoff):
+    # Every mode gives multiplicity N (spinor_dim) in total, so the count is
+    # the number of shifted dual points in the ball of radius r = cutoff/2 pi.
+    # Give each point the Gram-Schmidt box around it, a fundamental domain
+    # reaching at most rho = |diag R|/2 from its point (dual_basis = QR): the
+    # boxes of the points in B(r) cover B(r - rho) and lie inside B(r + rho).
+    n = data.n
+    r = cutoff / (2 * np.pi)
+    covol = 1.0 / abs(np.linalg.det(data.lattice.basis))
+    rho = 0.5 * np.linalg.norm(np.diag(np.linalg.qr(data.lattice.dual_basis)[1]))
+    count = torus.spectrum(data, cutoff).total_multiplicity() / data.spinor_dim
+    assert _ball_volume(n, r - rho) / covol <= count <= _ball_volume(n, r + rho) / covol
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: torus.potential_from_fluxes(Lattice(np.eye(2)), [1.0]), "fluxes has shape"),
 ])
