@@ -106,13 +106,13 @@ def potential_from_fluxes(lattice: Lattice, fluxes) -> np.ndarray:
 def _mode_triples(data: SpinCData, modes) -> np.ndarray:
     """Structured array of the (value, mult, label) triples of the modes.
 
-    theta' = (m + (delta + theta)/2) @ dual^T + A/(4 pi) for all modes in
-    one product; a mode gives -2 pi |theta'| then 2 pi |theta'| (N/2 each),
-    0 (N) if |theta'| <= ZERO_MODE_TOL, or for n = 1 the signed 2 pi theta'.
+    theta' comes from ``SpinCData.theta_prime``, rounded as ``zero_mode``
+    and the mode oracle see it; a mode gives -2 pi |theta'| then
+    2 pi |theta'| (N/2 each), 0 (N) if |theta'| <= ZERO_MODE_TOL, or for
+    n = 1 the signed 2 pi theta'.
     """
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, data.n)
-    half = (data.delta + data.theta) / 2.0
-    tp = (modes + half) @ data.lattice.dual_basis.T + data.A / (4.0 * np.pi)
+    tp = data.theta_prime(modes)
     if data.n == 1:
         values, mults = 2.0 * np.pi * tp, np.ones(tp.shape, np.int64)
     else:  # row-wise dot products, rounded like np.linalg.norm of one row
