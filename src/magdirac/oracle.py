@@ -8,9 +8,10 @@ Three matrix routes cross-check the formulas:
 * a truncated Fourier-mode assembly of the full operator for oscillating
   potentials, used for gauge-invariance and curvature-identity checks.
 
-Eigenvalues of oracle matrices come from LAPACK (``numpy.linalg.eigvalsh``),
-which never sees the closed forms, so they are never compared against
-themselves.
+Eigenvalues of oracle matrices come from LAPACK (``numpy.linalg.eigvalsh``,
+or the singular values of the chiral block of an even-dimensional torus
+operator), which never sees the closed forms, so they are never compared
+against themselves.
 """
 
 import numpy as np
@@ -26,9 +27,10 @@ GAUGE_TOL = 1e-6
 
 
 class HermitianMatrix:
-    """Dense Hermitian matrix, validated as such at construction."""
+    """Dense Hermitian matrix, validated as such at construction; an optional
+    ``grading`` gives each row a chirality +-1 that the matrix reverses."""
 
-    def __init__(self, data):
+    def __init__(self, data, grading=None):
         data = np.array(data, dtype=np.complex128)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"matrix must be square, got shape {data.shape}")
@@ -39,8 +41,13 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: max |H - H^*| = {defect:.3e} "
                 f"at scale {scale:.3e}"
             )
+        if grading is not None:
+            grading = np.asarray(grading, dtype=np.float64)
+            if grading.shape != data.shape[:1] or not np.all(np.abs(grading) == 1.0):
+                raise ValueError(f"grading must be {data.shape[0]} entries +-1")
         data.setflags(write=False)
         self.data = data
+        self.grading = grading
         self.hermiticity_defect = defect
 
     @property
@@ -49,10 +56,22 @@ class HermitianMatrix:
 
 
 def hermitian_eigs(H) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, by LAPACK."""
+    """Ascending eigenvalues of a Hermitian matrix, by LAPACK.
+
+    A graded matrix is [[0, B], [B^*, 0]] up to row order: its eigenvalues are
+    +-the singular values of B, plus a 0 per unpaired row.  Raises ValueError
+    if it couples two rows of equal chirality.
+    """
     if not isinstance(H, HermitianMatrix):
         H = HermitianMatrix(H)
-    return np.linalg.eigvalsh(H.data)
+    if H.grading is None:
+        return np.linalg.eigvalsh(H.data)
+    plus, minus = H.grading > 0, H.grading < 0
+    if (np.count_nonzero(H.data[np.ix_(plus, plus)])
+            or np.count_nonzero(H.data[np.ix_(minus, minus)])):
+        raise ValueError("graded matrix couples two rows of equal chirality")
+    s = np.linalg.svd(H.data[np.ix_(plus, minus)], compute_uv=False)
+    return np.sort(np.concatenate([-s, s, np.zeros(int(abs(H.grading.sum())))]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +349,9 @@ def torus_fourier_operator(
 
     The harmonic part of the potential lives in ``data.A``; ``potential``
     holds the oscillating part (may be None).  Returns the matrix and the
-    mode list in assembly order.
+    mode list in assembly order.  In even dimension the matrix carries the
+    chirality grading: the diagonal of i^(n/2) g_1...g_n, tiled over the
+    modes, which every block reverses.
     """
     modes = _operator_window(data, cutoff)
     terms = {(0,) * data.n: _mode_blocks(data, modes)}
@@ -342,7 +363,13 @@ def torus_fourier_operator(
         gens = build_rep(data.n)
         for nu, coeff in potential.table.items():
             terms[nu] = 0.5j * vector_action(coeff, gens)
-    return HermitianMatrix(_assemble(modes, terms)), modes
+    grading = None
+    if data.n % 2 == 0:
+        gamma = 1j ** (data.n // 2) * volume_element(build_rep(data.n))
+        if np.count_nonzero(gamma - np.diag(np.diag(gamma))):
+            raise AssertionError("the volume element is not diagonal")
+        grading = np.tile(np.diag(gamma).real, len(modes))
+    return HermitianMatrix(_assemble(modes, terms), grading), modes
 
 
 def identity_checks(

@@ -233,17 +233,60 @@ def test_identity_checks_needs_interior_rows():
         oracle.identity_checks(data, pot, cutoff=1)
 
 
-def test_verify_gauge_passes_and_reports_decay():
-    lat = Lattice.from_rows(np.eye(2))
-    data = SpinCData(lat, [1, 0], [0.0, 0.0], np.array([0.3, -0.1]))
-    rep = oracle.verify_gauge(
-        data, [((1, 0), 0.2 + 0.1j), ((0, 1), -0.05 + 0.3j)],
-        cutoffs=(4, 8, 12),
-    )
+@pytest.mark.parametrize("rows, data_args, f_terms, cutoffs", [
+    (np.eye(2), ([1, 0], [0.0, 0.0], [0.3, -0.1]),
+     [((1, 0), 0.2 + 0.1j), ((0, 1), -0.05 + 0.3j)], (4, 8, 12)),
+    # odd dimension: no grading, so the dense solve stays on eigvalsh; a 3D
+    # window reaches only cutoff 3, hence the weak potential
+    ([[1.0, 0.1, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]],
+     ([1, 0, 0], [0.0, 0.2, 0.0], [0.3, -0.1, 0.2]),
+     [((1, 0, 0), 0.015 - 0.01j), ((0, 1, -1), -0.005 + 0.015j)], (2, 3)),
+])
+def test_verify_gauge_passes_and_reports_decay(rows, data_args, f_terms, cutoffs):
+    lat = Lattice.from_rows(np.array(rows))
+    data = SpinCData(lat, *data_args)
+    H, _ = oracle.torus_fourier_operator(
+        data, FourierPotential.from_gradient(lat, f_terms), cutoffs[0])
+    assert (H.grading is None) == (lat.n % 2 == 1)
+    rep = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
     assert rep["pass"], rep
     assert rep["monotone"]
     assert rep["residuals"][-1] <= oracle.GAUGE_TOL
-    assert rep["cutoffs"] == [4, 8, 12]
+    assert rep["cutoffs"] == list(cutoffs)
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 6), (4, 1)])
+def test_graded_solve_matches_eigvalsh(n, cutoff):
+    rng = np.random.default_rng(110 + n)
+    lat = Lattice.from_rows(rng.normal(size=(n, n)) + 3 * np.eye(n))
+    delta, theta = rng.integers(0, 2, size=n), rng.uniform(0, 1, size=n)
+    m0 = rng.integers(-(cutoff // 2), cutoff // 2 + 1, size=n)  # well inside the window
+    # theta'(m0) = 0: the window holds an exact zero mode of the unperturbed operator
+    A = -4 * np.pi * lat.dual_basis @ (m0 + (delta + theta) / 2)
+    data = SpinCData(lat, delta, theta, A)
+    nus = [tuple(int(c) for c in nu) for nu in np.eye(n, dtype=int)] + [(1,) * n]
+    pot = FourierPotential.from_gradient(
+        lat, [(nu, complex(*rng.uniform(-0.1, 0.1, size=2))) for nu in nus])
+    H, _ = oracle.torus_fourier_operator(data, pot, cutoff)
+    chirality = np.diag(1j ** (n // 2) * clifford.volume_element(clifford.build_rep(n)))
+    assert np.array_equal(H.grading, np.tile(chirality.real, H.dim // len(chirality)))
+    got, ref = oracle.hermitian_eigs(H), np.linalg.eigvalsh(H.data)
+    assert np.min(np.abs(ref)) < 1e-6  # the zero mode, moved only by truncation
+    assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+    # one entry coupling two rows of equal chirality, kept Hermitian
+    i, j = np.flatnonzero(H.grading == H.grading[0])[:2]
+    bad = H.data.copy()
+    bad[i, j] = bad[j, i] = 0.5
+    with pytest.raises(ValueError, match="equal chirality"):
+        oracle.hermitian_eigs(HermitianMatrix(bad, H.grading))
+
+
+def test_graded_solve_counts_the_unpaired_rows_as_zeros():
+    H = HermitianMatrix([[0, 2j, 0], [-2j, 0, 0], [0, 0, 0]], grading=[1, -1, 1])
+    assert oracle.hermitian_eigs(H).tolist() == [-2.0, 0.0, 2.0]
+    with pytest.raises(ValueError, match="grading"):
+        HermitianMatrix(np.eye(2), grading=[1, 0])
 
 
 def test_verify_gauge_detects_large_truncation_error():
