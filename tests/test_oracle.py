@@ -241,7 +241,7 @@ def test_identity_checks_needs_interior_rows():
     ([[1.0, 0.1, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]],
      ([1, 0, 0], [0.0, 0.2, 0.0], [0.3, -0.1, 0.2]),
      [((1, 0, 0), 0.015 - 0.01j), ((0, 1, -1), -0.005 + 0.015j)], (2, 3)),
-])
+], ids=["2d", "3d"])
 def test_verify_gauge_passes_and_reports_decay(rows, data_args, f_terms, cutoffs):
     lat = Lattice.from_rows(np.array(rows))
     data = SpinCData(lat, *data_args)
