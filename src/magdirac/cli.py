@@ -94,10 +94,10 @@ def _entry_lines(spec, template: str, members: list, sep: str) -> list:
             zip(spec.values().tolist(), spec.multiplicities().tolist(), bounds, bounds[1:])]
 
 
-def _sphere_members(spec, end: str, branch: str) -> list:
+def _sphere_members(labels, end: str, branch: str) -> list:
     """Each (family, k, p, sign) label rendered by the plus/minus template
     (family, k) or the branch template (family, k, p, sign)."""
-    return [end % lbl[:2] if lbl[2] is None else branch % lbl for lbl in spec.members()[0]]
+    return [end % lbl[:2] if lbl[2] is None else branch % lbl for lbl in labels]
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -162,18 +162,19 @@ def cmd_sphere(ns) -> int:
     t = float(ns.t)
     cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
     spec = sphere.spectrum(t, cutoff)
+    labels = spec.members()[0]
     if ns.json:
-        members = _sphere_members(spec, _json_row(['"%s"', "%d", "null", "null"], " " * 8),
+        members = _sphere_members(labels, _json_row(['"%s"', "%d", "null", "null"], " " * 8),
                                   _json_row(['"%s"', "%d", "%d", "%d"], " " * 8))
         lines = _entry_lines(spec, _json_entry("labels"), members, ",\n")
         print('{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": %s\n}'
               % (t, cutoff, _json_list(lines, "  ")))
     elif ns.csv:
-        members = _sphere_members(spec, "%s:k=%d", "%s:k=%d:p=%d:s=%+d")
+        members = _sphere_members(labels, "%s:k=%d", "%s:k=%d:p=%d:s=%+d")
         print("\n".join(["value,multiplicity,labels",
                          *_entry_lines(spec, "%r,%d,%s", members, ";")]))
     else:
-        members = _sphere_members(spec, "%s(k=%d)", "%s(k=%d,p=%d,%+d)")
+        members = _sphere_members(labels, "%s(k=%d)", "%s(k=%d,p=%d,%+d)")
         print("\n".join([f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}",
                          f"{'value':>24}  {'mult':>5}  families",
                          *_entry_lines(spec, "%24r  %5d  %s", members, " ")]))
@@ -181,17 +182,13 @@ def cmd_sphere(ns) -> int:
 
 
 def cmd_sphere_curve(ns) -> int:
-    t_values = _parse_grid(ns.t_range)
-    window = None
-    if ns.window is not None and ns.window.lower() != "none":
-        lo, hi = (float(p) for p in ns.window.split(":"))
-        window = (lo, hi)
-    rows = sphere.curve_samples(t_values, ns.k_max, window=window)
-    print("t,family,k,p,sign,value")
-    for t, fam, k, p, s, v in rows:
-        p_str = "" if p is None else str(p)
-        s_str = "" if s is None else str(s)
-        print(f"{_fmt(t)},{fam},{k},{p_str},{s_str},{_fmt(v)}")
+    window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
+    t_values, labels, i, j, value = sphere.curve_table(_parse_grid(ns.t_range), ns.k_max, window)
+    # the t cell of each coupling and the family,k,p,sign cell of each member, once
+    ts = [_fmt(t) for t in t_values]
+    cells = _sphere_members(labels, "%s,%d,,", "%s,%d,%d,%d")
+    rows = ("%s,%s,%r" % (ts[a], cells[b], v) for a, b, v in zip(i, j, value))
+    print("\n".join(["t,family,k,p,sign,value", *rows]))
     return 0
 
 
@@ -204,17 +201,15 @@ def cmd_collisions(ns) -> int:
     keep = 2 * (ps[i] - ps[j]) != ks[i] - ks[j]
     cols = [ks[i[keep]], ps[i[keep]], ks[j[keep]], ps[j[keep]]]
     cols.append(sphere.collision_t(*cols))
-    rows = [{"k": k, "p": p, "k2": k2, "p2": p2, "t": t, "f0": sphere.f0(k, p, t)}
-            for k, p, k2, p2, t in zip(*(c.tolist() for c in cols))]
+    cols.append(sphere.f0(cols[0], cols[1], cols[4]))
+    rows = list(zip(*(c.tolist() for c in cols)))
     if ns.json:
-        _print_json({"k_max": k_max, "collisions": rows})
+        item = ('    {\n      "k": %d,\n      "p": %d,\n      "k2": %d,\n      "p2": %d,\n'
+                '      "t": %r,\n      "f0": %r\n    }')
+        print('{\n  "k_max": %d,\n  "collisions": %s\n}'
+              % (k_max, _json_list([item % r for r in rows], "  ")))
     else:
-        print("k,p,k2,p2,t,f0")
-        for r in rows:
-            print(
-                f"{r['k']},{r['p']},{r['k2']},{r['p2']},"
-                f"{_fmt(r['t'])},{_fmt(r['f0'])}"
-            )
+        print("\n".join(["k,p,k2,p2,t,f0", *("%d,%d,%d,%d,%r,%r" % r for r in rows)]))
     return 0
 
 

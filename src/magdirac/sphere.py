@@ -29,17 +29,24 @@ import numpy as np
 from .spectrum import Spectrum, check_size
 
 
-def f0(k: int, p: int, t: float) -> float:
+def f0(k, p, t):
     """Branch discriminant (1 + t + 2p - k)^2 + 4(k - p)(p + 1).
 
     Valid for 0 <= p < k; the extensions p = k and p = -1 reproduce the
-    squared plus/minus family values and are accepted too.
+    squared plus/minus family values and are accepted too.  Takes scalars
+    (returns a float) or broadcastable integer arrays k, p and couplings t.
     """
-    k = _check_level(k)
-    p = int(p)
-    if not -1 <= p <= k:
-        raise ValueError(f"branch index p={p} outside -1..k for k={k}")
-    return (1.0 + t + 2 * p - k) ** 2 + 4.0 * (k - p) * (p + 1)
+    k, p = np.broadcast_arrays(k, p)
+    for x, what in ((k, "level"), (p, "branch index")):
+        if x.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be an integer, got {x.dtype}")
+    bad = (k < 0) | (p < -1) | (p > k)
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise ValueError(f"branch index p={p.flat[i]} outside -1..k for k={k.flat[i]}")
+    # float_power(x, 2) rounds as Python's x ** 2 does; x * x differs in the last bit
+    out = np.float_power(1.0 + t + 2 * p - k, 2) + 4.0 * (k - p) * (p + 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_level(k) -> int:
@@ -79,20 +86,36 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     # (a float, so an overflowing cutoff + |t| is refused as inf, not raised)
     k_max = float(np.ceil(cutoff + abs(t))) + 1.0
     check_size(triple_count(k_max), "triples")
-    triples = [(v, k + 1, label) for k in range(int(k_max) + 1)
-               for v, label in _level(k, t) if abs(v) <= edge]
+    value, *members = _levels(int(k_max), t)
+    keep = np.abs(value) <= edge  # label tuples only for the members kept
+    triples = [(v, label[1] + 1, label) for v, label in
+               zip(value[keep].tolist(), _labels(*(x[keep] for x in members)))]
     return Spectrum.from_triples(triples, tolerance=merge_tol)
 
 
-def _level(k: int, t: float) -> list:
-    """(value, label) of every member of level k, as ``spectrum`` and
-    ``curve_samples`` read them: plus, minus, then the +-1 branches of p < k."""
-    members = [(1.5 + t + k, ("plus", k, None, None)),
-               (1.5 - t + k, ("minus", k, None, None))]
-    for p in range(k):
-        root = np.sqrt(f0(k, p, t))
-        members += [(0.5 + root, ("branch", k, p, 1)), (0.5 - root, ("branch", k, p, -1))]
-    return members
+FAMILIES = ("plus", "minus", "branch")
+
+
+def _levels(k_max: int, t):
+    """Every member of levels 0..k_max as arrays (value, family, k, p, sign).
+
+    Level by level the members are plus, minus, then (p, +1), (p, -1) for
+    p < k; ``family`` indexes FAMILIES and the plus/minus ends carry p = -1
+    and sign +1/-1.  A 1-D array of couplings t gives one value row per t.
+    """
+    k = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
+    j = np.arange(k.size) - k * (k + 1)  # position of the member in its level
+    fam, p, sign = np.minimum(j, 2), (j - 2) // 2, 1 - 2 * (j % 2)
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    root = np.sqrt(f0(k, p, t))  # p = -1 at the ends, where it is not read
+    value = np.where(fam == 2, 0.5 + sign * root, 1.5 + sign * t + k)
+    return value, fam, k, p, sign
+
+
+def _labels(fam, k, p, sign) -> list:
+    """(family, k, p, sign) label tuples; plus/minus carry p = sign = None."""
+    return [("branch", kk, pp, s) if f == 2 else (FAMILIES[f], kk, None, None)
+            for f, kk, pp, s in zip(*(x.tolist() for x in (fam, k, p, sign)))]
 
 
 def triple_count(k_max: float) -> float:
@@ -147,20 +170,26 @@ def collision_t(k, p, k2, p2):
     return float(tc) if tc.ndim == 0 else tc
 
 
+def curve_table(t_values, k_max: int, window=None) -> tuple:
+    """The rows of ``curve_samples`` by index: couplings, member labels, and
+    per row its coupling index, member index and value.  Refused
+    (ValueError) before any work past ``spectrum.MAX_SPECTRUM_SIZE`` rows."""
+    k_max = _check_level(k_max)
+    check_size(len(t_values) * triple_count(k_max), "curve rows")
+    t_values = [_check_coupling(t) for t in t_values]
+    value, *members = _levels(k_max, t_values)
+    lo, hi = (-np.inf, np.inf) if window is None else (float(w) for w in window)
+    i, j = np.nonzero((lo <= value) & (value <= hi))  # coupling by coupling
+    return t_values, _labels(*members), i.tolist(), j.tolist(), value[i, j].tolist()
+
+
 def curve_samples(t_values, k_max: int, window: tuple[float, float] | None = None):
     """Eigenvalue curves sampled on a coupling grid.
 
     Returns (t, family, k, p, sign, value) tuples for every family member
     of level <= k_max, keeping only values inside the window (default: no
     filter).  Branch rows carry the sign of the square root; plus/minus
-    rows have p = None, sign = None.  Refused (ValueError) before any work
-    past ``spectrum.MAX_SPECTRUM_SIZE`` rows.
+    rows have p = None, sign = None.  Refused as ``curve_table`` refuses.
     """
-    k_max = _check_level(k_max)
-    check_size(len(t_values) * triple_count(k_max), "curve rows")
-    rows = [(t, *label, v) for t in map(_check_coupling, t_values)
-            for k in range(k_max + 1) for v, label in _level(k, t)]
-    if window is not None:
-        lo, hi = float(window[0]), float(window[1])
-        rows = [r for r in rows if lo <= r[5] <= hi]
-    return rows
+    t_values, labels, i, j, value = curve_table(t_values, k_max, window)
+    return [(t_values[a], *labels[b], v) for a, b, v in zip(i, j, value)]

@@ -5,6 +5,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,6 +378,40 @@ def test_sphere_and_collisions_stdout_is_pinned(capsys, request_line):
     code, out, _ = run(capsys, *request_line.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[request_line]
+
+
+# recorded from the per-row writer that cmd_sphere_curve replaced
+CURVE_STDOUT_SHA256 = {
+    "sphere-curve":
+        "9b02255b338f30f68be9c641f4deb2af7d5c1b2c8eed20024c620ba2b879482d",
+    "sphere-curve --t-range -2:2:9 --k-max 4 --window none":
+        "d216d6c29aeaa09f4cc6776aaa79741c84ef56fa8eaaf9718266d5a03e66e396",
+    "sphere-curve --t-range -3:3:13 --k-max 6 --window -2.5:4":
+        "c53d94281992b1c8d7aec4cc8f5126ddfcb6b4aafdb34d06ee0c1682f62a0051",
+    "sphere-curve --t-range -0.7:1.3:7 --k-max 8 --window none":
+        "cbfa4d28ed861d8a96729d4c02163b74c1e4c8ac215ad4b624c7e2e30b43e80e",
+    "sphere-curve --t-range 0.37:0.37:1 --k-max 12 --window -3:3":
+        "054ae88ef4da3ab5270e2abe7ba482b20590aa4b7ae6e8d9ee17fb95570ff27e",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(CURVE_STDOUT_SHA256))
+def test_sphere_curve_stdout_is_pinned(capsys, request_line):
+    code, out, _ = run(capsys, *request_line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CURVE_STDOUT_SHA256[request_line]
+
+
+def test_python_m_magdirac_prints_what_cli_main_prints(capsys):
+    argv = ["sphere", "--t", "0.5", "--cutoff", "3", "--json"]
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "magdirac", *argv],
+                          capture_output=True, env=env, check=False)
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out.encode()
 
 
 @st.composite

@@ -385,9 +385,14 @@ def test_verify_sphere_blocks_default_grid():
 
 def test_verify_sphere_blocks_checks_the_members_the_spectrum_merges(monkeypatch):
     # a shifted minus family in the one member list reaches spectrum and oracle alike
-    real = sphere._level
-    monkeypatch.setattr(sphere, "_level", lambda k, t: [
-        (v + 0.25 if label[0] == "minus" else v, label) for v, label in real(k, t)])
+    real = sphere._levels
+
+    def shifted(k_max, t):
+        value, fam, *rest = real(k_max, t)
+        return (np.where(fam == sphere.FAMILIES.index("minus"), value + 0.25, value),
+                fam, *rest)
+
+    monkeypatch.setattr(sphere, "_levels", shifted)
     assert sphere.spectrum(0.0, 2.0).values().tolist() == [-1.5, 1.5, 1.75]
     rep = oracle.verify_sphere_blocks(k_max=4, t_values=[-1.0, 0.5])
     assert rep["pass"] is False

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magdirac import sphere
 from magdirac import spectrum as spectrum_mod
@@ -42,6 +42,23 @@ def test_f0_lower_bound_off_scalar_edges():
             assert 4 * (k - p) * (p + 1) >= 4 * k
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 299),
+       ts=st.lists(st.one_of(st.floats(-1e6, 1e6), st.integers(-300, 300).map(float),
+                             st.integers(-600, 600).map(lambda n: n / 2)),
+                   min_size=1, max_size=4))
+# inputs where x * x differs from x ** 2 (at p = 3 and p = 175)
+@example(k=77, ts=[-38.03190240925149])
+@example(k=184, ts=[-49.557537022720446])
+def test_array_f0_is_the_scalar_expression_bit_for_bit(k, ts):
+    p, t = np.arange(-1, k + 1), np.array(ts)[:, None]
+    want = [[(1.0 + tt + 2 * pp - k) ** 2 + 4.0 * (k - pp) * (pp + 1)
+             for pp in range(-1, k + 1)] for tt in ts]
+    # x * x and np.square round differently from Python's x ** 2 on about 1 in 1000 inputs
+    assert sphere.f0(k, p, t).tobytes() == np.array(want).tobytes()
+    assert type(sphere.f0(k, k, ts[0])) is float and sphere.f0(k, k, ts[0]) == want[0][-1]
+
+
 def test_f0_rejects_bad_indices():
     with pytest.raises(ValueError):
         sphere.f0(2, 3, 0.0)
@@ -49,6 +66,10 @@ def test_f0_rejects_bad_indices():
         sphere.f0(2, -2, 0.0)
     with pytest.raises(ValueError):
         sphere.f0(-1, 0, 0.0)
+    with pytest.raises(ValueError, match="p=3 outside -1..k for k=2"):
+        sphere.f0([2, 2], [1, 3], 0.0)  # one bad entry refuses the whole array
+    with pytest.raises(ValueError, match="branch index must be an integer"):
+        sphere.f0([2, 2], [0.0, 1.0], 0.0)
 
 
 def test_spectrum_at_zero_coupling_merges_to_classical_multiplicities():
@@ -179,11 +200,11 @@ def test_triple_count_is_the_members_visited(monkeypatch, t, cutoff):
     calls = []
     real_f0 = sphere.f0
     monkeypatch.setattr(sphere, "f0",
-                        lambda k, p, t: calls.append(k) or real_f0(k, p, t))
+                        lambda k, p, t: calls.append(np.asarray(k)) or real_f0(k, p, t))
     kept = len(sphere.spectrum(t, cutoff, merge_tol=0.0).entries)
-    k_max = max(calls)
-    # two scalar members per level and two branch members per f0 call
-    assert 2 * (k_max + 1) + 2 * len(calls) == sphere.triple_count(k_max)
+    k_max = max(int(k.max()) for k in calls)
+    # one f0 input per member: the plus/minus ends and both branch signs
+    assert sum(k.size for k in calls) == sphere.triple_count(k_max)
     assert kept <= sphere.triple_count(k_max)
 
 
