@@ -8,8 +8,8 @@ with what it bounds:
 * ``absolute``      -- lower bound on |lambda| for every eigenvalue;
 * ``upper_squared`` -- upper bound on the square of the smallest eigenvalue.
 
-A bound whose hypotheses fail (wrong dimension, negative Euler
-characteristic, negative Yamabe invariant, ...) comes back flagged vacuous
+A bound whose hypotheses fail (wrong dimension, negative scalar
+curvature, negative Yamabe invariant, ...) comes back flagged vacuous
 with the reason, never silently evaluated.
 """
 
@@ -41,12 +41,7 @@ class GeometricData:
     vol: float | None = None         # volume
     eta_Ln: float | None = None      # L^n norm of eta
     eta_Linf: float | None = None    # L^infinity norm of eta
-    chi: int | None = None           # Euler characteristic (surfaces)
-    area: float | None = None        # area (surfaces)
-    int_dEta: float | None = None    # integral of |d eta| (surfaces)
-    nodal_count: int | None = None   # vanishing order sum N_k of an eigenspinor
     oneill_b: float | None = None    # O'Neill function b, n = 3 fibrations
-    omega_norm: float | None = None  # norm |Omega| of the curvature two-form
 
 
 @dataclass
@@ -117,75 +112,20 @@ def hijazi(data: GeometricData, t: float) -> BoundValue:
     return BoundValue("hijazi", float(value), "absolute")
 
 
-def baer(data: GeometricData, t: float) -> BoundValue:
-    """Surface lower bound |lambda| >= sqrt(2 pi chi / Area) - ||t eta||_inf.
-
-    Only for n = 2 with nonnegative Euler characteristic.
-    """
-    _need(data, "chi", "area", "eta_Linf")
-    if data.n != 2:
-        return BoundValue("baer", None, "absolute", True,
-                          f"needs dimension 2, got n={data.n}")
-    if data.chi < 0:
-        return BoundValue("baer", None, "absolute", True,
-                          f"needs nonnegative Euler characteristic, got {data.chi}")
-    value = np.sqrt(2.0 * np.pi * data.chi / data.area) - abs(t) * data.eta_Linf
-    return BoundValue("baer", float(value), "absolute")
-
-
-def nodal(data: GeometricData, t: float, nodal_count: int | None = None) -> BoundValue:
-    """Surface lower bound on the k-th squared eigenvalue via vanishing orders.
-
-    lambda_k^2 >= (2 pi chi - |t| int |d eta| + 4 pi N_k) / vol, where N_k
-    sums the vanishing orders of a k-th eigenspinor.
-    """
-    if nodal_count is None:
-        nodal_count = data.nodal_count
-    if nodal_count is None:
-        raise ValueError("nodal bound needs the vanishing-order sum N_k")
-    _need(data, "chi", "area", "int_dEta")
-    if data.n != 2:
-        return BoundValue("nodal", None, "squared", True,
-                          f"needs dimension 2, got n={data.n}")
-    value = (
-        2.0 * np.pi * data.chi - abs(t) * data.int_dEta + 4.0 * np.pi * nodal_count
-    ) / data.area
-    return BoundValue("nodal", float(value), "squared")
-
-
-def kernel_nodal(chi: int) -> float:
-    """Vanishing-order sum of a half-spinor in the kernel: -chi/2."""
-    return -float(chi) / 2.0
-
-
 def basic(data: GeometricData, t: float) -> BoundValue:
-    """Lower bound on basic (flow-invariant) eigenvalues over a unit
-    Killing field.
-
-    For n = 3 the bound b/2 + sqrt(t^2 + (S + 2b^2)/2) controls the first
-    *positive* basic eigenvalue; for n > 3,
-    -floor((n-1)/2)^(1/2) |Omega| / 2 + sqrt(t^2 + (n-1)(S + 2|Omega|^2)/(4(n-2)))
-    bounds |lambda| on basic spinors.  Requires S >= 0.
-    """
-    n = data.n
-    _need(data, "S")
+    """Lower bound on the first positive basic (flow-invariant) eigenvalue
+    over a unit Killing field on a 3-manifold with S >= 0:
+    b/2 + sqrt(t^2 + (S + 2b^2)/2)."""
+    if data.n != 3:
+        return BoundValue("basic", None, "first_positive", True,
+                          f"needs dimension 3, got n={data.n}")
+    _need(data, "S", "oneill_b")
     if data.S < 0.0:
         return BoundValue("basic", None, "first_positive", True,
                           f"needs nonnegative scalar curvature, got {data.S}")
-    if n == 3:
-        _need(data, "oneill_b")
-        b = data.oneill_b
-        value = b / 2.0 + np.sqrt(t * t + 0.5 * (data.S + 2.0 * b * b))
-        return BoundValue("basic", float(value), "first_positive")
-    if n > 3:
-        _need(data, "omega_norm")
-        om = data.omega_norm
-        value = -np.sqrt((n - 1) // 2) * om / 2.0 + np.sqrt(
-            t * t + (n - 1.0) / (4.0 * (n - 2.0)) * (data.S + 2.0 * om * om)
-        )
-        return BoundValue("basic", float(value), "absolute")
-    return BoundValue("basic", None, "absolute", True,
-                      f"needs dimension >= 3, got n={n}")
+    b = data.oneill_b
+    value = b / 2.0 + np.sqrt(t * t + 0.5 * (data.S + 2.0 * b * b))
+    return BoundValue("basic", float(value), "first_positive")
 
 
 def diamagnetic_upper(
@@ -274,20 +214,6 @@ def sphere3_data() -> GeometricData:
         eta_Ln=OMEGA3 ** (1.0 / 3.0),
         eta_Linf=1.0,
         oneill_b=1.0,
-        omega_norm=1.0,
-    )
-
-
-def sphere_odd_data(n: int) -> GeometricData:
-    """Round S^n (odd n = 2m+1 > 3) with the Reeb one-form of the Hopf
-    fibration: S = n(n-1) and |Omega| = sqrt((n-1)/2)."""
-    if n <= 3 or n % 2 == 0:
-        raise ValueError(f"expected odd dimension > 3, got {n}")
-    return GeometricData(
-        n=n,
-        S=float(n * (n - 1)),
-        omega_norm=float(np.sqrt((n - 1) / 2.0)),
-        eta_Linf=1.0,
     )
 
 

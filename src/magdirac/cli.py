@@ -9,13 +9,15 @@ Subcommands:
 * ``bounds``       -- evaluate eigenvalue bounds against the exact spectrum;
 * ``verify``       -- run the matrix-oracle cross-checks.
 
-Exit codes: 0 on success, 1 on invalid input, 2 when an oracle
-cross-check reports a mismatch.  Floating-point output uses shortest
-round-trip decimal form.
+Exit codes: 0 on success; 1 on invalid input, including a ``verify``
+request that would check nothing, or when the reader closes stdout early;
+2 when an oracle cross-check reports a mismatch.  Floating-point output
+uses shortest round-trip decimal form.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -406,6 +408,12 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except (ValueError, OverflowError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader is gone: stdout to devnull, so the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

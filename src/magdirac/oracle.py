@@ -181,8 +181,10 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
 
     Draws random lattices, spin-c data, and modes; compares the sorted
     closed-form eigenvalue list (with multiplicity) to the LAPACK spectrum
-    of 2 pi i c(theta').
+    of 2 pi i c(theta').  Refused (ValueError) unless samples >= 1.
     """
+    if samples < 1:
+        raise ValueError(f"torus-modes check needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     residuals, failures = [], []
     for _ in range(samples):
@@ -515,8 +517,11 @@ def verify_gauge(
     LAPACK.  Pairs the ``n_low`` eigenvalues closest to zero and reports
     the largest pairwise distance per cutoff.  Truncation breaks exact
     gauge invariance, so the residual must decrease as the window grows
-    and fall below 1e-6 at the last cutoff.
+    and fall below 1e-6 at the last cutoff.  Refused (ValueError) unless
+    there is at least one cutoff and every cutoff is >= 1.
     """
+    if len(cutoffs) == 0 or min(cutoffs) < 1:
+        raise ValueError(f"gauge check needs one or more cutoffs >= 1, got {list(cutoffs)}")
     pot = FourierPotential.from_gradient(data.lattice, f_terms)
     residuals = []
     for cutoff in cutoffs:

@@ -173,12 +173,21 @@ def collision_t(k, p, k2, p2):
 def curve_table(t_values, k_max: int, window=None) -> tuple:
     """The rows of ``curve_samples`` by index: couplings, member labels, and
     per row its coupling index, member index and value.  Refused
-    (ValueError) before any work past ``spectrum.MAX_SPECTRUM_SIZE`` rows."""
+    (ValueError) before any work past ``spectrum.MAX_SPECTRUM_SIZE`` rows.
+    ``window`` is None or a pair (lo, hi) with lo <= hi."""
+    lo, hi = -np.inf, np.inf
+    if window is not None:
+        try:
+            lo, hi = map(float, window)
+        except ValueError:
+            lo = hi = np.nan
+        if not lo <= hi:
+            raise ValueError("window must be lo:hi with lo <= hi, got "
+                             + repr(":".join(map(str, window))))
     k_max = _check_level(k_max)
     check_size(len(t_values) * triple_count(k_max), "curve rows")
     t_values = [_check_coupling(t) for t in t_values]
     value, *members = _levels(k_max, t_values)
-    lo, hi = (-np.inf, np.inf) if window is None else (float(w) for w in window)
     i, j = np.nonzero((lo <= value) & (value <= hi))  # coupling by coupling
     return t_values, _labels(*members), i.tolist(), j.tolist(), value[i, j].tolist()
 

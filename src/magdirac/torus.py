@@ -173,39 +173,3 @@ def zero_mode(data: SpinCData) -> np.ndarray | None:
         return m_int
     return None
 
-
-@dataclass
-class SymmetryReport:
-    """Result of checking the spectrum for symmetry under value negation."""
-
-    symmetric: bool
-    max_mismatch: float
-    witness: tuple | None = None
-    detail: str = ""
-
-
-def symmetry_check(data: SpinCData, cutoff: float) -> SymmetryReport:
-    """Check whether the spectrum below the cutoff is symmetric about 0.
-
-    For n >= 2 every mode contributes both signs, so this always passes;
-    for n = 1 the spectrum is a shifted arithmetic progression and is
-    symmetric only when delta + theta + L A / (2 pi) is an integer.
-    """
-    spec = spectrum(data, cutoff)
-    values, mults = spec.values(), spec.multiplicities()
-    # total multiplicity within 1e-9 of each negated value, by bisection
-    cum = np.concatenate(([0], np.cumsum(mults)))
-    mirrored = (cum[np.searchsorted(values, 1e-9 - values, side="right")]
-                - cum[np.searchsorted(values, -values - 1e-9, side="left")])
-    gaps = np.abs(mults - mirrored)
-    if not gaps.any():
-        return SymmetryReport(True, 0.0, None, "every eigenvalue mirrors")
-    i = int(np.argmax(gaps))
-    witness = (float(values[i]), int(mults[i]), int(mirrored[i]))
-    return SymmetryReport(
-        False,
-        float(gaps[i]),
-        witness,
-        f"value {witness[0]!r} has multiplicity {witness[1]} but its negative "
-        f"has {witness[2]}",
-    )

@@ -243,12 +243,6 @@ def test_basic_estimate_sharpness_and_crossover():
         assert abs(bv - (0.5 + np.sqrt(t * t + 4.0))) <= 1e-12
         assert abs(bv - sphere.lambda1_basic(t)) <= 1e-12
 
-    for n in (5, 7, 9):
-        data = bounds.sphere_odd_data(n)
-        t_star = (3 * n - 1) / 4.0
-        for t in np.linspace(t_star, t_star + 6.0, 25):
-            assert bounds.basic(data, t).value > n / 2.0 - t, (n, t)
-
 
 def test_collision_coupling_formula():
     rng = np.random.default_rng(107)

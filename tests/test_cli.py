@@ -238,6 +238,14 @@ def test_invalid_inputs_exit_one(capsys):
     (("sphere-curve", "--t-range", "0:1:0"), "grid needs at least one step"),
     (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0], 0.1]]"),
      "each f-term must be"),
+    (("sphere-curve", "--window", "1:2:3"), "window must be lo:hi with lo <= hi"),
+    (("sphere-curve", "--window", "5:-5"), "window must be lo:hi with lo <= hi"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
+      "--cutoffs", ","), "gauge check needs one or more cutoffs"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
+      "--cutoffs", "0"), "gauge check needs one or more cutoffs"),
+    (("verify", "torus-modes", "--samples", "0"), "torus-modes check needs samples >= 1"),
+    (("verify", "torus-modes", "--samples", "-3"), "torus-modes check needs samples >= 1"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -402,16 +410,36 @@ def test_sphere_curve_stdout_is_pinned(capsys, request_line):
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_STDOUT_SHA256[request_line]
 
 
-def test_python_m_magdirac_prints_what_cli_main_prints(capsys):
-    argv = ["sphere", "--t", "0.5", "--cutoff", "3", "--json"]
+def _python_m_magdirac(*argv):
+    """Command line and environment of ``python -m magdirac argv`` that
+    import this package."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "magdirac", *argv],
-                          capture_output=True, env=env, check=False)
+    return [sys.executable, "-m", "magdirac", *argv], env
+
+
+def test_python_m_magdirac_prints_what_cli_main_prints(capsys):
+    argv = ["sphere", "--t", "0.5", "--cutoff", "3", "--json"]
+    command, env = _python_m_magdirac(*argv)
+    proc = subprocess.run(command, capture_output=True, env=env, check=False)
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out.encode()
+
+
+def test_closed_stdout_ends_quietly():
+    # ~640 kB of output, far more than a pipe holds, so the write must
+    # still be blocked when the reader closes its end
+    command, env = _python_m_magdirac("sphere", "--t", "0.5", "--cutoff", "60", "--json")
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert head == [b"{\n", b'  "t": 0.5,\n']
+    assert err == b"" and code == 1
 
 
 @st.composite

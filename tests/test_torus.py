@@ -100,26 +100,30 @@ def test_zero_mode_multiplicity_is_full_spinor_rank():
             assert e.multiplicity == len(e.labels)
 
 
+def _pairwise_symmetry(spec):
+    """(max mismatch, witness) by comparing every entry with every other."""
+    worst, witness = 0.0, None
+    for e in spec:
+        mirrored = sum(x.multiplicity for x in spec if abs(x.value + e.value) <= 1e-9)
+        if abs(e.multiplicity - mirrored) > worst:
+            worst = float(abs(e.multiplicity - mirrored))
+            witness = (e.value, e.multiplicity, mirrored)
+    return worst, witness
+
+
 def test_circle_symmetry_condition():
     lat = square(1)
-    sym = torus.symmetry_check(
-        SpinCData(lat, [1], [0.0], np.array([0.0])), 10.0
-    )
-    assert sym.symmetric
-    asym = torus.symmetry_check(
-        SpinCData(lat, [1], [0.0], np.array([1.0])), 10.0
-    )
-    assert not asym.symmetric
-    assert asym.witness is not None
+
+    def mismatch(delta, theta, A):
+        data = SpinCData(lat, [delta], [theta], np.array([A]))
+        return _pairwise_symmetry(torus.spectrum(data, 10.0))
+
+    assert mismatch(1, 0.0, 0.0) == (0.0, None)
+    worst, witness = mismatch(1, 0.0, 1.0)
+    assert worst > 0 and witness is not None
     # delta + theta + L A/(2 pi) integer restores the symmetry
-    back = torus.symmetry_check(
-        SpinCData(lat, [1], [0.0], np.array([2.0 * np.pi])), 10.0
-    )
-    assert back.symmetric
-    frac = torus.symmetry_check(
-        SpinCData(lat, [0], [0.5], np.array([0.0])), 10.0
-    )
-    assert not frac.symmetric
+    assert mismatch(1, 0.0, 2.0 * np.pi) == (0.0, None)
+    assert mismatch(0, 0.5, 0.0)[0] > 0
 
 
 def test_higher_dimensions_always_symmetric():
@@ -133,8 +137,8 @@ def test_higher_dimensions_always_symmetric():
             rng.uniform(0, 1, size=n),
             rng.normal(size=n),
         )
-        rep = torus.symmetry_check(data, {2: 12.0, 3: 8.0, 4: 5.0}[n])
-        assert rep.symmetric, rep
+        spec = torus.spectrum(data, {2: 12.0, 3: 8.0, 4: 5.0}[n])
+        assert _pairwise_symmetry(spec) == (0.0, None), data
 
 
 def test_fluxes_helper_prescribes_holonomies():
@@ -215,38 +219,6 @@ def test_theta_reduction_keeps_the_spin_c_structure():
         assert SpinCData(lat, [1], [-1.7], np.zeros(1)).delta.tolist() == [1]
     with pytest.warns(UserWarning):
         assert SpinCData(lat, [1], [-0.7], np.zeros(1)).delta.tolist() == [0]
-
-
-def _pairwise_symmetry(spec):
-    """(max mismatch, witness) by comparing every entry with every other."""
-    worst, witness = 0.0, None
-    for e in spec:
-        mirrored = sum(x.multiplicity for x in spec if abs(x.value + e.value) <= 1e-9)
-        if abs(e.multiplicity - mirrored) > worst:
-            worst = float(abs(e.multiplicity - mirrored))
-            witness = (e.value, e.multiplicity, mirrored)
-    return worst, witness
-
-
-def test_symmetry_check_matches_pairwise_reference():
-    lat = square(1)
-    cases = [
-        (SpinCData(lat, [d], [th], np.array([a])), 10.0)
-        for d, th, a in [(1, 0.0, 0.0), (1, 0.0, 1.0), (1, 0.0, 2 * np.pi),
-                         (0, 0.5, 0.0), (0, 0.2, 0.9), (1, 0.75, -2.0)]
-    ]
-    rng = np.random.default_rng(53)
-    for _ in range(6):
-        n = int(rng.integers(2, 5))
-        lattice = Lattice.from_rows(rng.normal(size=(n, n)) + 3 * np.eye(n))
-        data = SpinCData(lattice, rng.integers(0, 2, size=n),
-                         rng.uniform(0, 1, size=n), rng.normal(size=n))
-        cases.append((data, {2: 12.0, 3: 8.0, 4: 5.0}[n]))
-    for data, cutoff in cases:
-        rep = torus.symmetry_check(data, cutoff)
-        worst, witness = _pairwise_symmetry(torus.spectrum(data, cutoff))
-        assert (rep.symmetric, rep.max_mismatch, rep.witness) == (
-            witness is None, worst, witness)
 
 
 # metamorphic invariances: the same torus presented two ways has the same
