@@ -28,20 +28,18 @@ class GeometricData:
     """Scalar geometric inputs for the bound evaluators.
 
     All norms refer to the unit-coupling one-form eta; the evaluators scale
-    them by |t| themselves.  Fields that a bound does not use may stay
-    None; an evaluator raises ValueError when a field it needs is missing.
-    Constant-curvature data is assumed (the infima in the statements are
-    then the plain values).
+    them by |t| themselves.  Constant-curvature data is assumed (the infima
+    in the statements are then the plain values).
     """
 
     n: int
-    S: float | None = None           # infimum of the scalar curvature
-    dEta_norm: float | None = None   # sup norm |d eta| (two-form norm)
-    yamabe: float | None = None      # Yamabe invariant Y(M, [g])
-    vol: float | None = None         # volume
-    eta_Ln: float | None = None      # L^n norm of eta
-    eta_Linf: float | None = None    # L^infinity norm of eta
-    oneill_b: float | None = None    # O'Neill function b, n = 3 fibrations
+    S: float           # infimum of the scalar curvature
+    dEta_norm: float   # sup norm |d eta| (two-form norm)
+    yamabe: float      # Yamabe invariant Y(M, [g])
+    vol: float         # volume
+    eta_Ln: float      # L^n norm of eta
+    eta_Linf: float    # L^infinity norm of eta
+    oneill_b: float    # O'Neill function b, n = 3 fibrations
 
 
 @dataclass
@@ -68,12 +66,6 @@ class BoundReport:
     margin: float
 
 
-def _need(data: GeometricData, *fields):
-    missing = [f for f in fields if getattr(data, f) is None]
-    if missing:
-        raise ValueError(f"geometric data lacks required fields: {missing}")
-
-
 def friedrich(data: GeometricData, t: float) -> BoundValue:
     """Curvature lower bound on the squared eigenvalues.
 
@@ -81,7 +73,6 @@ def friedrich(data: GeometricData, t: float) -> BoundValue:
     statement assumes a nonnegative coupling, so it is applied to |t| (the
     operator for -t is the one for +t with eta negated).
     """
-    _need(data, "S", "dEta_norm")
     n = data.n
     if n < 2:
         return BoundValue("friedrich", None, "squared", True,
@@ -98,7 +89,6 @@ def hijazi(data: GeometricData, t: float) -> BoundValue:
     |lambda| Vol^(1/n) >= sqrt(n Y / (4(n-1))) - || t eta ||_{L^n},
     for n >= 3 and Y >= 0.
     """
-    _need(data, "yamabe", "vol", "eta_Ln")
     n = data.n
     if n < 3:
         return BoundValue("hijazi", None, "absolute", True,
@@ -119,7 +109,6 @@ def basic(data: GeometricData, t: float) -> BoundValue:
     if data.n != 3:
         return BoundValue("basic", None, "first_positive", True,
                           f"needs dimension 3, got n={data.n}")
-    _need(data, "S", "oneill_b")
     if data.S < 0.0:
         return BoundValue("basic", None, "first_positive", True,
                           f"needs nonnegative scalar curvature, got {data.S}")
@@ -139,24 +128,6 @@ def diamagnetic_upper(
     """
     value = lam * lam - t * q_ratio + t * t * eta_Linf * eta_Linf
     return BoundValue("diamagnetic", float(value), "upper_squared")
-
-
-def sasaki_q(m: int, b: float, sector: str = "top") -> tuple[float, float]:
-    """(lambda, q) pair of the Sasakian quasi-Killing spinor of type (-1/2, b).
-
-    On an eta-Einstein Sasakian (2m+1)-manifold of scalar curvature
-    2m(2m - 4b + 1), the spinor in the top sector Sigma_m gives
-    q = 2m + 1 - 2b; the bottom sector Sigma_0 (odd m only) flips the sign.
-    """
-    lam = (2 * m + 1) / 2.0 - b
-    q = 2 * m + 1 - 2.0 * b
-    if sector == "top":
-        return lam, q
-    if sector == "bottom":
-        if m % 2 == 0:
-            raise ValueError("bottom-sector quasi-Killing spinor needs odd m")
-        return lam, -q
-    raise ValueError(f"sector must be 'top' or 'bottom', got {sector!r}")
 
 
 def berger_q(S: float, sector: str = "top") -> tuple[float, float]:
@@ -232,4 +203,5 @@ def torus_data(lattice_basis: np.ndarray, eta: np.ndarray) -> GeometricData:
         vol=vol,
         eta_Ln=norm * vol ** (1.0 / n),
         eta_Linf=norm,
+        oneill_b=0.0,  # parallel eta: vanishing O'Neill tensor
     )

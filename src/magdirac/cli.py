@@ -234,64 +234,64 @@ def cmd_torus(ns) -> int:
 
 
 def _sphere_diamagnetic(data, t):
-    """Diamagnetic upper bound on S^3: the smaller of the two Sasakian sectors."""
-    ups = [bounds_mod.diamagnetic_upper(*bounds_mod.sasaki_q(1, 0.0, s), data.eta_Linf, t)
+    """Diamagnetic upper bound on S^3: the smaller of the two quasi-Killing sectors."""
+    ups = [bounds_mod.diamagnetic_upper(*bounds_mod.berger_q(data.S, s), data.eta_Linf, t)
            for s in ("top", "bottom")]
     return min(ups, key=lambda b: b.value)
 
 
-# bound name -> evaluator (GeometricData, t) -> BoundValue on the round S^3
-_SPHERE_BOUNDS = {"friedrich": bounds_mod.friedrich, "hijazi": bounds_mod.hijazi,
-                  "basic": bounds_mod.basic, "diamagnetic": _sphere_diamagnetic}
+# bound name -> evaluator (GeometricData, coupling) -> BoundValue
+_BOUNDS = {"friedrich": bounds_mod.friedrich, "hijazi": bounds_mod.hijazi,
+           "basic": bounds_mod.basic, "diamagnetic": _sphere_diamagnetic}
+
+# flat tori: bound name -> why it does not apply
+_TORUS_REASONS = {
+    "hijazi": "flat tori have Yamabe invariant 0, so the bound is nonpositive and carries "
+              "no information",
+    "basic": "flat translations have vanishing O'Neill tensor; the basic bound degenerates "
+             "to |t|",
+    "diamagnetic": "needs a quasi-Killing eigenspinor of the plain operator, available on "
+                   "Sasakian geometries, not on flat tori",
+}
+
+
+def _sphere_model(ns):
+    t = float(ns.t)
+    lam1 = sphere.lambda1(t)
+    reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
+                 "first_positive": sphere.lambda1_basic(t)}
+    return {"model": "sphere", "t": t}, bounds_mod.sphere3_data(), t, reference, {}
+
+
+def _torus_model(ns):
+    spinc = _spinc_from_args(ns)
+    lam1 = torus.spectrum(spinc, float(ns.cutoff)).min_abs()
+    geo = bounds_mod.torus_data(spinc.lattice.basis, spinc.A / 2.0)
+    return {"model": "torus"}, geo, 1.0, {"squared": lam1**2}, _TORUS_REASONS
+
+
+# --model -> (report head, GeometricData, coupling, the exact quantity each
+# bound form is compared against (see compare), why a bound does not apply)
+_BOUND_MODELS = {"sphere": _sphere_model, "torus": _torus_model}
 
 
 def cmd_bounds(ns) -> int:
-    t = float(ns.t)
     which = [w.strip() for w in ns.which.split(",") if w.strip()]
+    if not which:
+        raise ValueError(f"bounds request names no bound; choose from {', '.join(_BOUNDS)}")
     for w in which:
-        if w not in _SPHERE_BOUNDS:
-            raise ValueError(f"unknown bound {w!r}; choose from {', '.join(_SPHERE_BOUNDS)}")
-
-    if ns.model == "sphere":
-        data = bounds_mod.sphere3_data()
-        lam1 = sphere.lambda1(t)
-        # the exact quantity each bound form is compared against (see compare)
-        reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
-                     "first_positive": sphere.lambda1_basic(t)}
-        reports = [bounds_mod.compare(b, reference[b.form])
-                   for b in (_SPHERE_BOUNDS[w](data, t) for w in which)]
-        payload = {"model": "sphere", "t": t, "bounds": [vars(r) for r in reports]}
-    elif ns.model == "torus":
-        data_sc = _spinc_from_args(ns)
-        spec = torus.spectrum(data_sc, float(ns.cutoff))
-        lam1 = spec.min_abs()
-        geo = bounds_mod.torus_data(data_sc.lattice.basis, data_sc.A / 2.0)
-        entries = []
-        for w in which:
-            if w == "friedrich":
-                bv = bounds_mod.friedrich(geo, 1.0)
-                if bv.vacuous:
-                    entries.append({"name": "friedrich", "applicable": False,
-                                    "reason": bv.reason})
-                else:
-                    entries.append(vars(bounds_mod.compare(bv, lam1**2)))
-            else:
-                reasons = {
-                    "hijazi": "flat tori have Yamabe invariant 0, so the "
-                              "bound is nonpositive and carries no information",
-                    "basic": "flat translations have vanishing O'Neill "
-                             "tensor; the basic bound degenerates to |t|",
-                    "diamagnetic": "needs a quasi-Killing eigenspinor of the "
-                                   "plain operator, available on Sasakian "
-                                   "geometries, not on flat tori",
-                }
-                entries.append({"name": w, "applicable": False,
-                                "reason": reasons[w]})
-        payload = {"model": "torus", "bounds": entries}
-    else:
-        raise ValueError(f"unknown model {ns.model!r}")
-
-    _print_json(payload)
+        if w not in _BOUNDS:
+            raise ValueError(f"unknown bound {w!r}; choose from {', '.join(_BOUNDS)}")
+    head, data, coupling, reference, reasons = _BOUND_MODELS[ns.model](ns)
+    entries = []
+    for w in which:
+        bv = None if w in reasons else _BOUNDS[w](data, coupling)
+        if bv is None or bv.vacuous:
+            entries.append({"name": w, "applicable": False,
+                            "reason": reasons[w] if bv is None else bv.reason})
+        else:
+            entries.append(vars(bounds_mod.compare(bv, reference[bv.form])))
+    _print_json({**head, "bounds": entries})
     return 0
 
 
@@ -360,7 +360,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_torus)
 
     p = sub.add_parser("bounds", help="evaluate eigenvalue bounds")
-    p.add_argument("--model", choices=("sphere", "torus"), required=True)
+    p.add_argument("--model", choices=tuple(_BOUND_MODELS), required=True)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--which", default="friedrich,hijazi,basic,diamagnetic")
     p.add_argument("--basis", default="[[1]]",

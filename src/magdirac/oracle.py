@@ -19,11 +19,12 @@ import numpy as np
 from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
                        vector_action, volume_element)
 from .lattice import Lattice
-from .sphere import curve_samples
+from .sphere import curve_table
 from .torus import SpinCData, mode_eigenvalues
 
 MAX_OPERATOR_DIM = 4096
 GAUGE_TOL = 1e-6
+GAUGE_PAIRS = 10  # eigenvalues closest to zero paired per cutoff
 
 
 class HermitianMatrix:
@@ -108,15 +109,15 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     Sorted by weight, level k splits into 1x1 ends (lowest weight: minus,
     highest: plus) and k 2x2 blocks whose ascending pairs are the branch
     members (k, p, -1), (k, p, +1); all blocks are solved at every coupling
-    by one batched LAPACK call.  Every row of ``sphere.curve_samples``
+    by one batched LAPACK call.  Every row of ``sphere.curve_table``
     (k <= k_max; default grid 17 points on [-4, 4]) is compared with the
     member of its label, relative to 1 + |value|; a member no row reaches
     fails too.  Raises ValueError if a level couples two different weights.
     """
     if t_values is None:
         t_values = np.linspace(-4.0, 4.0, 17)
-    rows = curve_samples(t_values, k_max)  # validates, refuses oversized grids
-    ts = np.unique(np.asarray(t_values, dtype=np.float64))
+    ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
+    ts, closed = np.array(ts), np.array(closed)
     labels, ends, blocks = [], [], []
     for k in range(k_max + 1):
         H0, S, w = sphere_level_matrix(k)
@@ -135,19 +136,17 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     branch = np.linalg.eigvalsh(blocks[0] + ts[:, None, None, None] * blocks[1])
     got = np.hstack([ends[0] + ts[:, None] * ends[1], branch.reshape(len(ts), 2 * blocks.shape[1])])
 
-    t_at = {t: i * len(labels) for i, t in enumerate(ts.tolist())}
-    column = {label: c for c, label in enumerate(labels)}
-    at = np.array([t_at[r[0]] + column[r[1:5]] for r in rows], dtype=np.int64)
-    closed = np.array([r[5] for r in rows], dtype=np.float64)
+    column = {label: c for c, label in enumerate(labels)}  # each member's oracle column, once
+    at = np.array(i, dtype=np.int64) * len(labels) + np.array([column[m] for m in members])[j]
     rel = np.abs(got.flat[at] - closed) / (1.0 + np.abs(closed))
     missing = np.setdiff1d(np.arange(got.size), at)  # members no row reaches
     keys = ("t", "family", "k", "p", "sign", "closed")
-    failures = [{**dict(zip(keys, rows[i])), "oracle": got.flat[at[i]]}
-                for i in np.flatnonzero(~(rel <= 1e-12))[:20]]
-    failures += [{**dict(zip(keys, (ts[i // len(labels)], *labels[i % len(labels)], None))),
-                  "oracle": got.flat[i]} for i in missing[:20]]
+    failures = [{**dict(zip(keys, (ts[i[r]], *members[j[r]], closed[r]))),
+                 "oracle": got.flat[at[r]]} for r in np.flatnonzero(~(rel <= 1e-12))[:20]]
+    failures += [{**dict(zip(keys, (ts[r // len(labels)], *labels[r % len(labels)], None))),
+                  "oracle": got.flat[r]} for r in missing[:20]]
     return {
-        "checks": len(rows),
+        "checks": len(closed),
         "max_residual": float(np.max(rel, initial=0.0)),
         "pass": not failures,
         "failures": failures[:20],
@@ -283,12 +282,13 @@ class FourierPotential:
         """Largest sup-norm of any frequency (0 when empty)."""
         return max((max(abs(c) for c in nu) for nu in self.table), default=0)
 
-    def is_closed(self, tol: float = 1e-10) -> bool:
-        """Whether every coefficient is parallel to its own frequency."""
+    def is_closed(self) -> bool:
+        """Whether every coefficient is parallel to its own frequency, to
+        1e-10 relative to 1 + its largest entry."""
         for nu, coeff in self.table.items():
             nu_hat = _nu_hat(self.lattice, nu)
             proj = (coeff @ nu_hat) / (nu_hat @ nu_hat) * nu_hat
-            if np.max(np.abs(coeff - proj)) > tol * (1.0 + np.max(np.abs(coeff))):
+            if np.max(np.abs(coeff - proj)) > 1e-10 * (1.0 + np.max(np.abs(coeff))):
                 return False
         return True
 
@@ -490,46 +490,47 @@ def _lowest_by_abs(values: np.ndarray, count: int) -> np.ndarray:
     return np.sort(values[np.argsort(np.abs(values), kind="stable")[:count]])
 
 
-def _stable_low_count(values: np.ndarray, count: int, gap: float = 1e-3) -> int:
+def _stable_low_count(values: np.ndarray, count: int) -> int:
     """Extend ``count`` so the |value| selection boundary sits at a gap.
 
     Degenerate clusters must never be split between the two operators
     being compared (the members picked near the boundary would then
     differ by rounding noise), so grow the selection until the next
-    |value| is at least ``gap`` away; capped at 4 * count entries.
+    |value| is more than 1e-3 away; capped at 4 * count entries.
     """
     a = np.sort(np.abs(np.asarray(values, dtype=np.float64)))
     cap = min(len(a), 4 * count)
     j = min(count, len(a))
-    while j < cap and a[j] - a[j - 1] <= gap:
+    while j < cap and a[j] - a[j - 1] <= 1e-3:
         j += 1
     return j
 
 
-def verify_gauge(
-    data: SpinCData, f_terms, cutoffs=(4, 8, 12), n_low: int = 10
-) -> dict:
+def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
     """Isospectrality of the operator under adding an exact form df.
 
     Assembles the truncated operator with the gradient potential at each
     cutoff and solves it densely; the window spectrum without it comes from
     the per-mode blocks (the operator is block-diagonal there), also by
-    LAPACK.  Pairs the ``n_low`` eigenvalues closest to zero and reports
-    the largest pairwise distance per cutoff.  Truncation breaks exact
-    gauge invariance, so the residual must decrease as the window grows
-    and fall below 1e-6 at the last cutoff.  Refused (ValueError) unless
-    there is at least one cutoff and every cutoff is >= 1.
+    LAPACK.  Pairs the ``GAUGE_PAIRS`` eigenvalues closest to zero and
+    reports the largest pairwise distance per cutoff.  Truncation breaks
+    exact gauge invariance, so the residual must decrease as the window
+    grows and fall below 1e-6 at the last cutoff.  Refused (ValueError)
+    unless there is at least one cutoff, every cutoff is >= 1 and df has a
+    nonzero coefficient.
     """
     if len(cutoffs) == 0 or min(cutoffs) < 1:
         raise ValueError(f"gauge check needs one or more cutoffs >= 1, got {list(cutoffs)}")
     pot = FourierPotential.from_gradient(data.lattice, f_terms)
+    if not any(np.any(a) for a in pot.table.values()):
+        raise ValueError("gauge check needs a potential df with a nonzero coefficient")
     residuals = []
     for cutoff in cutoffs:
         with_f, modes = torus_fourier_operator(data, pot, cutoff)
         ef_all = hermitian_eigs(with_f)
         # without the potential the operator is block-diagonal by mode
         e0_all = np.sort(np.linalg.eigvalsh(_mode_blocks(data, modes)), axis=None)
-        j = _stable_low_count(e0_all, n_low)
+        j = _stable_low_count(e0_all, GAUGE_PAIRS)
         ef = _lowest_by_abs(ef_all, j)
         e0 = _lowest_by_abs(e0_all, j)
         residuals.append(float(np.max(np.abs(ef - e0))))
@@ -538,7 +539,7 @@ def verify_gauge(
     )
     passed = bool(residuals[-1] <= GAUGE_TOL and monotone)
     return {
-        "checks": len(residuals) * n_low,
+        "checks": len(residuals) * GAUGE_PAIRS,
         "cutoffs": [int(c) for c in cutoffs],
         "residuals": residuals,
         "monotone": monotone,

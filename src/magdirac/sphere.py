@@ -123,16 +123,14 @@ def triple_count(k_max: float) -> float:
     return (k_max + 1.0) * (k_max + 2.0)
 
 
-def lambda1(t: float, cutoff: float | None = None) -> float:
+def lambda1(t: float) -> float:
     """Smallest eigenvalue in absolute value.
 
-    The default cutoff 5 + |t| always contains the minimizer, since the
-    minus family alone gives an eigenvalue of magnitude <= 3/2 + |t|.
+    The cutoff 5 + |t| always contains the minimizer, since the minus
+    family alone gives an eigenvalue of magnitude <= 3/2 + |t|.
     """
     t = _check_coupling(t)
-    if cutoff is None:
-        cutoff = 5.0 + abs(t)
-    return spectrum(t, cutoff).min_abs()
+    return spectrum(t, 5.0 + abs(t)).min_abs()
 
 
 def lambda1_basic(t: float) -> float:
@@ -171,10 +169,13 @@ def collision_t(k, p, k2, p2):
 
 
 def curve_table(t_values, k_max: int, window=None) -> tuple:
-    """The rows of ``curve_samples`` by index: couplings, member labels, and
-    per row its coupling index, member index and value.  Refused
-    (ValueError) before any work past ``spectrum.MAX_SPECTRUM_SIZE`` rows.
-    ``window`` is None or a pair (lo, hi) with lo <= hi."""
+    """Eigenvalue curves of levels 0..k_max sampled on a coupling grid.
+
+    Returns the couplings, the (family, k, p, sign) member labels (p = sign
+    = None on plus/minus), and per row its coupling index, member index and
+    value, coupling by coupling.  ``window`` is None (no filter) or a pair
+    (lo, hi) with lo <= hi keeping lo <= value <= hi.  Refused (ValueError)
+    before any work past ``spectrum.MAX_SPECTRUM_SIZE`` rows."""
     lo, hi = -np.inf, np.inf
     if window is not None:
         try:
@@ -190,15 +191,3 @@ def curve_table(t_values, k_max: int, window=None) -> tuple:
     value, *members = _levels(k_max, t_values)
     i, j = np.nonzero((lo <= value) & (value <= hi))  # coupling by coupling
     return t_values, _labels(*members), i.tolist(), j.tolist(), value[i, j].tolist()
-
-
-def curve_samples(t_values, k_max: int, window: tuple[float, float] | None = None):
-    """Eigenvalue curves sampled on a coupling grid.
-
-    Returns (t, family, k, p, sign, value) tuples for every family member
-    of level <= k_max, keeping only values inside the window (default: no
-    filter).  Branch rows carry the sign of the square root; plus/minus
-    rows have p = None, sign = None.  Refused as ``curve_table`` refuses.
-    """
-    t_values, labels, i, j, value = curve_table(t_values, k_max, window)
-    return [(t_values[a], *labels[b], v) for a, b, v in zip(i, j, value)]

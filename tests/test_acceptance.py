@@ -271,7 +271,7 @@ def test_soundness_sweep_bounds_never_violated():
             bounds.basic(s3, t), sphere.lambda1_basic(t)
         ).satisfied, t
         for sector in ("top", "bottom"):
-            lam, q = bounds.sasaki_q(1, 0.0, sector)
+            lam, q = bounds.berger_q(6.0, sector)
             up = bounds.diamagnetic_upper(lam, q, 1.0, t)
             assert bounds.compare(up, lam1**2).satisfied, (t, sector)
 

@@ -1,5 +1,7 @@
 """Eigenvalue bound evaluators and soundness comparisons."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ def test_friedrich_uses_magnitude_of_coupling():
 
 
 def test_friedrich_vacuous_in_dimension_one():
-    bv = bounds.friedrich(bounds.GeometricData(n=1, S=0.0, dEta_norm=0.0), 1.0)
+    bv = bounds.friedrich(replace(S3, n=1, S=0.0, dEta_norm=0.0), 1.0)
     assert bv.vacuous and bv.value is None
 
 
@@ -33,9 +35,9 @@ def test_hijazi_round_three_sphere():
 
 
 def test_hijazi_vacuous_flags():
-    low = bounds.GeometricData(n=2, yamabe=1.0, vol=1.0, eta_Ln=1.0)
+    low = replace(S3, n=2, yamabe=1.0, vol=1.0, eta_Ln=1.0)
     assert bounds.hijazi(low, 0.0).vacuous
-    neg = bounds.GeometricData(n=3, yamabe=-1.0, vol=1.0, eta_Ln=1.0)
+    neg = replace(S3, yamabe=-1.0, vol=1.0, eta_Ln=1.0)
     assert bounds.hijazi(neg, 0.0).vacuous
 
 
@@ -48,27 +50,19 @@ def test_basic_three_sphere_closed_form():
 
 
 def test_basic_vacuous_for_negative_curvature():
-    data = bounds.GeometricData(n=3, S=-1.0, oneill_b=1.0)
-    assert bounds.basic(data, 0.0).vacuous
+    assert bounds.basic(replace(S3, S=-1.0), 0.0).vacuous
     # only the n = 3 estimate is kept; other dimensions give no value
     for n, S in ((2, 0.0), (5, 20.0)):
-        bv = bounds.basic(bounds.GeometricData(n=n, S=S), 1.0)
+        bv = bounds.basic(replace(S3, n=n, S=S), 1.0)
         assert bv.vacuous and bv.value is None and f"n={n}" in bv.reason
 
 
 def test_diamagnetic_upper_sphere_values():
-    lam, q = bounds.sasaki_q(1, 0.0, "top")
-    assert (lam, q) == (1.5, 3.0)
+    lam, q = bounds.berger_q(6.0, "top")
     for t in np.linspace(-2, 2, 17):
         bv = bounds.diamagnetic_upper(lam, q, 1.0, t)
         assert bv.form == "upper_squared"
         assert bv.value == pytest.approx((1.5 - t) ** 2, abs=1e-12)
-    lam, qb = bounds.sasaki_q(1, 0.0, "bottom")
-    assert qb == -3.0
-    with pytest.raises(ValueError):
-        bounds.sasaki_q(2, 0.0, "bottom")  # bottom sector needs odd m
-    with pytest.raises(ValueError):
-        bounds.sasaki_q(1, 0.0, "middle")
 
 
 def test_berger_q_agrees_with_round_case():
@@ -78,6 +72,8 @@ def test_berger_q_agrees_with_round_case():
     assert (lam, q) == (1.5, -3.0)
     lam, q = bounds.berger_q(2.0, "top")
     assert (lam, q) == (1.0, 2.0)
+    with pytest.raises(ValueError):
+        bounds.berger_q(6.0, "middle")
 
 
 def test_compare_forms_and_equality():
@@ -100,18 +96,9 @@ def test_compare_forms_and_equality():
         bounds.compare(bounds.BoundValue("w", 1.0, "sideways"), 1.0)
 
 
-def test_missing_fields_raise():
-    with pytest.raises(ValueError):
-        bounds.friedrich(bounds.GeometricData(n=3), 0.0)
-    with pytest.raises(ValueError):
-        bounds.hijazi(bounds.GeometricData(n=3), 0.0)
-    with pytest.raises(ValueError):
-        bounds.basic(bounds.GeometricData(n=3, S=1.0), 0.0)
-
-
 def test_torus_data_gives_trivial_friedrich():
     geo = bounds.torus_data(np.eye(2), np.array([0.5, 0.0]))
-    assert geo.S == 0.0 and geo.dEta_norm == 0.0
+    assert geo.S == 0.0 and geo.dEta_norm == 0.0 and geo.oneill_b == 0.0
     bv = bounds.friedrich(geo, 1.0)
     assert bv.value == 0.0
     assert geo.eta_Linf == pytest.approx(0.5)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,11 @@ def test_invalid_inputs_exit_one(capsys):
       "--cutoffs", "0"), "gauge check needs one or more cutoffs"),
     (("verify", "torus-modes", "--samples", "0"), "torus-modes check needs samples >= 1"),
     (("verify", "torus-modes", "--samples", "-3"), "torus-modes check needs samples >= 1"),
+    (("bounds", "--model", "sphere", "--which", ","), "bounds request names no bound"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[]", "--cutoffs", "3"),
+     "gauge check needs a potential df"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0,0]]"),
+     "gauge check needs a potential df"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -408,6 +414,54 @@ def test_sphere_curve_stdout_is_pinned(capsys, request_line):
     code, out, _ = run(capsys, *request_line.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_STDOUT_SHA256[request_line]
+
+
+# recorded before the sphere and torus branches of cmd_bounds became one loop
+BOUNDS_STDOUT_SHA256 = {
+    "bounds --model sphere --t -2.5":
+        "8cfa9c5360d7575a82df89e499fcf841f310590fed53a0b754cd2ee2d500e798",
+    "bounds --model sphere --t -2.5 --which basic,friedrich":
+        "1580a2f09370c30c39a74b8b45f0f07fe017f94ca98acd9f0d007bcfd69741a9",
+    "bounds --model sphere --t 0":
+        "d550367b055bb7db692122e35f8e4b92573d6a6816d5c5aa61a317d60a70f19c",
+    "bounds --model sphere --t 0 --which basic,friedrich":
+        "a456cedf28b1ddac30b5902acf3872c1adb3ed1c21a8bb2f0b61b9f2e416010e",
+    "bounds --model sphere --t 0.7":
+        "1f3b211141cbf168e7c5538d898daa45d4eb62ef119af94ec775d7d0a485d9e5",
+    "bounds --model sphere --t 0.7 --which basic,friedrich":
+        "07cb226bc770f37dea392e4f1831ca6eb99196e2517941ffd1b9940e90a8f48c",
+    "bounds --model sphere --t 1.3":
+        "abb1951e68b20769c3ccaed19600a9f449052b68af5a98d22026588ba7f235d0",
+    "bounds --model sphere --t 1.3 --which basic,friedrich":
+        "b83ab3c4c4450a80165d17c0ab65b3d138af1d1f1821a0e5e059a95534dc4681",
+    "bounds --model sphere --t 4":
+        "49daaeb6ca90f6565fa3ee95e4469fd2b498d54db91b631edcdfdbf44d6395f1",
+    "bounds --model sphere --t 4 --which basic,friedrich":
+        "4f1c94405e0a4cd81069491ae4737bc4fd9478f8f4a7a0c0ab7271c5682e1776",
+    "bounds --model torus --basis [[1]]":
+        "9279d49217896e83cd77f87cee217e5e4aac59a7fb22443b0bb42a83e61ead58",
+    "bounds --model torus --basis [[1,0],[0,1]] --delta 1,0 --A 0.1,0.2":
+        "f26ef04e892c38456125985315e302e6089bfc0631e21e658436b947ce155cd1",
+    "bounds --model torus --basis [[1,0.3],[0,2]]":
+        "9b0aa0d64000ec880bdc3b021e7199c593ba13abd8dc87af8991e3cff288d879",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(BOUNDS_STDOUT_SHA256))
+def test_bounds_stdout_is_pinned(capsys, request_line):
+    code, out, _ = run(capsys, *request_line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_STDOUT_SHA256[request_line]
+
+
+def test_readme_command_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("magdirac ")]
+    assert len(examples) == 10
+    for argv in examples:
+        cli.build_parser().parse_args(argv)
 
 
 def _python_m_magdirac(*argv):

@@ -56,14 +56,13 @@ def test_verify_sphere_blocks_catches_a_wrong_discriminant(monkeypatch):
 
 
 def test_verify_sphere_blocks_catches_swapped_families(monkeypatch):
-    real = sphere.curve_samples
     swap = {"plus": "minus", "minus": "plus"}
 
-    def swapped(t_values, k_max, window=None):
-        return [(t, swap.get(fam, fam), k, p, s, v)
-                for t, fam, k, p, s, v in real(t_values, k_max, window)]
+    def swapped(t_values, k_max):
+        ts, labels, i, j, value = sphere.curve_table(t_values, k_max)
+        return ts, [(swap.get(f, f), *rest) for f, *rest in labels], i, j, value
 
-    monkeypatch.setattr(oracle, "curve_samples", swapped)
+    monkeypatch.setattr(oracle, "curve_table", swapped)
     rep = oracle.verify_sphere_blocks(k_max=3, t_values=[-1.0, 0.5])
     assert rep["pass"] is False
     assert {f["family"] for f in rep["failures"]} == {"plus", "minus"}
@@ -71,9 +70,13 @@ def test_verify_sphere_blocks_catches_swapped_families(monkeypatch):
 
 
 def test_verify_sphere_blocks_reports_members_no_row_reaches(monkeypatch):
-    real = sphere.curve_samples
-    monkeypatch.setattr(oracle, "curve_samples", lambda t_values, k_max: [
-        r for r in real(t_values, k_max) if r[1:5] != ("branch", 2, 1, -1)])
+    def dropped(t_values, k_max):
+        ts, labels, i, j, value = sphere.curve_table(t_values, k_max)
+        gone = labels.index(("branch", 2, 1, -1))
+        keep = [r for r, b in enumerate(j) if b != gone]
+        return ts, labels, *([x[r] for r in keep] for x in (i, j, value))
+
+    monkeypatch.setattr(oracle, "curve_table", dropped)
     rep = oracle.verify_sphere_blocks(k_max=3, t_values=[0.25])
     assert rep["pass"] is False and rep["checks"] == 4 * 5 - 1
     (miss,) = rep["failures"]
@@ -357,6 +360,8 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0, 0), np.ones(2))]), "wrong length"),
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0), np.array([np.inf, 0.0]))]),
      "not finite"),
+    (lambda: oracle.verify_gauge(SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2)),
+                                 [((1, 0), 0.0)]), "gauge check needs a potential df"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):

@@ -176,17 +176,17 @@ def test_collision_rejects_parallel_or_invalid():
         sphere.collision_t(1, 0, 1, 0)  # identical curve
 
 
-def test_curve_samples_window_and_content():
-    rows = sphere.curve_samples([0.0], 1, window=(-5.0, 5.0))
-    got = {(fam, k, p, s, round(v, 9)) for _, fam, k, p, s, v in rows}
+def test_curve_table_window_and_content():
+    _, labels, _, j, value = sphere.curve_table([0.0], 1, window=(-5.0, 5.0))
+    got = {(*labels[b], round(v, 9)) for b, v in zip(j, value)}
     assert ("plus", 0, None, None, 1.5) in got
     assert ("minus", 0, None, None, 1.5) in got
     assert ("branch", 1, 0, 1, 2.5) in got
     assert ("branch", 1, 0, -1, -1.5) in got
 
-    rows = sphere.curve_samples(np.linspace(-5, 5, 11), 5, window=(-5.0, 5.0))
-    assert all(-5.0 <= v <= 5.0 for *_, v in rows)
-    assert {r[0] for r in rows} == set(np.linspace(-5, 5, 11))
+    ts, _, i, _, value = sphere.curve_table(np.linspace(-5, 5, 11), 5, window=(-5.0, 5.0))
+    assert all(-5.0 <= v <= 5.0 for v in value)
+    assert {ts[a] for a in i} == set(np.linspace(-5, 5, 11))
 
 
 def test_spectrum_rejects_bad_cutoff():
@@ -222,7 +222,7 @@ def test_spectrum_refuses_past_the_size_cap_before_any_level(monkeypatch):
     assert sphere.spectrum(0.5, 3.0).total_multiplicity() > 0
 
 
-def test_curve_samples_refuse_past_the_size_cap_before_any_row(monkeypatch):
+def test_curve_table_refuses_past_the_size_cap_before_any_row(monkeypatch):
     def no_work(*args):
         raise AssertionError("sampled a curve past the cap")
 
@@ -231,9 +231,9 @@ def test_curve_samples_refuse_past_the_size_cap_before_any_row(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(sphere, "f0", no_work)
         with pytest.raises(ValueError, match="cap 35"):
-            sphere.curve_samples([0.0, 0.5, 1.0], 2)
+            sphere.curve_table([0.0, 0.5, 1.0], 2)
     monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 36)
-    assert len(sphere.curve_samples([0.0, 0.5, 1.0], 2)) == 36
+    assert len(sphere.curve_table([0.0, 0.5, 1.0], 2)[4]) == 36
 
 
 def _merge_left_to_right(triples, tol=1e-9):
@@ -341,14 +341,15 @@ def test_spectrum_merges_exactly_the_curve_rows_in_the_window(monkeypatch, t, cu
     monkeypatch.setattr(sphere.Spectrum, "from_triples",
                         lambda triples, tolerance=None: merged.extend(triples))
     sphere.spectrum(t, cutoff)
-    rows = sphere.curve_samples([t], int(cutoff + abs(t)) + 3, window=(-cutoff, cutoff))
-    assert merged == [(v, k + 1, (fam, k, p, s)) for _, fam, k, p, s, v in rows]
+    _, labels, _, j, value = sphere.curve_table([t], int(cutoff + abs(t)) + 3,
+                                                window=(-cutoff, cutoff))
+    assert merged == [(v, labels[b][1] + 1, labels[b]) for b, v in zip(j, value)]
     assert len(merged) > 0
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: sphere.f0(2.5, 0, 0.0), "level must be an integer"),
-    (lambda: sphere.curve_samples([0.0], 2.5), "level must be an integer"),
+    (lambda: sphere.curve_table([0.0], 2.5), "level must be an integer"),
     (lambda: sphere.spectrum(float("nan"), 3.0), "coupling must be finite"),
     (lambda: sphere.lambda1(float("inf")), "coupling must be finite"),
 ])
