@@ -255,8 +255,15 @@ _TORUS_REASONS = {
 }
 
 
+# bounds options that only the torus model reads
+_TORUS_OPTIONS = ("basis", "delta", "theta", "A", "flux", "cutoff")
+
+
 def _sphere_model(ns):
-    t = float(ns.t)
+    given = [f"--{o}" for o in _TORUS_OPTIONS if getattr(ns, o) is not None]
+    if given:
+        raise ValueError(f"bounds --model sphere takes no {', '.join(given)}")
+    t = 0.0 if ns.t is None else ns.t
     lam1 = sphere.lambda1(t)
     reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
                  "first_positive": sphere.lambda1_basic(t)}
@@ -264,8 +271,11 @@ def _sphere_model(ns):
 
 
 def _torus_model(ns):
+    if ns.t is not None:
+        raise ValueError("bounds --model torus takes no --t: its coupling is 1")
+    ns.basis = "[[1]]" if ns.basis is None else ns.basis
     spinc = _spinc_from_args(ns)
-    lam1 = torus.spectrum(spinc, float(ns.cutoff)).min_abs()
+    lam1 = torus.spectrum(spinc, 20.0 if ns.cutoff is None else ns.cutoff).min_abs()
     geo = bounds_mod.torus_data(spinc.lattice.basis, spinc.A / 2.0)
     return {"model": "torus"}, geo, 1.0, {"squared": lam1**2}, _TORUS_REASONS
 
@@ -361,15 +371,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bounds", help="evaluate eigenvalue bounds")
     p.add_argument("--model", choices=tuple(_BOUND_MODELS), required=True)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=float, default=None,
+                   help="sphere model: coupling (default 0)")
     p.add_argument("--which", default="friedrich,hijazi,basic,diamagnetic")
-    p.add_argument("--basis", default="[[1]]",
-                   help="torus model: lattice rows (JSON)")
+    p.add_argument("--basis", default=None,
+                   help="torus model: lattice rows (JSON; default [[1]])")
     p.add_argument("--delta", default=None)
     p.add_argument("--theta", default=None)
     p.add_argument("--A", default=None)
     p.add_argument("--flux", default=None)
-    p.add_argument("--cutoff", type=float, default=20.0)
+    p.add_argument("--cutoff", type=float, default=None,
+                   help="torus model: spectrum cutoff (default 20)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="matrix-oracle cross-checks")

@@ -36,7 +36,10 @@ class HermitianMatrix:
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"matrix must be square, got shape {data.shape}")
         scale = float(np.max(np.abs(data))) if data.size else 0.0
-        defect = float(np.max(np.abs(data - data.conj().T))) if data.size else 0.0
+        # |H - H^*| is symmetric: its largest entry lies in the upper triangle,
+        # taken in strips of rows so no full-size temporary is made
+        defect = max((float(np.max(np.abs(data[i:i + 64, i:] - data[i:, i:i + 64].conj().T)))
+                      for i in range(0, len(data), 64)), default=0.0)
         if defect > 1e-12 * (1.0 + scale):
             raise ValueError(
                 f"matrix is not Hermitian: max |H - H^*| = {defect:.3e} "
@@ -78,61 +81,122 @@ def hermitian_eigs(H) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 3-sphere levels (Peter-Weyl)
 
+# s_a of the Milnor frame f_a = s_a e_a, whose direction a contributes
+# c(f_a) f_a = 2 s_a sigma_a (x) J_a to the operator; (1, 1, 1) is the round metric
+_ROUND_FRAME = (1.0, 1.0, 1.0)
 
-def sphere_level_matrix(k: int):
-    """Level k of the sphere operator, on C^2 (x) V_k with V_k of spin k/2.
+
+def _kron_entries(pauli, size, level, row, col, value):
+    """Entries of pauli (x) J on every level, as (row * size + col, value),
+    J given by its entries (level, row, col, value): the products of the
+    nonzeros of both."""
+    base = level * (level + 1)
+    r, c = np.nonzero(pauli)
+    return (np.concatenate([(base + x * (level + 1) + row) * size + base + y * (level + 1) + col
+                            for x, y in zip(r, c)]),
+            np.concatenate([pauli[x, y] * value for x, y in zip(r, c)]))
+
+
+def sphere_level_entries(k_max: int):
+    """Nonzero entries of the sphere operator on levels 0..k_max.
 
     Peter-Weyl splits L^2(S^3) = L^2(SU(2)) into levels V_k (x) V_k*, each
     carried k + 1 times.  In a left-invariant frame (X_a = -2i J_a,
-    c(e_a) = i sigma_a; Milnor 1976, Baer 1992) one copy of level k carries
-    H0 + t S, with H0 = 2 sum_a sigma_a (x) J_a + 3/2 and S = sigma_3 (x) I,
-    built from the ladder entries sqrt(j(j+1) - m(m+1)) and the Pauli
-    matrices alone.  Returns (H0, S, weight), with the weight
-    sigma_3/2 + J_3 of each basis vector, which both matrices preserve.
+    c(e_a) = i sigma_a; Milnor 1976, Baer 1992) one copy of level k acts on
+    C^2 (x) V_k, V_k of spin k/2, as H0 + t S, with
+    H0 = 2 sum_a sigma_a (x) J_a + 3/2 and S = sigma_3 (x) I, built from
+    the ladder entries sqrt(j(j+1) - m(m+1)) and the Pauli matrices alone.
+
+    Basis vector (r, i) of level k (Pauli row r, m = i - k/2) has index
+    k(k+1) + r(k+1) + i.  The X and Y terms share their positions; each
+    position sums its terms in the order X, Y, Z before the factor 2 and
+    the 3/2, so every entry rounds as the dense sum of Kronecker products
+    does, and entries that cancel to zero are dropped.  Returns (rows,
+    cols, values, weight): ``values`` is (2, nnz), H0 and S at (rows,
+    cols), and ``weight`` is sigma_3/2 + J_3 of each basis vector, which
+    both matrices preserve.
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"level must be non-negative, got {k}")
+    k_max = int(k_max)
+    if k_max < 0:
+        raise ValueError(f"level must be non-negative, got {k_max}")
+    k = np.repeat(np.arange(k_max + 1), np.arange(k_max + 1) + 1)  # level of state i of V_k
+    i = np.arange(k.size) - k * (k + 1) // 2
     j = k / 2.0
-    m = np.arange(k + 1) - j
-    up = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)  # J_+
-    spin = ((up + up.T) / 2, (up - up.T) / 2j, np.diag(m))
-    H0 = 2.0 * sum(np.kron(s, J) for s, J in zip((PAULI_X, PAULI_Y, PAULI_Z), spin))
-    H0 += 1.5 * np.eye(2 * k + 2)
-    S = np.kron(PAULI_Z, np.eye(k + 1))
-    return H0, S, np.add.outer([0.5, -0.5], m).ravel()
+    m = i - j
+    up = i < k
+    ladder = np.sqrt(j[up] * (j[up] + 1) - m[up] * (m[up] + 1))  # J_+ from m to m + 1
+    off = (np.tile(k[up], 2), np.concatenate([i[up] + 1, i[up]]),
+           np.concatenate([i[up], i[up] + 1]))  # J_+ and its transpose
+    spin = ((*off, np.concatenate([ladder, ladder]) / 2),  # (J_+ + J_-) / 2
+            (*off, np.concatenate([ladder, -ladder]) / 2j),  # (J_+ - J_-) / 2i
+            (k, i, i, m))
+    size = (k_max + 1) * (k_max + 2)
+    key, value = (np.concatenate(part) for part in zip(*[
+        _kron_entries(scale * pauli, size, *J)
+        for scale, pauli, J in zip(_ROUND_FRAME, (PAULI_X, PAULI_Y, PAULI_Z), spin)]))
+    key, at = np.unique(key, return_inverse=True)
+    h0 = np.empty(len(key), dtype=np.complex128)
+    h0.real = 2.0 * np.bincount(at, value.real, len(key))  # sums in X, Y, Z order
+    h0.imag = 2.0 * np.bincount(at, value.imag, len(key))
+    rows, cols = np.divmod(key, size)
+    h0.real[rows == cols] += 1.5
+
+    level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
+    pauli_row, state = np.divmod(np.arange(size) - level * (level + 1), level + 1)
+    s = np.where(rows == cols, np.diag(PAULI_Z)[pauli_row[rows]], 0.0)
+    weight = np.array([0.5, -0.5])[pauli_row] + m[level * (level + 1) // 2 + state]
+    keep = (h0 != 0) | (s != 0)
+    return rows[keep], cols[keep], np.stack([h0[keep], s[keep]]), weight
+
+
+def sphere_level_matrix(k: int):
+    """Level k of the sphere operator as dense matrices (H0, S, weight),
+    scattered from its entries in ``sphere_level_entries``."""
+    rows, cols, values, weight = sphere_level_entries(k)
+    start = int(k) * (int(k) + 1)
+    mine = rows >= start
+    H = np.zeros((2, len(weight) - start, len(weight) - start), dtype=np.complex128)
+    H[:, rows[mine] - start, cols[mine] - start] = values[:, mine]
+    return H[0], H[1], weight[start:]
 
 
 def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     """Cross-check every closed-form sphere eigenvalue against the levels.
 
-    Sorted by weight, level k splits into 1x1 ends (lowest weight: minus,
-    highest: plus) and k 2x2 blocks whose ascending pairs are the branch
-    members (k, p, -1), (k, p, +1); all blocks are solved at every coupling
-    by one batched LAPACK call.  Every row of ``sphere.curve_table``
-    (k <= k_max; default grid 17 points on [-4, 4]) is compared with the
-    member of its label, relative to 1 + |value|; a member no row reaches
-    fails too.  Raises ValueError if a level couples two different weights.
+    Ranked by (level, weight, index), level k splits into 1x1 ends (lowest
+    weight: minus, highest: plus) and k 2x2 blocks whose ascending pairs
+    are the branch members (k, p, -1), (k, p, +1); the entries of all
+    levels are scattered into them at once, and all blocks are solved at
+    every coupling by one batched LAPACK call.  Every row of
+    ``sphere.curve_table`` (k <= k_max; default grid 17 points on [-4, 4])
+    is compared with the member of its label, relative to 1 + |value|; a
+    member no row reaches fails too.  Raises ValueError if a level couples
+    two different weights.
     """
     if t_values is None:
         t_values = np.linspace(-4.0, 4.0, 17)
     ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
     ts, closed = np.array(ts), np.array(closed)
-    labels, ends, blocks = [], [], []
-    for k in range(k_max + 1):
-        H0, S, w = sphere_level_matrix(k)
-        HS = np.stack([H0, S])
-        order = np.argsort(w, kind="stable")  # minus end, k pairs, plus end
-        tips, pairs = order[[0, -1]], order[1:-1].reshape(k, 2, 1)
-        end, pair = HS[:, tips, tips], HS[:, pairs, pairs.transpose(0, 2, 1)]
-        # the split is exact only if every nonzero entry lies in an end or a pair
-        if np.count_nonzero(HS) != np.count_nonzero(end) + np.count_nonzero(pair):
-            raise ValueError(f"level {k} couples two different weights")
-        ends.append(end.real)
-        blocks.append(pair)
-        labels += [("minus", k, None, None), ("plus", k, None, None)]
+    rows, cols, values, weight = sphere_level_entries(k_max)
+    level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
+    rank = np.empty_like(level)
+    rank[np.lexsort((weight, level))] = np.arange(len(level))  # stable: ties keep index order
+    rank -= level * (level + 1)  # within the level: 0 the minus end, 2k + 1 the plus end
+    # ends and pairs of every level, numbered apart: (rank + 1) // 2 is 0..k + 1
+    group = level * (level + 3) // 2 + (rank + 1) // 2
+    # the split is exact only if every nonzero entry lies in an end or a pair
+    apart = group[rows] != group[cols]
+    if np.any(apart):
+        raise ValueError(f"level {np.min(level[rows[apart]])} couples two different weights")
+    tip = ((rank == 0) | (rank == 2 * level + 1))[rows]
+    ends = np.zeros((2, 2 * (k_max + 1)))
+    ends[:, 2 * level[rows[tip]] + (rank[rows[tip]] > 0)] = values[:, tip].real
+    pair = level * (level - 1) // 2 + (rank - 1) // 2
+    a, b = rows[~tip], cols[~tip]
+    blocks = np.zeros((2, k_max * (k_max + 1) // 2, 2, 2), dtype=np.complex128)
+    blocks[:, pair[a], (rank[a] - 1) % 2, (rank[b] - 1) % 2] = values[:, ~tip]
+    labels = [(f, k, None, None) for k in range(k_max + 1) for f in ("minus", "plus")]
     labels += [("branch", k, p, s) for k in range(k_max + 1) for p in range(k) for s in (-1, 1)]
-    ends, blocks = np.concatenate(ends, axis=1), np.concatenate(blocks, axis=1)
     branch = np.linalg.eigvalsh(blocks[0] + ts[:, None, None, None] * blocks[1])
     got = np.hstack([ends[0] + ts[:, None] * ends[1], branch.reshape(len(ts), 2 * blocks.shape[1])])
 
@@ -180,17 +244,20 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
 
     Draws random lattices, spin-c data, and modes; compares the sorted
     closed-form eigenvalue list (with multiplicity) to the LAPACK spectrum
-    of 2 pi i c(theta').  Refused (ValueError) unless samples >= 1.
+    of 2 pi i c(theta'), all samples drawn first and solved by one batched
+    call.  Refused (ValueError) unless samples >= 1.
     """
     if samples < 1:
         raise ValueError(f"torus-modes check needs samples >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    residuals, failures = [], []
+    draws = []
     for _ in range(samples):
         data = _random_spinc(rng, n)
-        m = rng.integers(-6, 7, size=n)
+        draws.append((data, rng.integers(-6, 7, size=n)))
+    solved = np.linalg.eigvalsh(np.stack([torus_mode_matrix(data, m).data for data, m in draws]))
+    residuals, failures = [], []
+    for (data, m), got in zip(draws, solved):
         closed = np.sort(np.repeat(*zip(*mode_eigenvalues(data, m))))
-        got = hermitian_eigs(torus_mode_matrix(data, m))
         scale = 1.0 + float(np.max(np.abs(closed))) if closed.size else 1.0
         residuals.append(float(np.max(np.abs(got - closed))) / scale)
         if residuals[-1] > 1e-12:

@@ -252,6 +252,13 @@ def test_invalid_inputs_exit_one(capsys):
      "gauge check needs a potential df"),
     (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0,0]]"),
      "gauge check needs a potential df"),
+    (("bounds", "--model", "torus", "--basis", "[[1,0],[0,1]]", "--delta", "1,0", "--t", "5"),
+     "bounds --model torus takes no --t"),
+    (("bounds", "--model", "torus", "--t", "0"), "bounds --model torus takes no --t"),
+    (("bounds", "--model", "sphere", "--t", "0.5", "--basis", "[[2]]", "--cutoff", "1",
+      "--A", "3"), "bounds --model sphere takes no --basis, --A, --cutoff"),
+    (("bounds", "--model", "sphere", "--delta", "1", "--theta", "0.5", "--flux", "1"),
+     "bounds --model sphere takes no --delta, --theta, --flux"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -452,6 +459,41 @@ def test_bounds_stdout_is_pinned(capsys, request_line):
     code, out, _ = run(capsys, *request_line.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_STDOUT_SHA256[request_line]
+
+
+# recorded before the sphere levels were assembled from their nonzero
+# entries and the torus modes solved in one batch
+VERIFY_STDOUT_SHA256 = {
+    "verify sphere-blocks --k-max 0":
+        "a4e396446b16f021e42641cb1debf65158d8adea88c68407d6257a2a4070af60",
+    "verify sphere-blocks --k-max 1":
+        "2e9be34899d5f24b994710d2b9da4100d484ed84c61c565db1698ce55fa50ade",
+    "verify sphere-blocks --k-max 7":
+        "fdd94d8290f5e8d144e86844c6a42664f063e3f99486680f7c1126dd812596c6",
+    "verify sphere-blocks --k-max 30":
+        "8765e22677a5f32a3789367a2a9524f30e9eb5b5338af4490aad52083bc597a4",
+    "verify sphere-blocks --k-max 5 --t-grid 0.5:0.5:3":
+        "ca69fa769980c5b43dd89d370fad5a42468b68d54d99ca4d51eb27c61a194a16",
+    "verify sphere-blocks --k-max 400 --t-grid 0.7:0.7:1":
+        "d713883219de4be4c1d70743ef935c1b4fc21450d23b6b6dddfb69c72f798b74",
+    "verify torus-modes --n 2 --seed 7":
+        "f2a4b1adbde3701631f5961ab6621a2adc7ee5b8c78e754ed284ff7b99909a05",
+    "verify torus-modes --n 3 --seed 7":
+        "732d57c2d9d7c296de90487c37375c515a5fb97fe69cfa67c1f0d0be5ffb95f8",
+    "verify torus-modes --n 4 --seed 7":
+        "4c33d04a2ce4b90b9115b69f61e11b2b3d72b6a8ac50967a79246694e506542d",
+    "verify torus-modes --n 5 --seed 7":
+        "0fda4c5dcaf545f3f4797e35994516e4dc6709df8470e3cc3fb120fc9eb91cbc",
+    "verify torus-modes --n 6 --seed 7":
+        "22b505fd65344a505e6e8fd4a1c3858b4e3a9501588b61cfd43d7e584a156f1a",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(VERIFY_STDOUT_SHA256))
+def test_verify_stdout_is_pinned(capsys, request_line):
+    code, out, _ = run(capsys, *request_line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[request_line]
 
 
 def test_readme_command_examples_parse():

@@ -19,11 +19,65 @@ def test_hermitian_matrix_rejects_asymmetric():
     assert H.hermiticity_defect == 0.0
 
 
+@pytest.mark.parametrize("dim, place", [(1, "diagonal")] + [
+    (dim, place) for dim in (63, 64, 65, 130) for place in ("below", "above", "diagonal")])
+def test_hermiticity_defect_is_the_full_matrix_maximum(dim, place):
+    # the defect is taken in strips of 64 rows over the upper triangle; a
+    # perturbation anywhere must give the full-matrix maximum, bit for bit
+    rng = np.random.default_rng(dim)
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    i, j = {"below": (dim - 1, dim // 3), "above": (dim // 3, dim - 1),
+            "diagonal": (dim // 2, dim // 2)}[place]
+    for size, accepted in ((3e-13, True), (1e-6, False)):
+        H = A + A.conj().T
+        H[i, j] += size * (1.0 + 1.0j) if place != "diagonal" else size * 1.0j
+        if accepted:
+            defect = HermitianMatrix(H).hermiticity_defect
+            assert defect > 0.0 and defect == np.max(np.abs(H - H.conj().T))
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                HermitianMatrix(H)
+
+
 def _closed_level(k, t):
     """Closed-form members of level k at coupling t, ascending."""
     return np.sort([1.5 + t + k, 1.5 - t + k] + [
         0.5 + s * np.sqrt(sphere.f0(k, p, t)) for p in range(k) for s in (-1, 1)
     ])
+
+
+def _kron_level(k):
+    """Level k as the dense sum of Kronecker products (reference)."""
+    j = k / 2.0
+    m = np.arange(k + 1) - j
+    up = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)  # J_+
+    spin = ((up + up.T) / 2, (up - up.T) / 2j, np.diag(m))
+    pauli = (clifford.PAULI_X, clifford.PAULI_Y, clifford.PAULI_Z)
+    H0 = 2.0 * sum(np.kron(s, J) for s, J in zip(pauli, spin))
+    H0 += 1.5 * np.eye(2 * k + 2)
+    S = np.kron(clifford.PAULI_Z, np.eye(k + 1))
+    return H0, S, np.add.outer([0.5, -0.5], m).ravel()
+
+
+def test_sphere_level_entries_are_the_nonzeros_of_the_kron_sum():
+    k_max = 40
+    rows, cols, values, weight = oracle.sphere_level_entries(k_max)
+    assert len(weight) == (k_max + 1) * (k_max + 2)
+    assert len(np.unique(rows * len(weight) + cols)) == len(rows)  # each position once
+    for k in range(k_max + 1):
+        H0, S, w = _kron_level(k)
+        start, dim = k * (k + 1), 2 * k + 2
+        mine = (rows >= start) & (rows < start + dim)
+        assert np.all((cols[mine] >= start) & (cols[mine] < start + dim))
+        dense = np.zeros((2, dim, dim), dtype=np.complex128)
+        dense[:, rows[mine] - start, cols[mine] - start] = values[:, mine]
+        # every real and imaginary part equal (zeros may differ in sign)
+        for got, ref in ((dense[0], H0), (dense[1], S)):
+            assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+        assert np.count_nonzero(values[:, mine].any(axis=0)) == np.count_nonzero(H0 + S)
+        assert np.array_equal(weight[start:start + dim], w)
+        if k in (0, 1, 7, k_max):
+            assert all(np.array_equal(a, b) for a, b in zip(oracle.sphere_level_matrix(k), (H0, S, w)))
 
 
 def test_sphere_level_matrix_spectrum_is_the_closed_form():
@@ -369,16 +423,17 @@ def test_refusals(call, message):
 
 
 def test_verify_sphere_blocks_refuses_a_level_that_couples_two_weights(monkeypatch):
-    real = oracle.sphere_level_matrix
+    real = oracle.sphere_level_entries
 
-    def coupled(k):
-        H0, S, w = real(k)
-        if k == 2:  # weights 3/2 and 1/2 (see the weight array w)
-            assert w[0] != w[1]
-            H0[0, 1] = H0[1, 0] = 0.5
-        return H0, S, w
+    def coupled(k_max):
+        rows, cols, values, w = real(k_max)
+        level2 = np.arange(6, 12)  # basis vectors of level 2
+        a = level2[w[level2] == 1.5][0]
+        b = level2[w[level2] == 0.5][0]
+        return (np.append(rows, [a, b]), np.append(cols, [b, a]),
+                np.hstack([values, [[0.5, 0.5], [0.0, 0.0]]]), w)
 
-    monkeypatch.setattr(oracle, "sphere_level_matrix", coupled)
+    monkeypatch.setattr(oracle, "sphere_level_entries", coupled)
     with pytest.raises(ValueError, match="level 2 couples two different weights"):
         oracle.verify_sphere_blocks(3, [0.5])
 
