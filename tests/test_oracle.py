@@ -348,6 +348,113 @@ def test_graded_solve_counts_the_unpaired_rows_as_zeros():
         HermitianMatrix(np.eye(2), grading=[1, 0])
 
 
+def _hidden_blocks(rng, shapes, graded):
+    """Random dense Hermitian blocks on the diagonal, rows and columns then
+    shuffled by one permutation; a graded block of shape (p, q) is
+    [[0, B], [B^*, 0]] with p rows of chirality +1 and q of -1.  Returns
+    the matrix and its grading (None if not graded)."""
+    blocks, grading = [], []
+    for shape in shapes:
+        if graded:
+            p, q = shape
+            B = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+            blocks.append(np.block([[np.zeros((p, p)), B], [B.conj().T, np.zeros((q, q))]]))
+            grading += [1.0] * p + [-1.0] * q
+        else:
+            A = rng.normal(size=(shape, shape)) + 1j * rng.normal(size=(shape, shape))
+            blocks.append(A + A.conj().T)
+    dim = sum(len(b) for b in blocks)
+    H = np.zeros((dim, dim), dtype=np.complex128)
+    at = np.cumsum([0] + [len(b) for b in blocks])
+    for b, a in zip(blocks, at):
+        H[a:a + len(b), a:a + len(b)] = b
+    perm = rng.permutation(dim)
+    return H[np.ix_(perm, perm)], (np.array(grading)[perm] if graded else None)
+
+
+def _component_count(H):
+    return len(np.unique(oracle._components(*np.nonzero(H), len(H))))
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_hidden_blocks_match_the_dense_solve(graded, count):
+    rng = np.random.default_rng(120 + count)
+    for _ in range(4):
+        # small shapes, so equal-shaped blocks (one batched solve) are common
+        shapes = ([tuple(rng.integers(1, 4, size=2)) for _ in range(count)] if graded
+                  else list(rng.integers(1, 5, size=count)))
+        H, grading = _hidden_blocks(rng, shapes, graded)
+        assert _component_count(H) == count
+        got, ref = oracle.hermitian_eigs(HermitianMatrix(H, grading)), np.linalg.eigvalsh(H)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+def _dense_route(H):
+    """The solve without any split: eigvalsh, or the chiral block's SVD."""
+    if H.grading is None:
+        return np.linalg.eigvalsh(H.data)
+    plus, minus = H.grading > 0, H.grading < 0
+    s = np.linalg.svd(H.data[np.ix_(plus, minus)], compute_uv=False)
+    return np.sort(np.concatenate([-s, s, np.zeros(int(abs(H.grading.sum())))]))
+
+
+def _full_rank_operator(n, cutoff):
+    lat = Lattice.from_rows(np.eye(n) + 0.1 * np.eye(n, k=1))
+    data = SpinCData(lat, [1] + [0] * (n - 1), [0.0] * n, np.full(n, 0.2))
+    nus = [tuple(int(c) for c in nu) for nu in np.eye(n, dtype=int)]
+    return oracle.torus_fourier_operator(
+        data, FourierPotential.from_gradient(lat, [(nu, 0.1 - 0.05j) for nu in nus]), cutoff)[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HermitianMatrix(*_hidden_blocks(np.random.default_rng(130), [9], False)),
+    lambda: HermitianMatrix(*_hidden_blocks(np.random.default_rng(131), [(5, 3)], True)),
+    lambda: _full_rank_operator(2, 6),
+    lambda: _full_rank_operator(3, 2),
+], ids=["ungraded", "graded", "gauge-2d", "gauge-3d"])
+def test_one_component_takes_the_dense_route(make):
+    H = make()
+    assert _component_count(H.data) == 1
+    assert np.array_equal(oracle.hermitian_eigs(H), _dense_route(H))
+
+
+def test_equal_chirality_coupling_raises_inside_or_across_blocks():
+    H, grading = _hidden_blocks(np.random.default_rng(132), [(3, 2), (2, 3)], True)
+    label = oracle._components(*np.nonzero(H), len(H))
+    a = np.flatnonzero(grading > 0)
+    inside = a[label[a] == label[a[0]]][:2]
+    across = (a[label[a] == label[a[0]]][0], a[label[a] != label[a[0]]][0])
+    for i, j in (inside, across):
+        bad = H.copy()
+        bad[i, j] = bad[j, i] = 0.5
+        with pytest.raises(ValueError, match="equal chirality"):
+            oracle.hermitian_eigs(HermitianMatrix(bad, grading))
+
+
+@pytest.mark.parametrize("rows, nu, amp, cutoffs", [
+    ([[1.0, 0.2], [-0.1, 0.9]], (1, 1), 0.15, (4, 8, 12)),
+    ([[1.0, 0.1, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]], (0, 1, 1), 0.015, (2, 3)),
+], ids=["2d", "3d"])
+def test_verify_gauge_splits_by_coset_and_matches_the_dense_solve(
+        monkeypatch, rows, nu, amp, cutoffs):
+    # one frequency spans a rank-1 sublattice L': one block per coset of L'
+    lat = Lattice.from_rows(np.array(rows))
+    data = SpinCData(lat, [1] + [0] * (lat.n - 1), [0.0] * lat.n, np.zeros(lat.n))
+    f_terms = [(nu, complex(amp, -amp / 2))]
+    pot = FourierPotential.from_gradient(lat, f_terms)
+    for cutoff in cutoffs:
+        H, _ = oracle.torus_fourier_operator(data, pot, cutoff)
+        assert _component_count(H.data) > 1
+    split = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
+    monkeypatch.setattr(oracle, "hermitian_eigs", lambda H: np.linalg.eigvalsh(H.data))
+    dense = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
+    assert split["pass"]
+    assert (split["pass"], split["monotone"]) == (dense["pass"], dense["monotone"])
+    assert np.max(np.abs(np.subtract(split["residuals"], dense["residuals"]))) <= 1e-12
+
+
 def test_verify_gauge_detects_large_truncation_error():
     # a huge gradient spreads the conjugation far beyond the window, so
     # the truncated spectra cannot match at these cutoffs
@@ -418,6 +525,8 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
      "not finite"),
     (lambda: oracle.verify_gauge(SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2)),
                                  [((1, 0), 0.0)]), "gauge check needs a potential df"),
+    (lambda: oracle.verify_gauge(SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2)),
+                                 [((1, 0), 0.1)], cutoffs=(5, 3)), "strictly increasing cutoffs"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
