@@ -245,12 +245,6 @@ def test_invalid_inputs_exit_one(capsys):
       "--cutoffs", ","), "gauge check needs one or more cutoffs"),
     (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
       "--cutoffs", "0"), "gauge check needs one or more cutoffs"),
-    # a falling residual is only expected along growing windows, and a
-    # repeated cutoff would count its checks twice
-    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
-      "--cutoffs", "5,3"), "gauge check needs strictly increasing cutoffs"),
-    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
-      "--cutoffs", "3,5,5"), "gauge check needs strictly increasing cutoffs"),
     (("verify", "torus-modes", "--samples", "0"), "torus-modes check needs samples >= 1"),
     (("verify", "torus-modes", "--samples", "-3"), "torus-modes check needs samples >= 1"),
     (("bounds", "--model", "sphere", "--which", ","), "bounds request names no bound"),
@@ -265,6 +259,12 @@ def test_invalid_inputs_exit_one(capsys):
       "--A", "3"), "bounds --model sphere takes no --basis, --A, --cutoff"),
     (("bounds", "--model", "sphere", "--delta", "1", "--theta", "0.5", "--flux", "1"),
      "bounds --model sphere takes no --delta, --theta, --flux"),
+    # a falling residual is only expected along growing windows, and a
+    # repeated cutoff would count its checks twice
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
+      "--cutoffs", "5,3"), "gauge check needs strictly increasing cutoffs"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
+      "--cutoffs", "3,5,5"), "gauge check needs strictly increasing cutoffs"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
