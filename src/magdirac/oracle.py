@@ -98,8 +98,9 @@ def hermitian_eigs(H) -> np.ndarray:
     A split spectrum equals the dense one up to rounding (relative to the
     largest eigenvalue, within 2e-14 on gauge operators up to dimension
     1250); ``verify_gauge`` states what that does to its residuals.  A
-    matrix of one component takes the dense route, so its eigenvalues are
-    bit for bit those of the solve without the split.
+    matrix of one component keeps its row order (the positive chirality
+    first, in index order), so its eigenvalues are bit for bit those of the
+    solve without the split.
     """
     if not isinstance(H, HermitianMatrix):
         H = HermitianMatrix(H)
@@ -112,13 +113,6 @@ def hermitian_eigs(H) -> np.ndarray:
         raise ValueError("graded matrix couples two rows of equal chirality")
     label = _components(rows, cols, dim)
     roots = np.flatnonzero(label == np.arange(dim))
-    if len(roots) <= 1:
-        if H.grading is None:
-            return np.linalg.eigvalsh(H.data)
-        plus, minus = H.grading > 0, H.grading < 0
-        s = np.linalg.svd(H.data[np.ix_(plus, minus)], compute_uv=False)
-        return np.sort(np.concatenate([-s, s, np.zeros(int(abs(H.grading.sum())))]))
-
     # rows by component, the positive chirality first within each
     plus = np.zeros(dim, dtype=bool) if H.grading is None else H.grading > 0
     order = np.lexsort((~plus, label))
@@ -126,7 +120,7 @@ def hermitian_eigs(H) -> np.ndarray:
     size = np.bincount(comp, minlength=len(roots))
     ahead = np.bincount(comp, plus, len(roots)).astype(np.int64)  # rows of chirality +1
     start = np.cumsum(size) - size
-    parts = []
+    parts = [np.zeros(0)]
     for p, n in sorted(set(zip(ahead.tolist(), size.tolist()))):
         first = start[(ahead == p) & (size == n)][:, None]
         if H.grading is None:
@@ -254,34 +248,38 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     if np.any(apart):
         raise ValueError(f"level {np.min(level[rows[apart]])} couples two different weights")
     tip = ((rank == 0) | (rank == 2 * level + 1))[rows]
-    ends = np.zeros((2, 2 * (k_max + 1)))
-    ends[:, 2 * level[rows[tip]] + (rank[rows[tip]] > 0)] = values[:, tip].real
+    ends = np.zeros((2, k_max + 1, 2))
+    ends[:, level[rows[tip]], np.minimum(rank[rows[tip]], 1)] = values[:, tip].real
     pair = level * (level - 1) // 2 + (rank - 1) // 2
     a, b = rows[~tip], cols[~tip]
     blocks = np.zeros((2, k_max * (k_max + 1) // 2, 2, 2), dtype=np.complex128)
     blocks[:, pair[a], (rank[a] - 1) % 2, (rank[b] - 1) % 2] = values[:, ~tip]
     branch = np.linalg.eigvalsh(blocks[0] + ts[:, None, None, None] * blocks[1])
-    got = np.hstack([ends[0] + ts[:, None] * ends[1], branch.reshape(len(ts), 2 * blocks.shape[1])])
-    width = got.shape[1]
 
-    # each member's oracle column, from its label: minus and plus of level k
-    # are 2k and 2k + 1, branch (k, p, s) is 2(k_max + 1) + k(k - 1) + 2p + (s + 1)/2
-    fam, k, p, s = (np.array(x) for x in zip(*((f, k, p or 0, s or 0) for f, k, p, s in members)))
-    column = np.where(fam == "branch", 2 * (k_max + 1) + k * (k - 1) + 2 * p + (s + 1) // 2,
-                      2 * k + (fam == "plus"))
-    at = np.array(i, dtype=np.int64) * width + column[j]
+    # the oracle value of member (family, k, p, sign) at coupling t sits at
+    # got[t, k, p + 1, (sign + 1) / 2]; the ends take p + 1 = 0 and sign -1
+    # (minus) or +1 (plus), and the slots p >= k hold no member
+    got = np.full((len(ts), k_max + 1, k_max + 2, 2), np.nan)
+    got[:, :, 0] = ends[0] + ts[:, None, None] * ends[1]
+    kk, pp = np.tril_indices(k_max + 1, -1)  # pairs in the order of their blocks
+    got[:, kk, pp + 1] = branch
+    fam, k, p, s = (np.array(x) for x in zip(*members))
+    on_branch = fam == "branch"
+    slot = np.where(on_branch, p, -1).astype(np.int64) + 1
+    side = (np.where(on_branch, s, np.where(fam == "plus", 1, -1)).astype(np.int64) + 1) // 2
+    column = np.ravel_multi_index((k, slot, side), got.shape[1:])
+    at = np.array(i, dtype=np.int64) * got[0].size + column[j]
     rel = np.abs(got.flat[at] - closed) / (1.0 + np.abs(closed))
-    reached = np.zeros(got.size, dtype=bool)
-    reached[at] = True
+    reached = np.zeros(got.shape, dtype=bool)
+    reached[:, np.arange(k_max + 2) > np.arange(k_max + 1)[:, None]] = True
+    reached.flat[at] = True
     keys = ("t", "family", "k", "p", "sign", "closed")
     failures = [{**dict(zip(keys, (ts[i[r]], *members[j[r]], closed[r]))),
                  "oracle": got.flat[at[r]]} for r in np.flatnonzero(~(rel <= 1e-12))[:20]]
     missing = np.flatnonzero(~reached)[:20]  # members no row reaches
-    if missing.size:  # the label of every oracle column, in column order
-        labels = [(f, k, None, None) for k in range(k_max + 1) for f in ("minus", "plus")]
-        labels += [("branch", k, p, s) for k in range(k_max + 1) for p in range(k) for s in (-1, 1)]
-        failures += [{**dict(zip(keys, (ts[r // width], *labels[r % width], None))),
-                      "oracle": got.flat[r]} for r in missing]
+    for t, kr, pr, sr in zip(*(x.tolist() for x in np.unravel_index(missing, got.shape))):
+        label = ("branch", kr, pr - 1, 2 * sr - 1) if pr else (("minus", "plus")[sr], kr, None, None)
+        failures.append({**dict(zip(keys, (ts[t], *label, None))), "oracle": got[t, kr, pr, sr]})
     return {
         "checks": len(closed),
         "max_residual": float(np.max(rel, initial=0.0)),

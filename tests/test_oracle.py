@@ -420,6 +420,11 @@ def test_one_component_takes_the_dense_route(make):
     assert np.array_equal(oracle.hermitian_eigs(H), _dense_route(H))
 
 
+@pytest.mark.parametrize("grading", [None, []], ids=["ungraded", "graded"])
+def test_empty_matrix_has_no_eigenvalues(grading):
+    assert oracle.hermitian_eigs(HermitianMatrix(np.zeros((0, 0)), grading)).shape == (0,)
+
+
 def test_equal_chirality_coupling_raises_inside_or_across_blocks():
     H, grading = _hidden_blocks(np.random.default_rng(132), [(3, 2), (2, 3)], True)
     label = oracle._components(*np.nonzero(H), len(H))
