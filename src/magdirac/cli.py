@@ -84,22 +84,46 @@ def _json_row(cells: list, indent: str) -> str:
 
 def _json_entry(key: str) -> str:
     """Template of one eigenvalue object: value, multiplicity, member list."""
-    return ('    {\n      "value": %r,\n      "multiplicity": %d,\n      "'
+    return ('    {\n      "value": %s,\n      "multiplicity": %d,\n      "'
             + key + '": [\n%s\n      ]\n    }')
 
 
+def _value_strings(values: np.ndarray) -> list:
+    """repr of each of the ascending ``values``.  A negative value that is
+    exactly minus its mirror ``values[-1 - i]`` takes the mirror's string
+    behind a "-", since repr(-x) == "-" + repr(x) for every finite x > 0."""
+    mirrored = (values < 0.0) & (values == -values[::-1])
+    out = np.empty(len(values), dtype=object)
+    out[~mirrored] = list(map(repr, values[~mirrored].tolist()))
+    out[mirrored] = list(map("-".__add__, out[::-1][mirrored]))
+    return out.tolist()
+
+
 def _entry_lines(spec, template: str, members: list, sep: str) -> list:
-    """``template % (value, multiplicity, its members joined by sep)`` per
-    entry; ``members`` holds one rendered string per label in merged order."""
-    bounds = spec.members()[1].tolist()
-    return [template % (v, m, sep.join(members[a:b])) for v, m, a, b in
-            zip(spec.values().tolist(), spec.multiplicities().tolist(), bounds, bounds[1:])]
+    """``template % (value string, multiplicity, its members joined by sep)``
+    per entry; ``members`` holds one rendered string per label in merged
+    order."""
+    if len(members) == len(spec):  # one member per entry: no joins
+        groups = members
+    else:
+        bounds = spec.members()[1].tolist()
+        groups = [sep.join(members[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return list(map(template.__mod__, zip(_value_strings(spec.values()),
+                                          spec.multiplicities().tolist(), groups)))
 
 
 def _sphere_members(labels, end: str, branch: str) -> list:
     """Each (family, k, p, sign) label rendered by the plus/minus template
     (family, k) or the branch template (family, k, p, sign)."""
     return [end % lbl[:2] if lbl[2] is None else branch % lbl for lbl in labels]
+
+
+def _mode_cells(spec, template: str) -> list:
+    """``template`` rendered for each (M, n) mode row of the spectrum, all
+    rows in one % call; the template must not contain NUL."""
+    modes = spec.members()[0]
+    cells = (template + "\0") * len(modes) % tuple(modes.ravel().tolist())
+    return cells.split("\0")[:-1]
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -174,22 +198,23 @@ def cmd_sphere(ns) -> int:
     elif ns.csv:
         members = _sphere_members(labels, "%s:k=%d", "%s:k=%d:p=%d:s=%+d")
         print("\n".join(["value,multiplicity,labels",
-                         *_entry_lines(spec, "%r,%d,%s", members, ";")]))
+                         *_entry_lines(spec, "%s,%d,%s", members, ";")]))
     else:
         members = _sphere_members(labels, "%s(k=%d)", "%s(k=%d,p=%d,%+d)")
         print("\n".join([f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}",
                          f"{'value':>24}  {'mult':>5}  families",
-                         *_entry_lines(spec, "%24r  %5d  %s", members, " ")]))
+                         *_entry_lines(spec, "%24s  %5d  %s", members, " ")]))
     return 0
 
 
 def cmd_sphere_curve(ns) -> int:
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
-    t_values, labels, i, j, value = sphere.curve_table(_parse_grid(ns.t_range), ns.k_max, window)
+    t_values, members, i, j, value = sphere.curve_table(_parse_grid(ns.t_range), ns.k_max, window)
     # the t cell of each coupling and the family,k,p,sign cell of each member, once
-    ts = [_fmt(t) for t in t_values]
-    cells = _sphere_members(labels, "%s,%d,,", "%s,%d,%d,%d")
-    rows = ("%s,%s,%r" % (ts[a], cells[b], v) for a, b, v in zip(i, j, value))
+    ts = list(map(repr, t_values.tolist()))
+    cells = _sphere_members(sphere.member_labels(*members), "%s,%d,,", "%s,%d,%d,%d")
+    rows = ("%s,%s,%r" % (ts[a], cells[b], v)
+            for a, b, v in zip(i.tolist(), j.tolist(), value.tolist()))
     print("\n".join(["t,family,k,p,sign,value", *rows]))
     return 0
 
@@ -218,16 +243,14 @@ def cmd_collisions(ns) -> int:
 def cmd_torus(ns) -> int:
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
-    modes = spec.members()[0].tolist()
     if ns.csv:
-        mode = " ".join(["%d"] * data.n)
-        members = [mode % tuple(m) for m in modes]
+        members = _mode_cells(spec, " ".join(["%d"] * data.n))
         print("\n".join(["value,multiplicity,modes",
-                         *_entry_lines(spec, "%r,%d,%s", members, ";")]))
+                         *_entry_lines(spec, "%s,%d,%s", members, ";")]))
         return 0
     zm = torus.zero_mode(data)
-    mode = _json_row(["%d"] * data.n, " " * 8)
-    lines = _entry_lines(spec, _json_entry("modes"), [mode % tuple(m) for m in modes], ",\n")
+    members = _mode_cells(spec, _json_row(["%d"] * data.n, " " * 8))
+    lines = _entry_lines(spec, _json_entry("modes"), members, ",\n")
     zero = "null" if zm is None else _json_list(["    %d" % c for c in zm.tolist()], "  ")
     print('{\n  "eigenvalues": %s,\n  "zero_mode": %s\n}' % (_json_list(lines, "  "), zero))
     return 0

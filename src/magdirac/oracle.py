@@ -19,7 +19,7 @@ import numpy as np
 from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
                        vector_action, volume_element)
 from .lattice import Lattice
-from .sphere import curve_table
+from .sphere import curve_table, member_labels
 from .torus import SpinCData, mode_eigenvalues
 
 MAX_OPERATOR_DIM = 4096
@@ -28,14 +28,17 @@ GAUGE_PAIRS = 10  # eigenvalues closest to zero paired per cutoff
 
 
 class HermitianMatrix:
-    """Dense Hermitian matrix, validated as such at construction; an optional
-    ``grading`` gives each row a chirality +-1 that the matrix reverses."""
+    """Dense Hermitian matrix of finite entries, validated as such at
+    construction; an optional ``grading`` gives each row a chirality +-1
+    that the matrix reverses."""
 
     def __init__(self, data, grading=None):
         data = np.array(data, dtype=np.complex128)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"matrix must be square, got shape {data.shape}")
         scale = float(np.max(np.abs(data))) if data.size else 0.0
+        if not np.isfinite(scale):  # np.max propagates NaN
+            raise ValueError("matrix has non-finite entries")
         # |H - H^*| is symmetric: its largest entry lies in the upper triangle,
         # taken in strips of rows so no full-size temporary is made
         defect = max((float(np.max(np.abs(data[i:i + 64, i:] - data[i:, i:i + 64].conj().T)))
@@ -235,7 +238,6 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     if t_values is None:
         t_values = np.linspace(-4.0, 4.0, 17)
     ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
-    ts, closed = np.array(ts), np.array(closed)
     rows, cols, values, weight = sphere_level_entries(k_max)
     level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
     rank = np.empty_like(level)
@@ -263,19 +265,19 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     got[:, :, 0] = ends[0] + ts[:, None, None] * ends[1]
     kk, pp = np.tril_indices(k_max + 1, -1)  # pairs in the order of their blocks
     got[:, kk, pp + 1] = branch
-    fam, k, p, s = (np.array(x) for x in zip(*members))
-    on_branch = fam == "branch"
-    slot = np.where(on_branch, p, -1).astype(np.int64) + 1
-    side = (np.where(on_branch, s, np.where(fam == "plus", 1, -1)).astype(np.int64) + 1) // 2
-    column = np.ravel_multi_index((k, slot, side), got.shape[1:])
-    at = np.array(i, dtype=np.int64) * got[0].size + column[j]
+    # families index (plus, minus, branch); the ends carry p = -1, so slot 0
+    fam, k, p, sign = members
+    side = np.where(fam == 2, (sign + 1) // 2, fam == 0)
+    column = np.ravel_multi_index((k, p + 1, side), got.shape[1:])
+    at = i * got[0].size + column[j]
     rel = np.abs(got.flat[at] - closed) / (1.0 + np.abs(closed))
     reached = np.zeros(got.shape, dtype=bool)
     reached[:, np.arange(k_max + 2) > np.arange(k_max + 1)[:, None]] = True
     reached.flat[at] = True
     keys = ("t", "family", "k", "p", "sign", "closed")
-    failures = [{**dict(zip(keys, (ts[i[r]], *members[j[r]], closed[r]))),
-                 "oracle": got.flat[at[r]]} for r in np.flatnonzero(~(rel <= 1e-12))[:20]]
+    bad = np.flatnonzero(~(rel <= 1e-12))[:20]
+    failures = [{**dict(zip(keys, (ts[i[r]], *label, closed[r]))), "oracle": got.flat[at[r]]}
+                for r, label in zip(bad, member_labels(*(x[j[bad]] for x in members)))]
     missing = np.flatnonzero(~reached)[:20]  # members no row reaches
     for t, kr, pr, sr in zip(*(x.tolist() for x in np.unravel_index(missing, got.shape))):
         label = ("branch", kr, pr - 1, 2 * sr - 1) if pr else (("minus", "plus")[sr], kr, None, None)

@@ -89,7 +89,7 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     value, *members = _levels(int(k_max), t)
     keep = np.abs(value) <= edge  # label tuples only for the members kept
     triples = [(v, label[1] + 1, label) for v, label in
-               zip(value[keep].tolist(), _labels(*(x[keep] for x in members)))]
+               zip(value[keep].tolist(), member_labels(*(x[keep] for x in members)))]
     return Spectrum.from_triples(triples, tolerance=merge_tol)
 
 
@@ -112,7 +112,7 @@ def _levels(k_max: int, t):
     return value, fam, k, p, sign
 
 
-def _labels(fam, k, p, sign) -> list:
+def member_labels(fam, k, p, sign) -> list:
     """(family, k, p, sign) label tuples; plus/minus carry p = sign = None."""
     return [("branch", kk, pp, s) if f == 2 else (FAMILIES[f], kk, None, None)
             for f, kk, pp, s in zip(*(x.tolist() for x in (fam, k, p, sign)))]
@@ -171,11 +171,13 @@ def collision_t(k, p, k2, p2):
 def curve_table(t_values, k_max: int, window=None) -> tuple:
     """Eigenvalue curves of levels 0..k_max sampled on a coupling grid.
 
-    Returns the couplings, the (family, k, p, sign) member labels (p = sign
-    = None on plus/minus), and per row its coupling index, member index and
-    value, coupling by coupling.  ``window`` is None (no filter) or a pair
-    (lo, hi) with lo <= hi keeping lo <= value <= hi.  Refused (ValueError)
-    before any work past ``spectrum.MAX_SPECTRUM_SIZE`` rows."""
+    Returns arrays: the couplings; the members of levels 0..k_max as
+    (family, k, p, sign) with family indexing FAMILIES (the plus/minus ends
+    carry p = -1 and sign +1/-1, see ``member_labels`` for their tuples);
+    and per row its coupling index, member index and value, coupling by
+    coupling.  ``window`` is None (no filter) or a pair (lo, hi) with
+    lo <= hi keeping lo <= value <= hi.  Refused (ValueError) before any
+    work past ``spectrum.MAX_SPECTRUM_SIZE`` rows."""
     lo, hi = -np.inf, np.inf
     if window is not None:
         try:
@@ -187,7 +189,7 @@ def curve_table(t_values, k_max: int, window=None) -> tuple:
                              + repr(":".join(map(str, window))))
     k_max = _check_level(k_max)
     check_size(len(t_values) * triple_count(k_max), "curve rows")
-    t_values = [_check_coupling(t) for t in t_values]
+    t_values = np.array([_check_coupling(t) for t in t_values], dtype=np.float64)
     value, *members = _levels(k_max, t_values)
     i, j = np.nonzero((lo <= value) & (value <= hi))  # coupling by coupling
-    return t_values, _labels(*members), i.tolist(), j.tolist(), value[i, j].tolist()
+    return t_values, tuple(members), i, j, value[i, j]

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from magdirac import cli, torus
 from magdirac.lattice import Lattice
+from magdirac.spectrum import Spectrum
 from magdirac.torus import SpinCData
 
 
@@ -502,6 +503,41 @@ def test_verify_stdout_is_pinned(capsys, request_line):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256[request_line]
 
 
+# recorded before the eigenvalue writer rendered all mode cells in one %
+# call and shared the string of mirrored values: n = 1 (signed), the square
+# lattice (merged clusters of several modes), n = 3 with a constructed zero
+# mode, a well-conditioned n = 4 torus and an empty list
+TORUS_STDOUT_SHA256 = {
+    "torus --basis [[1]] --theta 0.3 --A 0.7 --cutoff 60":
+        "4189b4e63da41adba7e4dc9816870b6d3ecde8c4a59a032eec9035a1dc982940",
+    "torus --basis [[1]] --theta 0.3 --A 0.7 --cutoff 60 --csv":
+        "3191e818fc092e869fbbd8099b95d01f22d425140366f61a8b09b3135c919128",
+    "torus --basis [[1,0],[0,1]] --cutoff 20":
+        "e55378951dc3da918d6760377147ed09356963946c7e91ffc93c79d0dc8f984c",
+    "torus --basis [[1,0],[0,1]] --cutoff 20 --csv":
+        "599db8e029b00ed00896cdbf14a482a478ca28cdc85ab91ea5887c4b0b510502",
+    "torus --basis [[1,0.2,0],[0,1.1,0.1],[0.3,0,0.9]] --delta 1,0,0 --theta 0.25,0.5,0.125 --flux -20.420352248333657,21.991148575128552,-0.7853981633974483 --cutoff 14":
+        "a576d71cabe1c40d4d362798cbf747e6dde081af4e153716612ed18ae4aa8bf3",
+    "torus --basis [[1,0.2,0],[0,1.1,0.1],[0.3,0,0.9]] --delta 1,0,0 --theta 0.25,0.5,0.125 --flux -20.420352248333657,21.991148575128552,-0.7853981633974483 --cutoff 14 --csv":
+        "00fa6a2c950aa4a873423309b6cd587fba2921f7b9c916698f8b82ceece59ffe",
+    "torus --basis [[1,0.1,0,0],[0,0.9,0.2,0],[0,0,1.2,-0.1],[0.1,0,0,1]] --delta 1,1,0,1 --theta 0.3,0.6,0.1,0.8 --A 0.4,-1.3,2.2,0.7 --cutoff 13":
+        "dadad22cadea94872574177bdc5171b1cfe188e3536d1d77e5ab9b7d954e8fa4",
+    "torus --basis [[1,0.1,0,0],[0,0.9,0.2,0],[0,0,1.2,-0.1],[0.1,0,0,1]] --delta 1,1,0,1 --theta 0.3,0.6,0.1,0.8 --A 0.4,-1.3,2.2,0.7 --cutoff 13 --csv":
+        "3521e0addf4752f34ac1482bcdad150725f09de824e45fad8117fa815040fb56",
+    "torus --basis [[1,0.3],[0,2]] --delta 1,0 --theta 0.2,0.7 --cutoff 2":
+        "b4b4f51ea86b92c2bc756538070db0f5d7bef85d2447f17c87e3119ba67cb88b",
+    "torus --basis [[1,0.3],[0,2]] --delta 1,0 --theta 0.2,0.7 --cutoff 2 --csv":
+        "dda5772d2a6ebdc3e6d0a1b905e5db2add3fd828484ccfd059908952698bbc75",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(TORUS_STDOUT_SHA256))
+def test_torus_stdout_is_pinned(capsys, request_line):
+    code, out, _ = run(capsys, *request_line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TORUS_STDOUT_SHA256[request_line]
+
+
 def test_readme_command_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -599,3 +635,30 @@ def test_torus_writer_equals_the_json_encoder_and_the_csv_loop(request):
         modes = ";".join(" ".join(str(c) for c in m) for m in e.labels)
         lines.append(f"{e.value!r},{e.multiplicity},{modes}")
     assert _torus_stdout(*request, "--csv") == "".join(line + "\n" for line in lines)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(x=5e-324)
+@example(x=1.7976931348623157e308)
+def test_repr_of_a_negated_float_is_a_minus_before_its_repr(x):
+    assert repr(-x) == "-" + repr(x)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(xs=st.lists(st.floats(-1e3, 1e3), max_size=20), mirrored=st.integers(0, 20))
+def test_value_strings_are_the_reprs_of_the_values(xs, mirrored):
+    # some values with their exact mirrors, some without
+    values = np.sort(np.concatenate([xs, -np.asarray(xs[:mirrored], dtype=np.float64)]))
+    assert cli._value_strings(values) == list(map(repr, values.tolist()))
+
+
+def test_a_merged_value_that_is_not_its_mirror_prints_its_own_repr():
+    # the merged means of the two clusters differ in the last bit, so the
+    # negative one is not the exact mirror of the positive one
+    xs = [8.768610301298834, 8.768610301360322, 8.76861030141971]
+    spec = Spectrum.from_triples([(s * x, 1, (s, i)) for s in (-1, 1) for i, x in enumerate(xs)],
+                                 tolerance=1e-9)
+    assert spec.values().tolist() == [-8.768610301359622, 8.76861030135962]
+    assert cli._entry_lines(spec, "%s,%d,%s", list("abcdef"), ";") == [
+        "-8.768610301359622,3,a;b;c", "8.76861030135962,3,d;e;f"]

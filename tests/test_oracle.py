@@ -112,11 +112,10 @@ def test_verify_sphere_blocks_catches_a_wrong_discriminant(monkeypatch):
 
 
 def test_verify_sphere_blocks_catches_swapped_families(monkeypatch):
-    swap = {"plus": "minus", "minus": "plus"}
-
     def swapped(t_values, k_max):
-        ts, labels, i, j, value = sphere.curve_table(t_values, k_max)
-        return ts, [(swap.get(f, f), *rest) for f, *rest in labels], i, j, value
+        ts, (fam, k, p, sign), i, j, value = sphere.curve_table(t_values, k_max)
+        fam = np.choose(fam, [1, 0, 2])  # plus <-> minus
+        return ts, (fam, k, p, sign), i, j, value
 
     monkeypatch.setattr(oracle, "curve_table", swapped)
     rep = oracle.verify_sphere_blocks(k_max=3, t_values=[-1.0, 0.5])
@@ -127,10 +126,10 @@ def test_verify_sphere_blocks_catches_swapped_families(monkeypatch):
 
 def test_verify_sphere_blocks_reports_members_no_row_reaches(monkeypatch):
     def dropped(t_values, k_max):
-        ts, labels, i, j, value = sphere.curve_table(t_values, k_max)
-        gone = labels.index(("branch", 2, 1, -1))
-        keep = [r for r, b in enumerate(j) if b != gone]
-        return ts, labels, *([x[r] for r in keep] for x in (i, j, value))
+        ts, members, i, j, value = sphere.curve_table(t_values, k_max)
+        gone = sphere.member_labels(*members).index(("branch", 2, 1, -1))
+        keep = j != gone
+        return ts, members, i[keep], j[keep], value[keep]
 
     monkeypatch.setattr(oracle, "curve_table", dropped)
     rep = oracle.verify_sphere_blocks(k_max=3, t_values=[0.25])
@@ -525,6 +524,13 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: HermitianMatrix(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: HermitianMatrix([[np.nan, 1.0], [1.0, 0.0]]), "non-finite entries"),
+    (lambda: HermitianMatrix([[0.0, np.inf], [np.inf, 0.0]]), "non-finite entries"),
+    (lambda: HermitianMatrix([[0.0, 1.0], [1.0, np.nan]], grading=[1, -1]),
+     "non-finite entries"),
+    (lambda: HermitianMatrix([[0.0, complex(0, np.inf)], [complex(0, -np.inf), 0.0]],
+                             grading=[1, -1]),
+     "non-finite entries"),
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0, 0), np.ones(2))]), "wrong length"),
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0), np.array([np.inf, 0.0]))]),
      "not finite"),

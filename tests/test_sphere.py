@@ -177,8 +177,9 @@ def test_collision_rejects_parallel_or_invalid():
 
 
 def test_curve_table_window_and_content():
-    _, labels, _, j, value = sphere.curve_table([0.0], 1, window=(-5.0, 5.0))
-    got = {(*labels[b], round(v, 9)) for b, v in zip(j, value)}
+    _, members, _, j, value = sphere.curve_table([0.0], 1, window=(-5.0, 5.0))
+    labels = sphere.member_labels(*members)
+    got = {(*labels[b], round(v, 9)) for b, v in zip(j.tolist(), value.tolist())}
     assert ("plus", 0, None, None, 1.5) in got
     assert ("minus", 0, None, None, 1.5) in got
     assert ("branch", 1, 0, 1, 2.5) in got
@@ -341,9 +342,11 @@ def test_spectrum_merges_exactly_the_curve_rows_in_the_window(monkeypatch, t, cu
     monkeypatch.setattr(sphere.Spectrum, "from_triples",
                         lambda triples, tolerance=None: merged.extend(triples))
     sphere.spectrum(t, cutoff)
-    _, labels, _, j, value = sphere.curve_table([t], int(cutoff + abs(t)) + 3,
-                                                window=(-cutoff, cutoff))
-    assert merged == [(v, labels[b][1] + 1, labels[b]) for b, v in zip(j, value)]
+    _, members, _, j, value = sphere.curve_table([t], int(cutoff + abs(t)) + 3,
+                                                 window=(-cutoff, cutoff))
+    labels = sphere.member_labels(*members)
+    assert merged == [(v, labels[b][1] + 1, labels[b])
+                      for b, v in zip(j.tolist(), value.tolist())]
     assert len(merged) > 0
 
 
