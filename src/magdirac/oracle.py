@@ -16,11 +16,12 @@ against themselves.
 
 import numpy as np
 
+from . import torus
 from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
                        vector_action, volume_element)
 from .lattice import Lattice
 from .sphere import curve_table, member_labels
-from .torus import SpinCData, mode_eigenvalues
+from .torus import SpinCData
 
 MAX_OPERATOR_DIM = 4096
 GAUGE_TOL = 1e-6
@@ -294,58 +295,53 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
 # flat-torus single modes
 
 
-def torus_mode_matrix(data: SpinCData, m) -> HermitianMatrix:
-    """Restriction of the operator to one Fourier mode: 2 pi i c(theta')."""
-    return HermitianMatrix(_mode_blocks(data, m))
-
-
-def _random_spinc(rng, n: int) -> SpinCData:
-    """Well-conditioned random torus data for sampling checks."""
-    while True:
-        basis = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(n, n))
-        if abs(np.linalg.det(basis)) > 0.2 and np.linalg.cond(basis) < 50.0:
-            break
-    lat = Lattice(basis)
-    delta = rng.integers(0, 2, size=n)
-    theta = rng.uniform(0.0, 1.0, size=n)
-    A = rng.normal(0.0, 3.0, size=n)
-    return SpinCData(lat, delta, theta, A)
-
-
 def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     """Cross-check closed per-mode eigenvalues against Clifford matrices.
 
-    Draws random lattices, spin-c data, and modes; compares the sorted
-    closed-form eigenvalue list (with multiplicity) to the LAPACK spectrum
-    of 2 pi i c(theta'), all samples drawn first and solved by one batched
-    call.  Refused (ValueError) unless samples >= 1.
+    Draws every sample first (basis until well conditioned, delta, theta,
+    A, m), then on the stack: theta' = inv(basis)^T @ (m + (delta + theta)/2)
+    + A/(4 pi), the matrices 2 pi i c(theta') checked finite and Hermitian
+    and solved by one batched LAPACK call, against the sorted closed list
+    from ``torus.mode_values``.  Refused (ValueError) before any draw unless
+    samples >= 1, 1 <= n <= 12 and samples * N^2 <= MAX_OPERATOR_DIM^2.
     """
     if samples < 1:
         raise ValueError(f"torus-modes check needs samples >= 1, got {samples}")
+    gens = build_rep(n)  # refuses n outside 1..12
+    entries = samples * gens[0].size
+    if entries > MAX_OPERATOR_DIM ** 2:
+        raise ValueError(f"torus-modes check of {samples} samples at n = {n} holds {entries} "
+                         f"matrix entries, past the cap {MAX_OPERATOR_DIM ** 2}")
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(samples):
-        data = _random_spinc(rng, n)
-        draws.append((data, rng.integers(-6, 7, size=n)))
-    solved = np.linalg.eigvalsh(np.stack([torus_mode_matrix(data, m).data for data, m in draws]))
-    residuals, failures = [], []
-    for (data, m), got in zip(draws, solved):
-        closed = np.sort(np.repeat(*zip(*mode_eigenvalues(data, m))))
-        scale = 1.0 + float(np.max(np.abs(closed))) if closed.size else 1.0
-        residuals.append(float(np.max(np.abs(got - closed))) / scale)
-        if residuals[-1] > 1e-12:
-            failures.append({
-                "mode": [int(c) for c in m],
-                "theta_prime": data.theta_prime(m).tolist(),
-                "closed": closed.tolist(),
-                "oracle": got.tolist(),
-            })
-    worst = max(residuals, default=0.0)
+        while True:
+            basis = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(n, n))
+            if abs(np.linalg.det(basis)) > 0.2 and np.linalg.cond(basis) < 50.0:
+                break
+        draws.append((basis, rng.integers(0, 2, size=n), rng.uniform(0.0, 1.0, size=n),
+                      rng.normal(0.0, 3.0, size=n), rng.integers(-6, 7, size=n)))
+    bases, delta, theta, A, modes = (np.stack(x) for x in zip(*draws))
+    x = modes + (delta + theta) / 2.0
+    tp = (np.linalg.inv(bases).swapaxes(1, 2) @ x[..., None])[..., 0] + A / (4.0 * np.pi)
+    stack = 2j * np.pi * vector_action(tp, gens)
+    scale = np.max(np.abs(stack), axis=(1, 2))  # np.max propagates NaN
+    defect = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
+    if not np.all(np.isfinite(scale)) or np.any(defect > 1e-12 * (1.0 + scale)):
+        raise ValueError("a mode matrix is not finite and Hermitian")
+    got = np.linalg.eigvalsh(stack)
+    values, mults = torus.mode_values(tp)
+    closed = np.sort(np.repeat(values.ravel(), mults.ravel()).reshape(samples, -1), axis=1)
+    residuals = np.max(np.abs(got - closed), axis=1) / (1.0 + np.max(np.abs(closed), axis=1))
+    failures = [{"mode": modes[i].tolist(), "theta_prime": tp[i].tolist(),
+                 "closed": closed[i].tolist(), "oracle": got[i].tolist()}
+                for i in np.flatnonzero(residuals > 1e-12)[:20]]
+    worst = float(np.max(residuals))
     return {
-        "checks": len(residuals),
+        "checks": samples,
         "max_residual": worst,
         "pass": worst <= 1e-12,
-        "failures": failures[:20],
+        "failures": failures,
     }
 
 
@@ -601,10 +597,13 @@ def identity_checks(
         ),
     }
     if n % 2 == 0:
-        blocks = H.reshape(len(modes), N, len(modes), N).transpose(0, 2, 1, 3)
-        vol = volume_element(gens)
+        # vol on each side of every block, as two products over the whole
+        # matrix; one unit-modulus entry per row of vol makes each entry exact
+        K, vol = len(modes), volume_element(gens)
+        left = (vol @ H.reshape(K, N, K * N)).reshape(K * N, K * N)
+        right = (H.reshape(K * N, K, N) @ vol).reshape(K * N, K * N)
         checks["volume_anticommute"] = float(
-            np.max(np.abs(vol @ blocks + blocks @ vol))
+            np.max(np.abs(left + right))
         ) / (1.0 + float(np.max(np.abs(H))))
 
     structural = ("hermitian", "covariant_skew", "volume_anticommute")

@@ -103,32 +103,28 @@ def potential_from_fluxes(lattice: Lattice, fluxes) -> np.ndarray:
     return lattice.dual_basis @ fluxes
 
 
-def _mode_triples(data: SpinCData, modes) -> np.ndarray:
-    """Structured array of the (value, mult, label) triples of the modes.
+def mode_values(tp) -> tuple[np.ndarray, np.ndarray]:
+    """(values, mults) of the modes with shifted dual points ``tp`` (K, n),
+    each (K, 2): -2 pi |theta'| then 2 pi |theta'| (N/2 each), or 0 (N) if
+    |theta'| <= ZERO_MODE_TOL; for n = 1, (K, 1): the signed 2 pi theta'."""
+    if tp.shape[1] == 1:
+        return 2.0 * np.pi * tp, np.ones(tp.shape, np.int64)
+    # row-wise dot products, rounded like np.linalg.norm of one row
+    r = np.sqrt(np.matmul(tp[:, None, :], tp[:, :, None])[:, 0, 0])
+    zero = (r <= ZERO_MODE_TOL)[:, None]
+    N = 2 ** (tp.shape[1] // 2)
+    values = np.where(zero, 0.0, 2.0 * np.pi * np.stack([-r, r], axis=1))
+    return values, np.where(zero, [N, 0], N // 2)
 
-    theta' comes from ``SpinCData.theta_prime``, rounded as ``zero_mode``
-    and the mode oracle see it; a mode gives -2 pi |theta'| then
-    2 pi |theta'| (N/2 each), 0 (N) if |theta'| <= ZERO_MODE_TOL, or for
-    n = 1 the signed 2 pi theta'.
-    """
-    modes = np.asarray(modes, dtype=np.int64).reshape(-1, data.n)
-    tp = data.theta_prime(modes)
-    if data.n == 1:
-        values, mults = 2.0 * np.pi * tp, np.ones(tp.shape, np.int64)
-    else:  # row-wise dot products, rounded like np.linalg.norm of one row
-        r = np.sqrt(np.matmul(tp[:, None, :], tp[:, :, None])[:, 0, 0])
-        zero = (r <= ZERO_MODE_TOL)[:, None]
-        values = np.where(zero, 0.0, 2.0 * np.pi * np.stack([-r, r], axis=1))
-        mults = np.where(zero, [data.spinor_dim, 0], data.spinor_dim // 2)
+
+def _mode_triples(data: SpinCData, modes) -> np.ndarray:
+    """Structured array of the (value, mult, label) triples of the modes
+    (K, n), from ``mode_values`` of their ``SpinCData.theta_prime``."""
+    values, mults = mode_values(data.theta_prime(modes))
     out = np.empty(values.size, [("value", "f8"), ("mult", "i8"), ("label", "i8", (data.n,))])
     out["value"], out["mult"] = values.ravel(), mults.ravel()
     out["label"] = np.repeat(modes, values.shape[1], axis=0)
     return out[out["mult"] > 0]
-
-
-def mode_eigenvalues(data: SpinCData, m) -> list[tuple[float, int]]:
-    """(value, multiplicity) pairs contributed by one dual mode."""
-    return [(float(v), int(mu)) for v, mu, _ in _mode_triples(data, m).tolist()]
 
 
 def mode_count_estimate(lattice: Lattice, cutoff: float) -> float:

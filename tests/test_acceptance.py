@@ -93,11 +93,10 @@ def test_zero_mode_criterion_constructive_and_generic():
 
 def _closed_low_values(data, count):
     """The ``count`` low-lying exact eigenvalues, cluster-complete."""
-    values = []
-    for m in data.lattice.dual().enumerate_shifted(data.base_shift(), 4.0):
-        for value, mult in torus.mode_eigenvalues(data, m):
-            values.extend([value] * mult)
-    values = np.array(sorted(values, key=abs))
+    modes = data.lattice.dual().enumerate_shifted(data.base_shift(), 4.0)
+    values, mults = torus.mode_values(data.theta_prime(modes))
+    values = np.repeat(values.ravel(), mults.ravel())
+    values = values[np.argsort(np.abs(values), kind="stable")]
     j = oracle._stable_low_count(values, count)
     return np.array(sorted(values[:j]))
 
@@ -164,7 +163,7 @@ def _mode_matrix_eigs(data, modes):
     """Sorted LAPACK eigenvalues of the mode matrices 2 pi i c(theta')."""
     return np.sort(
         np.concatenate(
-            [np.linalg.eigvalsh(oracle.torus_mode_matrix(data, m).data) for m in modes]
+            [np.linalg.eigvalsh(oracle._mode_blocks(data, m)) for m in modes]
         )
     )
 

@@ -266,6 +266,14 @@ def test_invalid_inputs_exit_one(capsys):
       "--cutoffs", "5,3"), "gauge check needs strictly increasing cutoffs"),
     (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
       "--cutoffs", "3,5,5"), "gauge check needs strictly increasing cutoffs"),
+    (("verify", "torus-modes", "--n", "0"), "dimension must be positive, got 0"),
+    (("verify", "torus-modes", "--n", "-2", "--samples", "5"), "dimension must be positive"),
+    (("verify", "torus-modes", "--n", "13"), "dimension 13 exceeds the supported maximum 12"),
+    # samples * N^2 entries past MAX_OPERATOR_DIM^2 = 4096^2: N = 64 at n = 12, 8 at n = 6
+    (("verify", "torus-modes", "--n", "12", "--samples", "4097"),
+     "torus-modes check of 4097 samples at n = 12 holds 16781312 matrix entries, past the cap"),
+    (("verify", "torus-modes", "--n", "6", "--samples", "262145"),
+     "torus-modes check of 262145 samples at n = 6 holds 16777280 matrix entries, past the cap"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -313,6 +321,18 @@ def test_collisions_cap_admits_k_max_52_and_refuses_53(capsys, monkeypatch):
     assert code == 1 and out == "" and "cap 1000000" in err
     with pytest.raises(AssertionError, match="built the curve pairs"):
         run(capsys, "collisions", "--k-max", "52")  # 948,753 pairs: past the check
+
+
+def test_torus_modes_refusals_come_before_any_draw(capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for argv in (("--n", "0"), ("--n", "13"), ("--n", "12", "--samples", "4097")):
+        code, out, err = run(capsys, "verify", "torus-modes", *argv)
+        assert code == 1 and out == "" and err.startswith("error:")
+    with pytest.raises(AssertionError, match="drew a sample"):
+        run(capsys, "verify", "torus-modes", "--n", "12", "--samples", "4096")  # at the cap
 
 
 def test_help_exits_zero(capsys):
@@ -469,7 +489,8 @@ def test_bounds_stdout_is_pinned(capsys, request_line):
 
 
 # recorded before the sphere levels were assembled from their nonzero
-# entries and the torus modes solved in one batch
+# entries and the torus modes solved in one batch; torus-modes n = 1 before
+# the samples were drawn into arrays
 VERIFY_STDOUT_SHA256 = {
     "verify sphere-blocks --k-max 0":
         "a4e396446b16f021e42641cb1debf65158d8adea88c68407d6257a2a4070af60",
@@ -483,6 +504,8 @@ VERIFY_STDOUT_SHA256 = {
         "ca69fa769980c5b43dd89d370fad5a42468b68d54d99ca4d51eb27c61a194a16",
     "verify sphere-blocks --k-max 400 --t-grid 0.7:0.7:1":
         "d713883219de4be4c1d70743ef935c1b4fc21450d23b6b6dddfb69c72f798b74",
+    "verify torus-modes --n 1 --seed 7":
+        "0b755654e16d23abfcf80380e3f52555a8e300080e626a8d644d8c18c402dc0b",
     "verify torus-modes --n 2 --seed 7":
         "f2a4b1adbde3701631f5961ab6621a2adc7ee5b8c78e754ed284ff7b99909a05",
     "verify torus-modes --n 3 --seed 7":

@@ -1,6 +1,8 @@
 """Matrix oracles: block assembly, Fourier operators, cross-checks."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -153,7 +155,7 @@ def test_verify_sphere_blocks_small():
     assert rep["checks"] > 0
 
 
-def test_torus_mode_matrix_matches_closed_form():
+def test_mode_blocks_match_closed_form():
     rng = np.random.default_rng(64)
     for n in (1, 2, 3, 4):
         lat = Lattice.from_rows(rng.normal(size=(n, n)) + 3 * np.eye(n))
@@ -165,12 +167,9 @@ def test_torus_mode_matrix_matches_closed_form():
         )
         for _ in range(10):
             m = rng.integers(-3, 4, size=n)
-            M = oracle.torus_mode_matrix(data, m)
-            got = oracle.hermitian_eigs(M)
-            closed = np.sort(np.concatenate([
-                np.full(mult, val)
-                for val, mult in torus.mode_eigenvalues(data, m)
-            ]))
+            got = oracle.hermitian_eigs(oracle._mode_blocks(data, m))
+            values, mults = torus.mode_values(data.theta_prime(m[None]))
+            closed = np.sort(np.repeat(values.ravel(), mults.ravel()))
             assert np.max(np.abs(got - closed)) < 1e-10 * (1 + np.max(np.abs(closed)))
 
 
@@ -497,9 +496,7 @@ def test_fourier_operator_matches_brute_force_loop(n, cutoff):
         assert [tuple(m) for m in modes] == window
         ref = np.zeros((len(window) * N,) * 2, dtype=np.complex128)
         for i, m in enumerate(window):
-            ref[i * N:(i + 1) * N, i * N:(i + 1) * N] = (
-                oracle.torus_mode_matrix(data, m).data
-            )
+            ref[i * N:(i + 1) * N, i * N:(i + 1) * N] = oracle._mode_blocks(data, m)
             for nu, a in (potential.table.items() if potential else ()):
                 target = tuple(x + y for x, y in zip(m, nu))
                 if target in window:
@@ -517,7 +514,7 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
     H, modes = oracle.torus_fourier_operator(data, None, cutoff)
     dense = np.linalg.eigvalsh(H.data)
     blocks = np.sort(np.concatenate([
-        np.linalg.eigvalsh(oracle.torus_mode_matrix(data, m).data) for m in modes
+        np.linalg.eigvalsh(oracle._mode_blocks(data, m)) for m in modes
     ]))
     assert np.max(np.abs(dense - blocks)) <= 1e-12
 
@@ -582,10 +579,100 @@ def test_verify_sphere_blocks_checks_the_members_the_spectrum_merges(monkeypatch
 
 
 def test_verify_torus_modes_reports_each_failing_mode(monkeypatch):
-    real = oracle.mode_eigenvalues
-    monkeypatch.setattr(oracle, "mode_eigenvalues",
-                        lambda data, m: [(v + 1e-6, mu) for v, mu in real(data, m)])
+    real = torus.mode_values
+
+    def shifted(tp):
+        values, mults = real(tp)
+        return values + 1e-6, mults
+
+    monkeypatch.setattr(torus, "mode_values", shifted)
     rep = oracle.verify_torus_modes(n=2, samples=5)
     assert rep["pass"] is False and rep["checks"] == 5 and len(rep["failures"]) == 5
     assert all(set(f) == {"closed", "mode", "oracle", "theta_prime"} for f in rep["failures"])
     assert 1e-7 < rep["max_residual"] < 2e-7
+
+
+def test_verify_torus_modes_builds_no_object_per_sample(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("built a per-sample object")
+
+    for module, name in ((oracle, "Lattice"), (oracle, "SpinCData"),
+                         (oracle, "HermitianMatrix"), (torus, "SpinCData")):
+        monkeypatch.setattr(module, name, refused)
+    assert oracle.verify_torus_modes(n=3, samples=50, seed=2)["pass"]
+
+
+@pytest.mark.parametrize("broken", ["asymmetric", "nan"])
+def test_verify_torus_modes_refuses_a_stack_that_is_not_finite_and_hermitian(
+        monkeypatch, broken):
+    real = oracle.vector_action
+
+    def tampered(v, gens):
+        out = real(v, gens).copy()
+        out[-1, 0, 1] += 1e-9 if broken == "asymmetric" else np.nan
+        return out
+
+    monkeypatch.setattr(oracle, "vector_action", tampered)
+    with pytest.raises(ValueError, match="not finite and Hermitian"):
+        oracle.verify_torus_modes(n=2, samples=5)
+
+
+def _volume_residual_per_block(H, K, N, vol):
+    """The volume-element residual as it was first written: the blocks of H
+    over the (K, K, N, N) view, each multiplied by vol on both sides."""
+    blocks = H.reshape(K, N, K, N).transpose(0, 2, 1, 3)
+    return float(np.max(np.abs(vol @ blocks + blocks @ vol))) / (1.0 + float(np.max(np.abs(H))))
+
+
+def _identity_case(n):
+    """A graded operator with an oscillating potential: n = 2 (window 6) or
+    n = 4 (window 2, one interior row)."""
+    if n == 2:
+        lat = Lattice.from_rows(np.array([[1.0, 0.1], [0.0, 0.9]]))
+        data = SpinCData(lat, [1, 0], [0.3, 0.0], np.array([0.25, -0.4]))
+        a = np.array([0.3 + 0.2j, -0.1 + 0.4j])
+        return data, FourierPotential(lat, [((1, 1), a), ((-1, -1), np.conj(a))]), 6
+    lat = Lattice.from_rows(np.eye(4) + 0.1 * np.tri(4, k=-1))
+    data = SpinCData(lat, [1, 0, 1, 0], [0.2, 0.0, 0.5, 0.1], np.array([0.3, -0.2, 0.1, 0.4]))
+    pot = FourierPotential.from_gradient(
+        lat, [((1, 0, 0, 0), 0.2 - 0.1j), ((0, 1, -1, 0), 0.1 + 0.05j)])
+    return data, pot, 2
+
+
+# json.dumps of the report, recorded before the volume-element check ran as
+# two products over the whole matrix
+IDENTITY_SHA256 = {
+    2: "ea18f9f7d80f54fcc25ff429b83f29c38303f1b81a0e0507db973c407573a3be",
+    4: "c2743eae867ce4d6d258ff2435901995f87cc46263f40c2072f41416f6995ad8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(IDENTITY_SHA256))
+def test_identity_checks_report_is_pinned(n):
+    rep = oracle.identity_checks(*_identity_case(n))
+    assert "volume_anticommute" in rep["checks"]
+    assert hashlib.sha256(json.dumps(rep).encode()).hexdigest() == IDENTITY_SHA256[n]
+
+
+def _add_chirality_preserving_term(monkeypatch):
+    real = oracle.torus_fourier_operator
+
+    def broken(data, potential, cutoff):  # + 0.1 I keeps the grading's rows apart
+        H, modes = real(data, potential, cutoff)
+        return HermitianMatrix(H.data + 0.1 * np.eye(H.dim)), modes
+
+    monkeypatch.setattr(oracle, "torus_fourier_operator", broken)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_volume_check_catches_a_chirality_preserving_term(monkeypatch, n):
+    data, pot, cutoff = _identity_case(n)
+    _add_chirality_preserving_term(monkeypatch)
+    rep = oracle.identity_checks(data, pot, cutoff)
+    assert rep["checks"]["volume_anticommute"] > 1e-12
+    assert rep["pass"] is False
+    # bit for bit the residual of the per-block products
+    H, modes = oracle.torus_fourier_operator(data, pot, cutoff)
+    vol = clifford.volume_element(clifford.build_rep(n))
+    expected = _volume_residual_per_block(H.data, len(modes), data.spinor_dim, vol)
+    assert rep["checks"]["volume_anticommute"] == expected

@@ -17,7 +17,7 @@ def square(n):
     return Lattice.from_rows(np.eye(n))
 
 
-def test_mode_eigenvalues_match_shifted_dual_norm():
+def test_mode_values_match_shifted_dual_norm():
     rng = np.random.default_rng(51)
     for n in (2, 3, 4):
         lat = Lattice.from_rows(rng.normal(size=(n, n)) + 3 * np.eye(n))
@@ -28,22 +28,21 @@ def test_mode_eigenvalues_match_shifted_dual_norm():
             rng.normal(size=n),
         )
         N = 2 ** (n // 2)
-        for _ in range(20):
-            m = rng.integers(-4, 5, size=n)
+        modes = rng.integers(-4, 5, size=(20, n))
+        values, mults = torus.mode_values(data.theta_prime(modes))
+        for m, got in zip(modes, zip(values.tolist(), mults.tolist())):
             tp = lat.dual_basis @ (m + (data.delta + data.theta) / 2.0)
             tp = tp + data.A / (4 * np.pi)
             r = 2 * np.pi * np.linalg.norm(tp)
-            got = torus.mode_eigenvalues(data, m)
-            assert got == [(-r, N // 2), (r, N // 2)] or (
-                r <= 2 * np.pi * torus.ZERO_MODE_TOL and got == [(0.0, N)]
+            assert got == ([-r, r], [N // 2, N // 2]) or (
+                r <= 2 * np.pi * torus.ZERO_MODE_TOL and got == ([0.0, 0.0], [N, 0])
             )
 
 
-def test_mode_eigenvalues_signed_for_circle():
-    lat = square(1)
-    data = SpinCData(lat, [1], [0.0], np.array([0.0]))
-    assert torus.mode_eigenvalues(data, [0]) == [(np.pi, 1)]
-    assert torus.mode_eigenvalues(data, [-1]) == [(-np.pi, 1)]
+def test_mode_values_signed_for_circle():
+    data = SpinCData(square(1), [1], [0.0], np.array([0.0]))
+    values, mults = torus.mode_values(data.theta_prime(np.array([[0], [-1]])))
+    assert values.tolist() == [[np.pi], [-np.pi]] and mults.tolist() == [[1], [1]]
 
 
 def test_square_torus_spectrum_bottom():
