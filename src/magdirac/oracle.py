@@ -29,38 +29,69 @@ GAUGE_PAIRS = 10  # eigenvalues closest to zero paired per cutoff
 
 
 class HermitianMatrix:
-    """Dense Hermitian matrix of finite entries, validated as such at
+    """Hermitian matrix of finite entries, held as its nonzero entries
+    (``rows``, ``cols``, ``values``, row-major) and validated as such at
     construction; an optional ``grading`` gives each row a chirality +-1
-    that the matrix reverses."""
+    that the matrix reverses.  The defect max |H - H^*| pairs each entry
+    with its transposed partner, 0 where that is a structural zero; as
+    |a - conj b| = |b - conj a|, it is the full-matrix maximum bit for bit.
+    """
 
     def __init__(self, data, grading=None):
-        data = np.array(data, dtype=np.complex128)
+        data = np.asarray(data, dtype=np.complex128)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"matrix must be square, got shape {data.shape}")
-        scale = float(np.max(np.abs(data))) if data.size else 0.0
+        rows, cols = np.nonzero(data)
+        self._hold(len(data), rows, cols, data[rows, cols], grading)
+
+    @classmethod
+    def from_entries(cls, dim, rows, cols, values, grading=None):
+        """``dim`` rows, ``values`` at (rows, cols) once each; zero values dropped."""
+        self = cls.__new__(cls)
+        self._hold(int(dim), np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+                   np.asarray(values, dtype=np.complex128), grading)
+        return self
+
+    def _hold(self, dim, rows, cols, values, grading):
+        keep = np.flatnonzero(values != 0)
+        keep = keep[np.argsort(rows[keep] * dim + cols[keep], kind="stable")]
+        rows, cols, values = rows[keep], cols[keep], values[keep]
+        key = rows * dim + cols
+        if np.any((np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= dim)
+                  | np.append(key[1:] == key[:-1], False)):
+            raise ValueError(f"matrix entries must lie in {dim} rows, one per position")
+        scale = float(np.max(np.abs(values), initial=0.0))
         if not np.isfinite(scale):  # np.max propagates NaN
             raise ValueError("matrix has non-finite entries")
-        # |H - H^*| is symmetric: its largest entry lies in the upper triangle,
-        # taken in strips of rows so no full-size temporary is made
-        defect = max((float(np.max(np.abs(data[i:i + 64, i:] - data[i:, i:i + 64].conj().T)))
-                      for i in range(0, len(data), 64)), default=0.0)
+        back = cols * dim + rows  # the transposed position of each entry
+        at = np.searchsorted(key, back)
+        partner = np.where(np.append(key, -1)[at] == back, np.append(values, 0)[at], 0)
+        defect = float(np.max(np.abs(values - partner.conj()), initial=0.0))
         if defect > 1e-12 * (1.0 + scale):
-            raise ValueError(
-                f"matrix is not Hermitian: max |H - H^*| = {defect:.3e} "
-                f"at scale {scale:.3e}"
-            )
+            raise ValueError(f"matrix is not Hermitian: max |H - H^*| = {defect:.3e} "
+                             f"at scale {scale:.3e}")
         if grading is not None:
             grading = np.asarray(grading, dtype=np.float64)
-            if grading.shape != data.shape[:1] or not np.all(np.abs(grading) == 1.0):
-                raise ValueError(f"grading must be {data.shape[0]} entries +-1")
-        data.setflags(write=False)
-        self.data = data
-        self.grading = grading
-        self.hermiticity_defect = defect
+            if grading.shape != (dim,) or not np.all(np.abs(grading) == 1.0):
+                raise ValueError(f"grading must be {dim} entries +-1")
+        for a in (rows, cols, values):
+            a.setflags(write=False)
+        self.dim, self.rows, self.cols, self.values = dim, rows, cols, values
+        self.grading, self.scale, self.hermiticity_defect = grading, scale, defect
 
     @property
-    def dim(self) -> int:
-        return self.data.shape[0]
+    def data(self) -> np.ndarray:
+        """The dense matrix, read-only, built anew on each access."""
+        data = _scatter((self.rows, self.cols), self.values, (self.dim, self.dim))
+        data.setflags(write=False)
+        return data
+
+
+def _scatter(index, values, shape) -> np.ndarray:
+    """Complex array of ``shape`` with ``values`` at ``index``, 0 elsewhere."""
+    out = np.zeros(shape, dtype=np.complex128)
+    out[index] = values
+    return out
 
 
 def _components(rows, cols, dim: int) -> np.ndarray:
@@ -92,11 +123,11 @@ def hermitian_eigs(H) -> np.ndarray:
     +-the singular values of B, plus a 0 per unpaired row.  Raises ValueError
     if it couples two rows of equal chirality.
 
-    The nonzero pattern is read once.  It gives the chirality check and the
-    connected components of the matrix, which is block-diagonal over them
-    up to row order, so each component is solved on its own (components of
-    one shape in one batched call; a graded one by its own chiral block
-    plus a 0 per unpaired row).  A truncated Fourier operator whose
+    The nonzero entries give the chirality check and the connected
+    components of the matrix, which is block-diagonal over them up to row
+    order.  Each component's entries are scattered into its block (a graded
+    one's into its chiral block, plus a 0 per unpaired row), and the blocks
+    of one shape go to one batched call.  A truncated Fourier operator whose
     frequencies span a sublattice L' couples mode m only to m + L': its
     components are the cosets of L' in the window (Bloch decomposition).
     A split spectrum equals the dense one up to rounding (relative to the
@@ -108,11 +139,7 @@ def hermitian_eigs(H) -> np.ndarray:
     """
     if not isinstance(H, HermitianMatrix):
         H = HermitianMatrix(H)
-    dim = H.dim
-    # an entry is nonzero iff its real or imaginary part is: the two one-byte
-    # comparisons of each entry, read as one 16-bit integer
-    pairs = np.ascontiguousarray(H.data).view(np.float64)
-    rows, cols = np.divmod(np.flatnonzero((pairs != 0).view(np.uint16)), dim)
+    dim, rows, cols = H.dim, H.rows, H.cols
     if H.grading is not None and np.any(H.grading[rows] == H.grading[cols]):
         raise ValueError("graded matrix couples two rows of equal chirality")
     label = _components(rows, cols, dim)
@@ -123,21 +150,22 @@ def hermitian_eigs(H) -> np.ndarray:
     comp = np.searchsorted(roots, label)
     size = np.bincount(comp, minlength=len(roots))
     ahead = np.bincount(comp, plus, len(roots)).astype(np.int64)  # rows of chirality +1
-    start = np.cumsum(size) - size
-    parts = [np.zeros(0)]
+    place = np.empty(dim, dtype=np.int64)  # of each row in its component's block
+    place[order] = np.arange(dim) - np.repeat(np.cumsum(size) - size, size)
+    parts, graded = [np.zeros(0)], H.grading is not None
     for p, n in sorted(set(zip(ahead.tolist(), size.tolist()))):
-        first = start[(ahead == p) & (size == n)][:, None]
-        if H.grading is None:
-            block = order[first + np.arange(n)]
-            parts.append(np.linalg.eigvalsh(H.data[block[:, :, None], block[:, None, :]]).ravel())
+        group = (ahead == p) & (size == n)
+        batch = np.cumsum(group) - 1  # of each component of the group in the call
+        # a graded block is B alone: the entries from rows of chirality +1
+        mine = group[comp[rows]] & (plus[rows] | (not graded))
+        r, c, q = rows[mine], cols[mine], n - p
+        blocks = _scatter((batch[comp[r]], place[r], place[c] - p), H.values[mine],
+                          (batch[-1] + 1, p if graded else n, q))
+        if not graded:
+            parts.append(np.linalg.eigvalsh(blocks).ravel())
             continue
-        q = n - p
-        if p and q:
-            s = np.linalg.svd(H.data[order[first + np.arange(p)][:, :, None],
-                                     order[first + p + np.arange(q)][:, None, :]],
-                              compute_uv=False).ravel()
-            parts += [-s, s]
-        parts.append(np.zeros(len(first) * abs(p - q)))
+        s = np.linalg.svd(blocks, compute_uv=False).ravel() if p and q else np.zeros(0)
+        parts += [-s, s, np.zeros((batch[-1] + 1) * abs(p - q))]
     return np.sort(np.concatenate(parts))
 
 
@@ -450,25 +478,27 @@ def _operator_window(data: SpinCData, cutoff: int) -> np.ndarray:
 
 
 def _assemble(modes, terms):
-    """Dense operator of a convolution over shifts on the window ``modes``.
+    """Nonzero entries (rows, cols, values) of a convolution over shifts on
+    the window ``modes``.
 
     ``terms`` maps a shift nu to the blocks placed at (m + nu, m) for every
     mode m whose image stays in the window: one (N, N) block for all modes,
-    or a (len(modes), N, N) stack with one block per source mode.
+    or a (len(modes), N, N) stack with one block per source mode.  Each
+    position occurs once: distinct shifts move a mode to distinct targets.
     """
     K, n = modes.shape
     cutoff = int(np.max(np.abs(modes)))
     N = next(iter(terms.values())).shape[-1]
-    H = np.zeros((K, N, K, N), dtype=np.complex128)
+    parts = []
     for nu, blocks in terms.items():
         target = modes + np.asarray(nu, dtype=np.int64)
         inside = np.max(np.abs(target), axis=1) <= cutoff
         dest = np.ravel_multi_index((target[inside] + cutoff).T,
                                     (2 * cutoff + 1,) * n)
-        H[dest, :, np.flatnonzero(inside), :] = (
-            np.broadcast_to(blocks, (K, N, N))[inside]
-        )
-    return H.reshape(K * N, K * N)
+        blocks = np.broadcast_to(blocks, (K, N, N))[inside]
+        k, a, b = np.nonzero(blocks)
+        parts.append((N * dest[k] + a, N * np.flatnonzero(inside)[k] + b, blocks[k, a, b]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _mode_blocks(data: SpinCData, modes) -> np.ndarray:
@@ -507,7 +537,8 @@ def torus_fourier_operator(
         if np.count_nonzero(gamma - np.diag(np.diag(gamma))):
             raise AssertionError("the volume element is not diagonal")
         grading = np.tile(np.diag(gamma).real, len(modes))
-    return HermitianMatrix(_assemble(modes, terms), grading), modes
+    return HermitianMatrix.from_entries(len(modes) * data.spinor_dim, *_assemble(modes, terms),
+                                        grading), modes
 
 
 def identity_checks(
@@ -545,8 +576,11 @@ def identity_checks(
     rows = (N * interior[:, None] + np.arange(N)).ravel()
 
     big, _ = torus_fourier_operator(data, potential, cutoff)
-    H = big.data
-    gens = build_rep(n)
+    H = big.data  # the one dense product: the interior rows need every column
+    lhs = H[rows] @ H
+    del H
+    scale = 1.0 + float(np.max(np.abs(lhs)))
+    K, gens = len(modes), build_rep(n)
     zero = (0,) * n
     tm = data.theta_mode(modes)  # shifted dual points without A
     # per shift: the covariant components (scalar, one column per j), the
@@ -566,45 +600,47 @@ def identity_checks(
             rho = tuple(x + y for x, y in zip(nu, nu2))
             scal[rho] = scal.get(rho, 0.0) + (a @ a2) / 4.0
 
-    def scalar_op(table):  # (len(modes), len(modes)): one entry per block
-        return _assemble(
-            modes, {nu: np.reshape(s, (-1, 1, 1)) for nu, s in table.items()}
-        )
+    def scalar_op(table):  # (K, K), dense: one entry per block
+        r, c, v = _assemble(modes, {nu: np.reshape(s, (-1, 1, 1)) for nu, s in table.items()})
+        return _scatter((r, c), v, (K, K))
+
+    def interior_rows(table, S):  # rows ``rows`` of the operator + kron(S, eye(N)), dense
+        r, c, v = _assemble(modes, table)
+        mine = np.isin(r, rows)
+        out = _scatter((np.searchsorted(rows, r[mine]), c[mine]), v[mine], (len(rows), K * N))
+        # the kron's entries: S * 1 = S on the block diagonals, S * 0 = +-0 (adds nothing)
+        out.reshape(len(interior), N, K, N)[:, np.arange(N), :, np.arange(N)] += S
+        return out
 
     M = [scalar_op({nu: c[..., j] for nu, c in cov.items()}) for j in range(n)]
     plain = 2j * np.pi * vector_action(tm, gens)  # blocks of D: block-diagonal
-    lhs = H[rows] @ H
-    scale = 1.0 + float(np.max(np.abs(lhs)))
-    curl_rows = _assemble(modes, curl)[rows]
-    square_rows = _assemble(modes, {**curl, zero: plain @ plain})[rows]
-    eye = np.eye(N)
 
     def product_residual(rhs):
         return float(np.max(np.abs(lhs - rhs))) / scale
 
     checks = {
-        "hermitian": big.hermiticity_defect / (1.0 + float(np.max(np.abs(H)))),
+        "hermitian": big.hermiticity_defect / (1.0 + big.scale),
         "covariant_skew": max(
             float(np.max(np.abs(Mj + Mj.conj().T)))
             / (1.0 + float(np.max(np.abs(Mj))))
             for Mj in M
         ),
         "lichnerowicz_flat": product_residual(
-            curl_rows - np.kron(sum(Mj[interior] @ Mj for Mj in M), eye)
+            interior_rows(curl, -sum(Mj[interior] @ Mj for Mj in M))
         ),
         "square_expansion": product_residual(
-            square_rows + np.kron(scalar_op(scal)[interior], eye)
+            interior_rows({**curl, zero: plain @ plain}, scalar_op(scal)[interior])
         ),
     }
     if n % 2 == 0:
-        # vol on each side of every block, as two products over the whole
-        # matrix; one unit-modulus entry per row of vol makes each entry exact
-        K, vol = len(modes), volume_element(gens)
-        left = (vol @ H.reshape(K, N, K * N)).reshape(K * N, K * N)
-        right = (H.reshape(K * N, K, N) @ vol).reshape(K * N, K * N)
-        checks["volume_anticommute"] = float(
-            np.max(np.abs(left + right))
-        ) / (1.0 + float(np.max(np.abs(H))))
+        # vol is diagonal with unit-modulus entries (torus_fourier_operator
+        # asserts it), so at an entry (r, c, v) of H each side of
+        # vol H + H vol is one exact product, vol_r v and v vol_c, as in the
+        # dense products, and both sides are 0 off the entries
+        vol = np.tile(np.diag(volume_element(gens)), K)
+        checks["volume_anticommute"] = float(np.max(np.abs(
+            vol[big.rows] * big.values + big.values * vol[big.cols]), initial=0.0)
+        ) / (1.0 + big.scale)
 
     structural = ("hermitian", "covariant_skew", "volume_anticommute")
     passed = all(
@@ -649,14 +685,15 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
     """Isospectrality of the operator under adding an exact form df.
 
     Assembles the truncated operator with the gradient potential at each
-    cutoff and solves it densely; the window spectrum without it comes from
-    the per-mode blocks (the operator is block-diagonal there), also by
-    LAPACK.  Pairs the ``GAUGE_PAIRS`` eigenvalues closest to zero and
-    reports the largest pairwise distance per cutoff.  Truncation breaks
-    exact gauge invariance, so the residual must decrease as the window
-    grows and fall below 1e-6 at the last cutoff.  Refused (ValueError)
-    unless there is at least one cutoff, the cutoffs are >= 1 and strictly
-    increasing, and df has a nonzero coefficient.
+    cutoff and solves it; the window spectrum without it comes from the
+    per-mode blocks (the operator is block-diagonal there), also by LAPACK.
+    Pairs the ``GAUGE_PAIRS`` eigenvalues closest to zero and reports the
+    largest pairwise distance per cutoff.  Truncation breaks exact gauge
+    invariance, so the residual must decrease as the window grows and fall
+    below 1e-6 at the last cutoff.  Refused (ValueError), before any window
+    is assembled, unless there is at least one cutoff, the cutoffs are >= 1,
+    strictly increasing and within ``MAX_OPERATOR_DIM``, and df has a
+    nonzero coefficient.
 
     ``hermitian_eigs`` solves the operator with df per connected component:
     when the frequencies of df span a proper sublattice L', one block per
@@ -668,6 +705,7 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
         raise ValueError(f"gauge check needs one or more cutoffs >= 1, got {list(cutoffs)}")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"gauge check needs strictly increasing cutoffs, got {list(cutoffs)}")
+    _operator_window(data, cutoffs[-1])  # the largest window: refused if past the cap
     pot = FourierPotential.from_gradient(data.lattice, f_terms)
     if not any(np.any(a) for a in pot.table.values()):
         raise ValueError("gauge check needs a potential df with a nonzero coefficient")

@@ -274,10 +274,26 @@ def test_invalid_inputs_exit_one(capsys):
      "torus-modes check of 4097 samples at n = 12 holds 16781312 matrix entries, past the cap"),
     (("verify", "torus-modes", "--n", "6", "--samples", "262145"),
      "torus-modes check of 262145 samples at n = 6 holds 16777280 matrix entries, past the cap"),
+    # the last window, 2 * 81^2 rows, is past MAX_OPERATOR_DIM = 4096
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
+      "--cutoffs", "4,8,12,40"), "operator dimension 13122 exceeds the cap 4096"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and err.startswith(f"error: {message}")
+
+
+def test_gauge_refusal_comes_before_any_window(capsys, monkeypatch):
+    from magdirac import oracle
+
+    def refused(*args, **kwargs):
+        raise AssertionError("assembled or solved a window")
+
+    for name in ("_assemble", "hermitian_eigs"):
+        monkeypatch.setattr(oracle, name, refused)
+    code, out, err = run(capsys, "verify", "gauge", "--basis", "[[1,0],[0,1]]",
+                         "--f-terms", "[[[1,0],0.2,0.1]]", "--cutoffs", "4,8,12,40")
+    assert code == 1 and out == "" and "operator dimension 13122 exceeds the cap" in err
 
 
 def test_oversized_requests_exit_one(capsys, monkeypatch):

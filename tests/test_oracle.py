@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ def test_hermitian_matrix_rejects_asymmetric():
 @pytest.mark.parametrize("dim, place", [(1, "diagonal")] + [
     (dim, place) for dim in (63, 64, 65, 130) for place in ("below", "above", "diagonal")])
 def test_hermiticity_defect_is_the_full_matrix_maximum(dim, place):
-    # the defect is taken in strips of 64 rows over the upper triangle; a
-    # perturbation anywhere must give the full-matrix maximum, bit for bit
+    # the defect is taken over the nonzero entries against their transposed
+    # partners; a perturbation anywhere must give the full-matrix maximum,
+    # bit for bit
     rng = np.random.default_rng(dim)
     A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     i, j = {"below": (dim - 1, dim // 3), "above": (dim // 3, dim - 1),
@@ -434,6 +436,110 @@ def test_equal_chirality_coupling_raises_inside_or_across_blocks():
         bad[i, j] = bad[j, i] = 0.5
         with pytest.raises(ValueError, match="equal chirality"):
             oracle.hermitian_eigs(HermitianMatrix(bad, grading))
+
+
+def _shuffled_entries(rng, H, zeros):
+    """The nonzero entries of the dense H in random order, plus ``zeros``
+    explicit zero values at positions where H is 0."""
+    r, c = np.nonzero(H)
+    empty = np.flatnonzero(H.ravel() == 0)
+    zr, zc = np.divmod(rng.choice(empty, size=min(zeros, len(empty)), replace=False), len(H))
+    rows, cols = np.concatenate([r, zr]), np.concatenate([c, zc])
+    values = np.concatenate([H[r, c], np.zeros(len(zr))])
+    perm = rng.permutation(len(rows))
+    return rows[perm], cols[perm], values[perm]
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_entries_and_dense_array_give_the_same_matrix(graded, count):
+    rng = np.random.default_rng(140 + count + 10 * graded)
+    for trial in range(10):
+        shapes = ([tuple(rng.integers(1, 5, size=2)) for _ in range(count)] if graded
+                  else list(rng.integers(1, 7, size=count)))
+        H, grading = _hidden_blocks(rng, shapes, graded)
+        if trial % 2:  # an accepted defect, on an entry and on its partner
+            i, j = np.argwhere(H != 0)[0]
+            H[i, j] += 3e-13j
+        dense = HermitianMatrix(H, grading)
+        sparse = HermitianMatrix.from_entries(len(H), *_shuffled_entries(rng, H, 5), grading)
+        assert dense.hermiticity_defect == sparse.hermiticity_defect
+        assert (dense.hermiticity_defect > 0.0) == bool(trial % 2)
+        assert np.array_equal(sparse.data, H) and not sparse.data.flags.writeable
+        assert np.array_equal(oracle.hermitian_eigs(sparse), oracle.hermitian_eigs(dense))
+        assert _component_count(H) == count
+
+
+def test_an_entry_without_its_transpose_is_its_own_defect():
+    v = 2e-13 - 1e-13j  # (2, 0) is a structural zero
+    H = HermitianMatrix.from_entries(3, [0, 1, 1, 2], [2, 1, 2, 1], [v, 1.0, 0.5j, -0.5j])
+    assert H.hermiticity_defect == abs(v) > 0.0
+    assert H.hermiticity_defect == np.max(np.abs(H.data - H.data.conj().T))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix.from_entries(3, [0, 1], [2, 1], [1e-6, 1.0])
+
+
+def test_explicit_zero_entries_join_nothing():
+    # two graded blocks; zero values couple rows of equal chirality inside
+    # and across them, and would merge the blocks if they were kept
+    H, grading = _hidden_blocks(np.random.default_rng(133), [(2, 3), (3, 2)], True)
+    label = oracle._components(*np.nonzero(H), len(H))
+    a = np.flatnonzero(grading > 0)
+    other = a[label[a] != label[a[0]]][0]
+    r, c = np.nonzero(H)
+    rows = np.append(r, [a[0], a[1], other])
+    cols = np.append(c, [a[1], other, a[0]])
+    values = np.append(H[r, c], np.zeros(3))
+    M = HermitianMatrix.from_entries(len(H), rows, cols, values, grading)
+    assert len(M.values) == np.count_nonzero(H) and np.all(M.values != 0)
+    assert len(np.unique(oracle._components(M.rows, M.cols, M.dim))) == 2
+    assert np.array_equal(oracle.hermitian_eigs(M), oracle.hermitian_eigs(HermitianMatrix(H, grading)))
+
+
+@pytest.mark.parametrize("entries, message", [
+    (([0, 1], [1, 0], [np.nan, 1.0]), "non-finite entries"),
+    (([0, 1], [1, 0], [complex(0, np.inf), complex(0, -np.inf)]), "non-finite entries"),
+    (([0], [0], [complex(np.nan, 0)]), "non-finite entries"),
+    (([0, 1], [1, 2], [1.0, 1.0]), "must lie in 2 rows, one per position"),
+    (([0, -1], [1, 0], [1.0, 1.0]), "must lie in 2 rows, one per position"),
+    (([0, 1, 0], [1, 0, 1], [1.0, 1.0, 2.0]), "must lie in 2 rows, one per position"),
+])
+def test_from_entries_refusals(entries, message):
+    with pytest.raises(ValueError, match=message):
+        HermitianMatrix.from_entries(2, *entries)
+
+
+def _peak_bytes(call):
+    """Peak of the memory traced while ``call`` runs (numpy reports its
+    array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _gauge_case(n):
+    if n == 2:
+        data, _, _ = _identity_case(2)
+        return data, [((1, 0), 0.2 + 0.1j), ((0, 1), -0.05 + 0.3j)], (4, 8, 12)
+    data, _, _ = _identity_case(4)
+    return data, [((1, 0, 0, 0), 0.2 - 0.1j), ((0, 1, -1, 0), 0.1 + 0.05j)], (1, 2)
+
+
+# the entry route needs 7 MB and 3 MB, where the dense assembly took 68 MB
+# (dimension 1250) and 252 MB (dimension 2500)
+@pytest.mark.parametrize("n", [2, 4])
+def test_verify_gauge_holds_no_dense_operator(n):
+    data, f_terms, cutoffs = _gauge_case(n)
+    assert _peak_bytes(lambda: oracle.verify_gauge(data, f_terms, cutoffs)) <= 16e6
+
+
+def test_identity_checks_memory_is_one_dense_operator():
+    # dimension 2500: the dense operator for the product is 100 MB; the
+    # dense assembly and its copies took 476 MB
+    assert _peak_bytes(lambda: oracle.identity_checks(*_identity_case(4))) <= 160e6
 
 
 @pytest.mark.parametrize("rows, nu, amp, cutoffs", [
