@@ -121,7 +121,10 @@ class Lattice:
 
         Returns an (count, n) int64 array in lexicographic row order.  The
         boundary is inclusive: points at distance exactly ``radius`` are
-        always returned.
+        always returned.  Refused (ValueError) when a coordinate of the
+        centre, solve(basis, shift), is 2**52 or more in size: float64
+        spacing there is 1 or more, so the fractional part that places the
+        ball among the lattice points is lost.
         """
         shift = np.asarray(shift, dtype=np.float64)
         if shift.shape != (self.n,):
@@ -129,9 +132,13 @@ class Lattice:
         radius = float(radius)
         if not np.isfinite(radius):
             raise ValueError(f"radius must be finite, got {radius!r}")
+        center = np.linalg.solve(self.basis, shift)
+        far = np.flatnonzero(~(np.abs(center) < 2.0 ** 52))
+        if far.size:
+            raise ValueError(f"centre coordinate {center[far[0]]:.6g} is 2**52 or more in size; "
+                             "float64 cannot hold its fractional part")
         if radius < 0.0:
             return np.empty((0, self.n), dtype=np.int64)
-        center = np.linalg.solve(self.basis, shift)
         upper = np.linalg.cholesky(self.gram).T.copy()
         points = enumerate_core(upper, center, radius + 1e-9)
         if points.shape[0] > 1:

@@ -63,10 +63,8 @@ class HermitianMatrix:
         scale = float(np.max(np.abs(values), initial=0.0))
         if not np.isfinite(scale):  # np.max propagates NaN
             raise ValueError("matrix has non-finite entries")
-        back = cols * dim + rows  # the transposed position of each entry
-        at = np.searchsorted(key, back)
-        partner = np.where(np.append(key, -1)[at] == back, np.append(values, 0)[at], 0)
-        defect = float(np.max(np.abs(values - partner.conj()), initial=0.0))
+        defect = float(np.max(np.abs(values - _partners(dim, rows, cols, values).conj()),
+                              initial=0.0))
         if defect > 1e-12 * (1.0 + scale):
             raise ValueError(f"matrix is not Hermitian: max |H - H^*| = {defect:.3e} "
                              f"at scale {scale:.3e}")
@@ -85,6 +83,37 @@ class HermitianMatrix:
         data = _scatter((self.rows, self.cols), self.values, (self.dim, self.dim))
         data.setflags(write=False)
         return data
+
+
+def _partners(dim, rows, cols, values) -> np.ndarray:
+    """Value at the transposed position of each entry, 0 where there is
+    none; the entries of a ``dim``-row matrix, row-major, one per position."""
+    key, back = rows * dim + cols, cols * dim + rows
+    at = np.searchsorted(key, back)
+    return np.where(np.append(key, -1)[at] == back, np.append(values, 0)[at], 0)
+
+
+def _summed(dim, rows, cols, values):
+    """Entries (rows, cols, values), row-major, of the ``values`` summed by
+    position in a matrix of ``dim`` columns, each in its input order."""
+    key, at = np.unique(rows * dim + cols, return_inverse=True)
+    out = np.empty(len(key), dtype=np.complex128)
+    out.real = np.bincount(at, values.real, len(key))
+    out.imag = np.bincount(at, values.imag, len(key))
+    return *np.divmod(key, dim), out
+
+
+def _pairs(a, b):
+    """Terms (rows, cols, values) of the product A B of matrices given by
+    their entries, B's row-major: each entry (r, k, x) of A meets every
+    entry (k, c, y) of row k of B in the term x y at (r, c).  ``_summed``
+    adds them up."""
+    (ar, ak, av), (br, bc, bv) = a, b
+    start = np.searchsorted(br, ak)
+    count = np.searchsorted(br, ak, side="right") - start
+    # position in B of each term: the run of row k, from its start
+    pick = np.repeat(start - np.cumsum(count) + count, count) + np.arange(np.sum(count))
+    return np.repeat(ar, count), bc[pick], np.repeat(av, count) * bv[pick]
 
 
 def _scatter(index, values, shape) -> np.ndarray:
@@ -225,11 +254,9 @@ def sphere_level_entries(k_max: int):
     key, value = (np.concatenate(part) for part in zip(*[
         _kron_entries(scale * pauli, size, *J)
         for scale, pauli, J in zip(_ROUND_FRAME, (PAULI_X, PAULI_Y, PAULI_Z), spin)]))
-    key, at = np.unique(key, return_inverse=True)
-    h0 = np.empty(len(key), dtype=np.complex128)
-    h0.real = 2.0 * np.bincount(at, value.real, len(key))  # sums in X, Y, Z order
-    h0.imag = 2.0 * np.bincount(at, value.imag, len(key))
-    rows, cols = np.divmod(key, size)
+    rows, cols, h0 = _summed(size, *np.divmod(key, size), value)  # sums in X, Y, Z order
+    h0.real *= 2.0
+    h0.imag *= 2.0
     h0.real[rows == cols] += 1.5
 
     level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
@@ -541,6 +568,31 @@ def torus_fourier_operator(
                                         grading), modes
 
 
+def _identity_terms(data: SpinCData, potential: FourierPotential | None, tm):
+    """Right-hand sides of ``identity_checks`` as convolution tables, per
+    shift: the covariant components M_j = d_j + i eta_j (scalar, one column
+    per j), the div, grad and |eta|^2 terms of the square (scalar), and
+    i d(eta) (N x N blocks).  ``tm`` holds the shifted dual points of the
+    window without A."""
+    h, zero = data.A, (0,) * data.n
+    cov = {zero: 2j * np.pi * tm + 0.5j * h}
+    scal = {zero: 2.0 * np.pi * (tm @ h) + (h @ h) / 4.0}
+    curl = {zero: np.zeros((data.spinor_dim,) * 2)}  # no zero-shift part; fixes N if a is 0
+    terms = potential.table if potential is not None else {}
+    gens = build_rep(data.n)
+    for nu, a in terms.items():
+        nh = _nu_hat(data.lattice, nu)
+        cov[nu] = 0.5j * a
+        scal[nu] = (scal.get(nu, 0.0) + np.pi * (nh @ a + 2.0 * (tm @ a))
+                    + (h @ a) / 2.0)
+        omega = 1j * np.pi * (np.outer(nh, a) - np.outer(a, nh))
+        curl[nu] = 1j * two_form_action(omega, gens)
+        for nu2, a2 in terms.items():
+            rho = tuple(x + y for x, y in zip(nu, nu2))
+            scal[rho] = scal.get(rho, 0.0) + (a @ a2) / 4.0
+    return cov, scal, curl
+
+
 def identity_checks(
     data: SpinCData, potential: FourierPotential | None, cutoff: int
 ) -> dict:
@@ -560,11 +612,17 @@ def identity_checks(
     * volume_anticommute -- in even dimension the volume element
                             anti-commutes with the operator (whole window).
 
-    Residuals are max-entry, relative to 1 + max |lhs|; the product checks
-    pass at 1e-10, the structural ones at 1e-12.
+    Every operator is held as its nonzero entries, and every product is
+    taken over them: each entry (r, k, x) of the left factor in an interior
+    row meets the entries (k, c, y) of row k of the right one, and the terms
+    x y are summed by position (r, c).  kron(S, I_N) is S on the block
+    diagonals.  A product residual is max |lhs - rhs| over the union of the
+    two supports, relative to 1 + max |lhs|, and passes at 1e-10; the
+    structural residuals are relative to 1 + the largest entry and pass at
+    1e-12.  No dense operator is built.
     """
     modes = _operator_window(data, cutoff)
-    n, N, h = data.n, data.spinor_dim, data.A
+    n, N = data.n, data.spinor_dim
     bw = potential.bandwidth() if potential is not None else 0
     margin = int(cutoff) - 2 * bw
     interior = np.flatnonzero(np.max(np.abs(modes), axis=1) <= margin)
@@ -575,61 +633,54 @@ def identity_checks(
         )
     rows = (N * interior[:, None] + np.arange(N)).ravel()
 
+    def restrict(entries, keep):  # the entries in rows ``keep``
+        mine = np.isin(entries[0], keep)
+        return tuple(x[mine] for x in entries)
+
+    def joined(*parts):  # the entries of several parts, one after the other
+        return tuple(map(np.concatenate, zip(*parts)))
+
     big, _ = torus_fourier_operator(data, potential, cutoff)
-    H = big.data  # the one dense product: the interior rows need every column
-    lhs = H[rows] @ H
-    del H
-    scale = 1.0 + float(np.max(np.abs(lhs)))
-    K, gens = len(modes), build_rep(n)
-    zero = (0,) * n
+    K, dim, gens = len(modes), big.dim, build_rep(n)
+    H = (big.rows, big.cols, big.values)
+    lhs = _summed(dim, *_pairs(restrict(H, rows), H))
+    scale = 1.0 + float(np.max(np.abs(lhs[2]), initial=0.0))
     tm = data.theta_mode(modes)  # shifted dual points without A
-    # per shift: the covariant components (scalar, one column per j), the
-    # div, grad and |eta|^2 terms of the square (scalar), and i d(eta)
-    cov = {zero: 2j * np.pi * tm + 0.5j * h}
-    scal = {zero: 2.0 * np.pi * (tm @ h) + (h @ h) / 4.0}
-    curl = {zero: np.zeros((N, N))}  # no zero-shift part; fixes N if a is 0
-    terms = potential.table if potential is not None else {}
-    for nu, a in terms.items():
-        nh = _nu_hat(data.lattice, nu)
-        cov[nu] = 0.5j * a
-        scal[nu] = (scal.get(nu, 0.0) + np.pi * (nh @ a + 2.0 * (tm @ a))
-                    + (h @ a) / 2.0)
-        omega = 1j * np.pi * (np.outer(nh, a) - np.outer(a, nh))
-        curl[nu] = 1j * two_form_action(omega, gens)
-        for nu2, a2 in terms.items():
-            rho = tuple(x + y for x, y in zip(nu, nu2))
-            scal[rho] = scal.get(rho, 0.0) + (a @ a2) / 4.0
+    cov, scal, curl = _identity_terms(data, potential, tm)
 
-    def scalar_op(table):  # (K, K), dense: one entry per block
-        r, c, v = _assemble(modes, {nu: np.reshape(s, (-1, 1, 1)) for nu, s in table.items()})
-        return _scatter((r, c), v, (K, K))
+    def scalar_op(table):  # entries of the (K, K) operator, one per block, row-major
+        return _summed(K, *_assemble(modes, {nu: np.reshape(s, (-1, 1, 1))
+                                             for nu, s in table.items()}))
 
-    def interior_rows(table, S):  # rows ``rows`` of the operator + kron(S, eye(N)), dense
-        r, c, v = _assemble(modes, table)
-        mine = np.isin(r, rows)
-        out = _scatter((np.searchsorted(rows, r[mine]), c[mine]), v[mine], (len(rows), K * N))
-        # the kron's entries: S * 1 = S on the block diagonals, S * 0 = +-0 (adds nothing)
-        out.reshape(len(interior), N, K, N)[:, np.arange(N), :, np.arange(N)] += S
-        return out
-
-    M = [scalar_op({nu: c[..., j] for nu, c in cov.items()}) for j in range(n)]
-    plain = 2j * np.pi * vector_action(tm, gens)  # blocks of D: block-diagonal
+    def interior_rows(table, S):  # rows ``rows`` of the operator + kron(S, eye(N))
+        r, c, v = S
+        a = np.arange(N)
+        kron = ((N * r[:, None] + a).ravel(), (N * c[:, None] + a).ravel(), np.repeat(v, N))
+        return _summed(dim, *joined(restrict(_assemble(modes, table), rows), kron))
 
     def product_residual(rhs):
-        return float(np.max(np.abs(lhs - rhs))) / scale
+        r, c, v = rhs
+        diff = _summed(dim, *joined(lhs, (r, c, -v)))[2]
+        return float(np.max(np.abs(diff), initial=0.0)) / scale
+
+    M = [scalar_op({nu: c[..., j] for nu, c in cov.items()}) for j in range(n)]
+    squares = _summed(K, *joined(*(_pairs(restrict(Mj, interior), Mj) for Mj in M)))
+    plain = 2j * np.pi * vector_action(tm, gens)  # blocks of D: block-diagonal
 
     checks = {
         "hermitian": big.hermiticity_defect / (1.0 + big.scale),
+        # |v + conj w| = |w + conj v|: each entry against its transposed
+        # partner w gives every position of M_j + M_j^*
         "covariant_skew": max(
-            float(np.max(np.abs(Mj + Mj.conj().T)))
-            / (1.0 + float(np.max(np.abs(Mj))))
-            for Mj in M
+            float(np.max(np.abs(v + _partners(K, r, c, v).conj()), initial=0.0))
+            / (1.0 + float(np.max(np.abs(v), initial=0.0)))
+            for r, c, v in M
         ),
         "lichnerowicz_flat": product_residual(
-            interior_rows(curl, -sum(Mj[interior] @ Mj for Mj in M))
+            interior_rows(curl, (*squares[:2], -squares[2]))
         ),
         "square_expansion": product_residual(
-            interior_rows({**curl, zero: plain @ plain}, scalar_op(scal)[interior])
+            interior_rows({**curl, (0,) * n: plain @ plain}, restrict(scalar_op(scal), interior))
         ),
     }
     if n % 2 == 0:

@@ -277,6 +277,11 @@ def test_invalid_inputs_exit_one(capsys):
     # the last window, 2 * 81^2 rows, is past MAX_OPERATOR_DIM = 4096
     (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],0.2,0.1]]",
       "--cutoffs", "4,8,12,40"), "operator dimension 13122 exceeds the cap 4096"),
+    # A / 4 pi past 2**52: the mode centre has lost its fractional part
+    (("torus", "--basis", "[[1]]", "--A", "1e17", "--cutoff", "7", "--csv"),
+     "centre coordinate 7.95775e+15 is 2**52 or more"),
+    (("torus", "--basis", "[[1,0],[0,1]]", "--A", "1e25,0", "--cutoff", "3"),
+     "centre coordinate 7.95775e+23 is 2**52 or more"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -173,6 +173,9 @@ def test_enumerate_core_empty_and_growth():
 @pytest.mark.parametrize("call, message", [
     (lambda: Lattice(np.ones((2, 3))), "basis must be square"),
     (lambda: Lattice(np.eye(2)).enumerate_shifted([0, 0], np.inf), "radius must be finite"),
+    # 2**52 itself: float64 holds no fraction from there on
+    (lambda: Lattice(np.eye(2)).enumerate_shifted([0, -2.0 ** 52], 1.0),
+     "centre coordinate -4.5036e\\+15 is 2\\*\\*52 or more"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):

@@ -536,10 +536,10 @@ def test_verify_gauge_holds_no_dense_operator(n):
     assert _peak_bytes(lambda: oracle.verify_gauge(data, f_terms, cutoffs)) <= 16e6
 
 
-def test_identity_checks_memory_is_one_dense_operator():
-    # dimension 2500: the dense operator for the product is 100 MB; the
-    # dense assembly and its copies took 476 MB
-    assert _peak_bytes(lambda: oracle.identity_checks(*_identity_case(4))) <= 160e6
+def test_identity_checks_holds_no_dense_operator():
+    # dimension 2500: the products over the entries need 3 MB, where the
+    # dense operator alone is 100 MB
+    assert _peak_bytes(lambda: oracle.identity_checks(*_identity_case(4))) <= 8e6
 
 
 @pytest.mark.parametrize("rows, nu, amp, cutoffs", [
@@ -745,11 +745,13 @@ def _identity_case(n):
     return data, pot, 2
 
 
-# json.dumps of the report, recorded before the volume-element check ran as
-# two products over the whole matrix
+# json.dumps of the report, recorded when the products were first taken over
+# the entries: they sum in another order than the dense products, which moved
+# lichnerowicz_flat and square_expansion by at most 4.4e-18 here
+# (test_products_over_entries_match_the_dense_products bounds the drift)
 IDENTITY_SHA256 = {
-    2: "ea18f9f7d80f54fcc25ff429b83f29c38303f1b81a0e0507db973c407573a3be",
-    4: "c2743eae867ce4d6d258ff2435901995f87cc46263f40c2072f41416f6995ad8",
+    2: "0db2473346bc80b9811374205fbe1987bcdf43114ecb0080ad9b6eb52a0fafe3",
+    4: "91595e157abb813b9f0b4da12fccad6ef8bb085df4d267a7f67cdc7a2e4ad8c2",
 }
 
 
@@ -782,3 +784,123 @@ def test_volume_check_catches_a_chirality_preserving_term(monkeypatch, n):
     vol = clifford.volume_element(clifford.build_rep(n))
     expected = _volume_residual_per_block(H.data, len(modes), data.spinor_dim, vol)
     assert rep["checks"]["volume_anticommute"] == expected
+
+
+def _dense_identity_checks(data, potential, cutoff):
+    """``identity_checks`` with dense products, as it was first written:
+    H[rows] @ H, M_j and the scalar operator as (K, K) arrays, and
+    kron(S, eye(N)) added to the interior rows."""
+    modes = oracle._operator_window(data, cutoff)
+    n, N, K = data.n, data.spinor_dim, len(modes)
+    bw = potential.bandwidth() if potential is not None else 0
+    interior = np.flatnonzero(np.max(np.abs(modes), axis=1) <= cutoff - 2 * bw)
+    rows = (N * interior[:, None] + np.arange(N)).ravel()
+    big, _ = oracle.torus_fourier_operator(data, potential, cutoff)
+    H = big.data
+    lhs = H[rows] @ H
+    scale = 1.0 + float(np.max(np.abs(lhs)))
+    tm = data.theta_mode(modes)
+    cov, scal, curl = oracle._identity_terms(data, potential, tm)
+
+    def scalar_op(table):
+        r, c, v = oracle._assemble(modes, {nu: np.reshape(s, (-1, 1, 1)) for nu, s in table.items()})
+        return oracle._scatter((r, c), v, (K, K))
+
+    def interior_rows(table, S):
+        r, c, v = oracle._assemble(modes, table)
+        mine = np.isin(r, rows)
+        out = oracle._scatter((np.searchsorted(rows, r[mine]), c[mine]), v[mine], (len(rows), K * N))
+        return out + np.kron(S, np.eye(N))
+
+    M = [scalar_op({nu: c[..., j] for nu, c in cov.items()}) for j in range(n)]
+    gens = clifford.build_rep(n)
+    plain = 2j * np.pi * clifford.vector_action(tm, gens)
+    checks = {
+        "hermitian": big.hermiticity_defect / (1.0 + big.scale),
+        "covariant_skew": max(float(np.max(np.abs(Mj + Mj.conj().T)))
+                              / (1.0 + float(np.max(np.abs(Mj)))) for Mj in M),
+        "lichnerowicz_flat": float(np.max(np.abs(
+            lhs - interior_rows(curl, -sum(Mj[interior] @ Mj for Mj in M))))) / scale,
+        "square_expansion": float(np.max(np.abs(
+            lhs - interior_rows({**curl, (0,) * n: plain @ plain},
+                                scalar_op(scal)[interior])))) / scale,
+    }
+    if n % 2 == 0:  # vol H + H vol with vol diagonal, a block of rows at a time
+        vol = np.tile(np.diag(clifford.volume_element(gens)), K)
+        checks["volume_anticommute"] = max(
+            float(np.max(np.abs(vol[s, None] * H[s] + H[s] * vol)))
+            for s in np.array_split(np.arange(len(vol)), 8)) / (1.0 + float(np.max(np.abs(H))))
+    return {"checks": checks, "interior_rows": len(interior),
+            "pass": all(r <= (1e-10 if name in ("lichnerowicz_flat", "square_expansion")
+                              else 1e-12) for name, r in checks.items())}
+
+
+def _random_identity_case(n, closed, seed):
+    """Seeded spin-c data on a random basis, with one gradient potential
+    (closed) or one co-exact term (not closed), at a cutoff that leaves
+    interior rows (a single interior mode in 4D)."""
+    rng = np.random.default_rng(seed)
+    lat = Lattice.from_rows(np.eye(n) + 0.2 * rng.uniform(-1.0, 1.0, size=(n, n)))
+    data = SpinCData(lat, rng.integers(0, 2, size=n), rng.uniform(0.0, 1.0, size=n),
+                     rng.normal(0.0, 2.0, size=n))
+    nu = tuple(int(c) for c in rng.integers(-1, 2, size=n))
+    nu = (1,) + nu[1:] if not any(nu) else nu
+    if closed:
+        pot = FourierPotential.from_gradient(lat, [(nu, complex(*rng.uniform(-0.3, 0.3, 2)))])
+    else:
+        a = rng.uniform(-0.4, 0.4, size=n) + 1j * rng.uniform(-0.4, 0.4, size=n)
+        pot = FourierPotential(lat, [(nu, a), (tuple(-c for c in nu), np.conj(a))])
+    assert pot.is_closed() is closed
+    return data, pot, {2: 5, 3: 3, 4: 2}[n]
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "nonclosed"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_products_over_entries_match_the_dense_products(n, closed):
+    for seed in range(2 if n < 4 else 1):
+        case = _random_identity_case(n, closed, 100 * n + seed)
+        rep, dense = oracle.identity_checks(*case), _dense_identity_checks(*case)
+        assert rep["interior_rows"] == dense["interior_rows"] and rep["pass"] is dense["pass"]
+        assert rep["pass"], rep
+        for name, residual in dense["checks"].items():
+            if name in ("lichnerowicz_flat", "square_expansion"):  # summed in another order
+                assert abs(rep["checks"][name] - residual) <= 1e-15, (name, rep, dense)
+            else:
+                assert rep["checks"][name] == residual, (name, rep, dense)
+        assert rep["checks"].keys() == dense["checks"].keys()
+
+
+def test_identity_checks_reads_no_dense_operator(monkeypatch):
+    reports = [oracle.identity_checks(*_identity_case(n)) for n in (2, 4)]
+
+    def refuse(self):
+        raise AssertionError("identity_checks read the dense operator")
+
+    monkeypatch.setattr(HermitianMatrix, "data", property(refuse))
+    assert [oracle.identity_checks(*_identity_case(n)) for n in (2, 4)] == reports
+
+
+def test_lichnerowicz_check_catches_a_flipped_curvature_sign(monkeypatch):
+    data, pot, cutoff = _identity_case(2)
+    assert not pot.is_closed()  # d(eta) != 0, so the curvature term is not 0
+    real = oracle.two_form_action
+    monkeypatch.setattr(oracle, "two_form_action", lambda omega, gens: -real(omega, gens))
+    rep = oracle.identity_checks(data, pot, cutoff)
+    assert rep["checks"]["lichnerowicz_flat"] > 1e-10
+    assert rep["pass"] is False
+
+
+def test_square_check_catches_a_dropped_eta_square(monkeypatch):
+    data, pot, cutoff = _identity_case(2)
+    real = oracle._identity_terms
+
+    def broken(data, potential, tm):  # |eta|^2 without the harmonic part (h . h) / 4
+        cov, scal, curl = real(data, potential, tm)
+        scal[(0,) * data.n] = scal[(0,) * data.n] - (data.A @ data.A) / 4.0
+        return cov, scal, curl
+
+    monkeypatch.setattr(oracle, "_identity_terms", broken)
+    rep = oracle.identity_checks(data, pot, cutoff)
+    assert rep["checks"]["square_expansion"] > 1e-10
+    assert rep["checks"]["lichnerowicz_flat"] <= 1e-10  # M_j does not see the change
+    assert rep["pass"] is False
