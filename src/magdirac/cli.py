@@ -112,18 +112,29 @@ def _entry_lines(spec, template: str, members: list, sep: str) -> list:
                                           spec.multiplicities().tolist(), groups)))
 
 
+def _cells(template: str, columns) -> list:
+    """``template % row`` per row of the equal-length ``columns`` (lists,
+    arrays or one (width, rows) array), all rows in one % call; neither the
+    template nor a str cell may contain NUL."""
+    rows, width = len(columns[0]), len(columns)
+    if isinstance(columns, np.ndarray):  # its transpose is the cells row by row
+        flat = columns.T.ravel().tolist()
+    else:
+        flat = [None] * (rows * width)
+        for j, column in enumerate(columns):
+            flat[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    return ((template + "\0") * rows % tuple(flat)).split("\0")[:-1]
+
+
 def _sphere_members(labels, end: str, branch: str) -> list:
-    """Each (family, k, p, sign) label rendered by the plus/minus template
-    (family, k) or the branch template (family, k, p, sign)."""
-    return [end % lbl[:2] if lbl[2] is None else branch % lbl for lbl in labels]
-
-
-def _mode_cells(spec, template: str) -> list:
-    """``template`` rendered for each (M, n) mode row of the spectrum, all
-    rows in one % call; the template must not contain NUL."""
-    modes = spec.members()[0]
-    cells = (template + "\0") * len(modes) % tuple(modes.ravel().tolist())
-    return cells.split("\0")[:-1]
+    """Each (family, k, p, sign) row of ``labels`` rendered by the end
+    template (family name, k) or the branch template (name, k, p, sign)."""
+    names = np.array(sphere.FAMILIES, dtype=object)[labels[:, 0]]
+    ends = labels[:, 0] < 2
+    out = np.empty(len(labels), dtype=object)
+    out[ends] = _cells(end, [names[ends], labels[ends, 1]])
+    out[~ends] = _cells(branch, [names[~ends], *labels[~ends, 1:].T])
+    return out.tolist()
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -211,32 +222,30 @@ def cmd_sphere_curve(ns) -> int:
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
     t_values, members, i, j, value = sphere.curve_table(_parse_grid(ns.t_range), ns.k_max, window)
     # the t cell of each coupling and the family,k,p,sign cell of each member, once
-    ts = list(map(repr, t_values.tolist()))
-    cells = _sphere_members(sphere.member_labels(*members), "%s,%d,,", "%s,%d,%d,%d")
-    rows = ("%s,%s,%r" % (ts[a], cells[b], v)
-            for a, b, v in zip(i.tolist(), j.tolist(), value.tolist()))
-    print("\n".join(["t,family,k,p,sign,value", *rows]))
+    ts = np.array(list(map(repr, t_values.tolist())), dtype=object)
+    cells = np.array(_sphere_members(np.stack(members, axis=1), "%s,%d,,", "%s,%d,%d,%d"),
+                     dtype=object)
+    print("\n".join(["t,family,k,p,sign,value", *_cells("%s,%s,%r", [ts[i], cells[j], value])]))
     return 0
 
 
 def cmd_collisions(ns) -> int:
-    k_max = int(ns.k_max)
-    curves = max(k_max, 0) * (k_max + 1) / 2
+    k_max = sphere._check_level(ns.k_max)
+    curves = k_max * (k_max + 1) / 2
     check_size(curves * (curves - 1) / 2, "curve pairs")
-    ks, ps = np.tril_indices(max(k_max + 1, 0), -1)  # curves (k, p), 0 <= p < k
+    ks, ps = np.tril_indices(k_max + 1, -1)  # curves (k, p), 0 <= p < k
     i, j = np.triu_indices(len(ks), 1)
     keep = 2 * (ps[i] - ps[j]) != ks[i] - ks[j]
     cols = [ks[i[keep]], ps[i[keep]], ks[j[keep]], ps[j[keep]]]
     cols.append(sphere.collision_t(*cols))
     cols.append(sphere.f0(cols[0], cols[1], cols[4]))
-    rows = list(zip(*(c.tolist() for c in cols)))
     if ns.json:
         item = ('    {\n      "k": %d,\n      "p": %d,\n      "k2": %d,\n      "p2": %d,\n'
                 '      "t": %r,\n      "f0": %r\n    }')
         print('{\n  "k_max": %d,\n  "collisions": %s\n}'
-              % (k_max, _json_list([item % r for r in rows], "  ")))
+              % (k_max, _json_list(_cells(item, cols), "  ")))
     else:
-        print("\n".join(["k,p,k2,p2,t,f0", *("%d,%d,%d,%d,%r,%r" % r for r in rows)]))
+        print("\n".join(["k,p,k2,p2,t,f0", *_cells("%d,%d,%d,%d,%r,%r", cols)]))
     return 0
 
 
@@ -244,12 +253,12 @@ def cmd_torus(ns) -> int:
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
     if ns.csv:
-        members = _mode_cells(spec, " ".join(["%d"] * data.n))
+        members = _cells(" ".join(["%d"] * data.n), spec.members()[0].T)
         print("\n".join(["value,multiplicity,modes",
                          *_entry_lines(spec, "%s,%d,%s", members, ";")]))
         return 0
     zm = torus.zero_mode(data)
-    members = _mode_cells(spec, _json_row(["%d"] * data.n, " " * 8))
+    members = _cells(_json_row(["%d"] * data.n, " " * 8), spec.members()[0].T)
     lines = _entry_lines(spec, _json_entry("modes"), members, ",\n")
     zero = "null" if zm is None else _json_list(["    %d" % c for c in zm.tolist()], "  ")
     print('{\n  "eigenvalues": %s,\n  "zero_mode": %s\n}' % (_json_list(lines, "  "), zero))

@@ -65,6 +65,16 @@ def enumerate_core(R, center, r_eff):
     return m[q <= r2]
 
 
+def check_centre(center) -> np.ndarray:
+    """``center``, refused (ValueError) if a coordinate is 2**52 or more in
+    size: float64 spacing there is 1 or more, so its fraction is lost."""
+    far = np.flatnonzero(~(np.abs(center) < 2.0 ** 52))
+    if far.size:
+        raise ValueError(f"centre coordinate {center[far[0]]:.6g} is 2**52 or more in size; "
+                         "float64 cannot hold its fractional part")
+    return center
+
+
 @dataclass
 class Lattice:
     """Full-rank lattice given by generator columns."""
@@ -121,10 +131,8 @@ class Lattice:
 
         Returns an (count, n) int64 array in lexicographic row order.  The
         boundary is inclusive: points at distance exactly ``radius`` are
-        always returned.  Refused (ValueError) when a coordinate of the
-        centre, solve(basis, shift), is 2**52 or more in size: float64
-        spacing there is 1 or more, so the fractional part that places the
-        ball among the lattice points is lost.
+        always returned.  ``check_centre`` refuses (ValueError) a centre
+        solve(basis, shift) with a coordinate of 2**52 or more in size.
         """
         shift = np.asarray(shift, dtype=np.float64)
         if shift.shape != (self.n,):
@@ -132,11 +140,7 @@ class Lattice:
         radius = float(radius)
         if not np.isfinite(radius):
             raise ValueError(f"radius must be finite, got {radius!r}")
-        center = np.linalg.solve(self.basis, shift)
-        far = np.flatnonzero(~(np.abs(center) < 2.0 ** 52))
-        if far.size:
-            raise ValueError(f"centre coordinate {center[far[0]]:.6g} is 2**52 or more in size; "
-                             "float64 cannot hold its fractional part")
+        center = check_centre(np.linalg.solve(self.basis, shift))
         if radius < 0.0:
             return np.empty((0, self.n), dtype=np.int64)
         upper = np.linalg.cholesky(self.gram).T.copy()

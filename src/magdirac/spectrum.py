@@ -1,8 +1,9 @@
 """Shared container for exact point spectra with multiplicities.
 
-Eigenvalues arrive as (value, multiplicity, label) triples from the model
-modules; the container sorts them and chain-merges values closer than the
-merge tolerance, adding multiplicities and concatenating labels.  The
+Eigenvalues arrive from the model modules as a structured array of
+(value, multiplicity, label) triples, each label a row of integers (see
+``triples``); the container sorts them and chain-merges values closer than
+the merge tolerance, adding multiplicities and concatenating labels.  The
 default tolerance 1e-9 can be overridden through the MAGDIRAC_TOLERANCE
 environment variable.
 """
@@ -26,6 +27,15 @@ def check_size(estimate: float, what: str) -> None:
             f"about {estimate:.3g} {what} exceed the cap {MAX_SPECTRUM_SIZE}; "
             "reduce the cutoff or k_max"
         )
+
+
+def triples(value, mult, label) -> np.ndarray:
+    """Structured array of (value, mult, label) triples, the input of
+    ``Spectrum.from_triples``; ``label`` holds one integer row per triple."""
+    label = np.asarray(label, dtype=np.int64)
+    out = np.empty(len(label), [("value", "f8"), ("mult", "i8"), ("label", "i8", label.shape[1:])])
+    out["value"], out["mult"], out["label"] = value, mult, label
+    return out
 
 
 def merge_tolerance() -> float:
@@ -55,36 +65,27 @@ class Spectrum:
     """Ascending list of distinct eigenvalues with multiplicities.
 
     Held as arrays: values, multiplicities, the member labels in merged
-    order (an (M, n) integer array or a list) and the group offsets, so that
-    the labels of entry i are ``labels[offsets[i]:offsets[i + 1]]``.
-    ``entries`` (and iteration) builds ``SpectrumEntry`` objects from them
-    on first use.
+    order (an (M, n) integer array) and the group offsets, so that the
+    labels of entry i are ``labels[offsets[i]:offsets[i + 1]]``.  Only
+    ``entries`` (and iteration) builds tuples: ``SpectrumEntry`` objects
+    with integer label tuples, on first use.
     """
 
     def __init__(self, values=(), mults=(), labels=(), offsets=(0,)):
         self._values = np.asarray(values, dtype=np.float64)
         self._mults = np.asarray(mults, dtype=np.int64)
-        self._labels = labels
+        self._labels = np.asarray(labels, dtype=np.int64)
         self._offsets = np.asarray(offsets, dtype=np.int64)
 
     @classmethod
     def from_triples(cls, triples, tolerance: float | None = None) -> "Spectrum":
-        """Build from (value, multiplicity, label) triples, merging values
-        that form a chain with consecutive gaps <= tolerance.
-
-        ``triples`` may also be a structured array with fields value, mult
-        and label (integer rows, kept as an (M, n) array and returned as
-        tuples by ``entries``).  A merged value is the multiplicity-weighted
-        mean, summed left to right in value order.
-        """
+        """Build from the structured array of ``triples``, merging values
+        that form a chain with consecutive gaps <= tolerance.  A merged
+        value is the multiplicity-weighted mean, summed left to right in
+        value order."""
         tol = merge_tolerance() if tolerance is None else float(tolerance)
-        if isinstance(triples, np.ndarray):
-            values, mults, labels = triples["value"], triples["mult"], triples["label"]
-        else:
-            values, mults, labels = list(zip(*triples)) or ((), (), ())
-        values = np.asarray(values, dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        values, mults = values[order], np.asarray(mults, dtype=np.int64)[order]
+        order = np.argsort(triples["value"], kind="stable")
+        values, mults = triples["value"][order], triples["mult"][order]
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
         sizes = np.diff(starts, append=len(values))
         weighted, sums, live = values * mults, np.zeros(len(starts)), np.arange(len(starts))
@@ -92,17 +93,11 @@ class Spectrum:
             live = live[sizes[live] > j]
             sums[live] += weighted[starts[live] + j]
         mults = np.add.reduceat(mults, starts) if len(starts) else mults
-        if isinstance(labels, np.ndarray):
-            labels = labels[order]
-        else:
-            labels = [labels[i] for i in order.tolist()]
-        return cls(sums / mults, mults, labels, np.append(starts, len(values)))
+        return cls(sums / mults, mults, triples["label"][order], np.append(starts, len(values)))
 
     @cached_property
     def entries(self) -> list:
-        labels = self._labels
-        if isinstance(labels, np.ndarray):
-            labels = list(map(tuple, labels.tolist()))
+        labels = list(map(tuple, self._labels.tolist()))
         bounds = self._offsets.tolist()
         return [SpectrumEntry(v, m, tuple(labels[a:b])) for v, m, a, b in
                 zip(self._values.tolist(), self._mults.tolist(), bounds, bounds[1:])]

@@ -26,7 +26,7 @@ branch modes with k = 2p + 1, where f0 collapses to t^2 + 4(p + 1)^2.
 
 import numpy as np
 
-from .spectrum import Spectrum, check_size
+from .spectrum import Spectrum, check_size, triples
 
 
 def f0(k, p, t):
@@ -68,8 +68,8 @@ def _check_coupling(t) -> float:
 def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged with multiplicities.
 
-    Labels are (family, k, p, sign) tuples; plus/minus members carry
-    p = None, sign = None.  Merging uses the active tolerance; at t = 0 the
+    Labels are the integer (family, k, p, sign) rows of ``_levels``, each
+    with multiplicity k + 1.  Merging uses the active tolerance; at t = 0 the
     plus/minus values and all k positive branch values of level k coincide
     at 3/2 + k, which therefore appears once with multiplicity
     (k + 2)(k + 1).  Refused (ValueError) before any work when the level
@@ -87,10 +87,9 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     k_max = float(np.ceil(cutoff + abs(t))) + 1.0
     check_size(triple_count(k_max), "triples")
     value, *members = _levels(int(k_max), t)
-    keep = np.abs(value) <= edge  # label tuples only for the members kept
-    triples = [(v, label[1] + 1, label) for v, label in
-               zip(value[keep].tolist(), member_labels(*(x[keep] for x in members)))]
-    return Spectrum.from_triples(triples, tolerance=merge_tol)
+    keep = np.flatnonzero(np.abs(value) <= edge)
+    label = np.stack([x[keep] for x in members], axis=1)
+    return Spectrum.from_triples(triples(value[keep], label[:, 1] + 1, label), tolerance=merge_tol)
 
 
 FAMILIES = ("plus", "minus", "branch")
@@ -113,7 +112,8 @@ def _levels(k_max: int, t):
 
 
 def member_labels(fam, k, p, sign) -> list:
-    """(family, k, p, sign) label tuples; plus/minus carry p = sign = None."""
+    """Named (family, k, p, sign) tuples, plus/minus with p = sign = None
+    (for failure reports; spectra and the CLI keep the integer rows)."""
     return [("branch", kk, pp, s) if f == 2 else (FAMILIES[f], kk, None, None)
             for f, kk, pp, s in zip(*(x.tolist() for x in (fam, k, p, sign)))]
 

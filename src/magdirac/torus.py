@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice
-from .spectrum import Spectrum, check_size
+from .lattice import Lattice, check_centre
+from .spectrum import Spectrum, check_size, triples
 
 ZERO_MODE_TOL = 1e-10
 
@@ -117,16 +117,6 @@ def mode_values(tp) -> tuple[np.ndarray, np.ndarray]:
     return values, np.where(zero, [N, 0], N // 2)
 
 
-def _mode_triples(data: SpinCData, modes) -> np.ndarray:
-    """Structured array of the (value, mult, label) triples of the modes
-    (K, n), from ``mode_values`` of their ``SpinCData.theta_prime``."""
-    values, mults = mode_values(data.theta_prime(modes))
-    out = np.empty(values.size, [("value", "f8"), ("mult", "i8"), ("label", "i8", (data.n,))])
-    out["value"], out["mult"] = values.ravel(), mults.ravel()
-    out["label"] = np.repeat(modes, values.shape[1], axis=0)
-    return out[out["mult"] > 0]
-
-
 def mode_count_estimate(lattice: Lattice, cutoff: float) -> float:
     """Weyl estimate of the modes below the cutoff: the dual points in a
     ball of radius cutoff / 2 pi, vol(B_n) * |det basis|."""
@@ -140,9 +130,10 @@ def mode_count_estimate(lattice: Lattice, cutoff: float) -> float:
 def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged across modes.
 
-    Labels are the integer mode coordinates (as tuples); a merged entry
-    lists every contributing mode.  Refused (ValueError) before any work
-    when the mode count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
+    The triples come from ``mode_values`` of the modes' ``theta_prime``.
+    Labels are the integer mode coordinates; a merged entry lists every
+    contributing mode.  Refused (ValueError) before any work when the mode
+    count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
     """
     cutoff = float(cutoff)
     if not np.isfinite(cutoff) or cutoff <= 0.0:
@@ -150,9 +141,10 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
     check_size(mode_count_estimate(data.lattice, cutoff), "modes")
     radius = cutoff / (2.0 * np.pi)
     modes = data.lattice.dual().enumerate_shifted(data.base_shift(), radius)
-    triples = _mode_triples(data, modes)
-    triples = triples[np.abs(triples["value"]) <= cutoff + 1e-12]
-    return Spectrum.from_triples(triples, tolerance=merge_tol)
+    values, mults = mode_values(data.theta_prime(modes))
+    out = triples(values.ravel(), mults.ravel(), np.repeat(modes, values.shape[1], axis=0))
+    out = out[(out["mult"] > 0) & (np.abs(out["value"]) <= cutoff + 1e-12)]
+    return Spectrum.from_triples(out, tolerance=merge_tol)
 
 
 def zero_mode(data: SpinCData) -> np.ndarray | None:
@@ -160,11 +152,11 @@ def zero_mode(data: SpinCData) -> np.ndarray | None:
 
     A zero mode exists exactly when the potential cancels one shifted dual
     point, A = -4 pi theta_mode; the candidate is found by rounding the
-    real solution of dual_basis @ m = -base_shift and accepted when
-    |theta_prime| <= 1e-10.
+    real solution of dual_basis @ m = -base_shift (``check_centre`` refuses
+    it past 2**52) and accepted when |theta_prime| <= 1e-10.
     """
-    m = np.linalg.solve(data.lattice.dual_basis, -data.base_shift())
-    m_int = np.rint(m).astype(np.int64)
+    centre = check_centre(np.linalg.solve(data.lattice.dual_basis, data.base_shift()))
+    m_int = np.rint(-centre).astype(np.int64)
     if np.linalg.norm(data.theta_prime(m_int)) <= ZERO_MODE_TOL:
         return m_int
     return None

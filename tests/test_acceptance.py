@@ -35,10 +35,10 @@ def test_sphere_block_oracle_matches_closed_form():
     for t in (-4.0, -1.5, 0.0, 0.5, 4.0):
         spec = sphere.spectrum(t, 8.0)
         for entry in spec:
-            for family, k, p, sign in entry.labels:
-                if family == "plus":
+            for family, k, p, sign in entry.labels:  # integer rows, FAMILIES by index
+                if sphere.FAMILIES[family] == "plus":
                     value = 1.5 + t + k
-                elif family == "minus":
+                elif sphere.FAMILIES[family] == "minus":
                     value = 1.5 - t + k
                 else:
                     value = 0.5 + sign * np.sqrt(sphere.f0(k, p, t))

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from magdirac import cli, torus
 from magdirac.lattice import Lattice
-from magdirac.spectrum import Spectrum
+from magdirac.spectrum import Spectrum, triples
 from magdirac.torus import SpinCData
 
 
@@ -282,6 +282,7 @@ def test_invalid_inputs_exit_one(capsys):
      "centre coordinate 7.95775e+15 is 2**52 or more"),
     (("torus", "--basis", "[[1,0],[0,1]]", "--A", "1e25,0", "--cutoff", "3"),
      "centre coordinate 7.95775e+23 is 2**52 or more"),
+    (("collisions", "--k-max", "-3", "--json"), "level must be non-negative"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -469,6 +470,83 @@ def test_sphere_curve_stdout_is_pinned(capsys, request_line):
     code, out, _ = run(capsys, *request_line.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CURVE_STDOUT_SHA256[request_line]
+
+
+# edge tables, recorded from the per-member and per-row writers that the
+# array writers replaced: empty spectra, an exact 0.0 with integer-t
+# clusters, collisions with no or few pairs, and a curve window with no row
+EDGE_STDOUT_SHA256 = {
+    "sphere --t 0 --cutoff 0.1":
+        "b493ef2d6047f72181d12751bd00e1c4ba046e7360049b4814cb6183fa8f7b8a",
+    "sphere --t 0 --cutoff 0.1 --csv":
+        "2d40faabdd54669b7fbed4686ac75a04112260af10ae0e892b49b84364e241ed",
+    "sphere --t 0 --cutoff 0.1 --json":
+        "76f6e3a26fb1250ea25cee927f10f21794c9fe301d9232a376eee68d92c14bde",
+    "sphere --t -1.5 --cutoff 3 --json":
+        "fc9c3a750a44b7b03dae1893852258c91c01b635b73f85e31a23e183efc4dc73",
+    "collisions --k-max 0":
+        "c1b65c3c27b50d77983df1ac4f3464b4e70a548f77a098e10872d9ccdf0a89d3",
+    "collisions --k-max 2 --json":
+        "2e6dcc3613614df6c849170c10ffaa147bd8176c7d92d4a2ab957b6a4980f4d6",
+    "sphere-curve --k-max 3 --window 100:200":
+        "587e8c41cbd99325eba6b09d0e4702cd916b0353f54d4737563efda569fe75f7",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(EDGE_STDOUT_SHA256))
+def test_edge_tables_stdout_is_pinned(capsys, request_line):
+    code, out, _ = run(capsys, *request_line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_STDOUT_SHA256[request_line]
+
+
+S3_STDOUT_SHA256 = {**STDOUT_SHA256, **CURVE_STDOUT_SHA256, **EDGE_STDOUT_SHA256}
+
+
+def test_s3_writers_build_no_label_tuples(capsys, monkeypatch):
+    # the S3 writers render from the integer label arrays: neither the
+    # named label tuples nor the spectrum's entry objects are built
+    from magdirac import sphere, spectrum
+
+    def no_tuples(*args, **kwargs):
+        raise AssertionError("built a label tuple")
+
+    monkeypatch.setattr(sphere, "member_labels", no_tuples)
+    monkeypatch.setattr(spectrum, "SpectrumEntry", no_tuples)
+    for request_line, digest in S3_STDOUT_SHA256.items():
+        code, out, _ = run(capsys, *request_line.split())
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, request_line
+
+
+@st.composite
+def cell_columns(draw):
+    """(template, columns): 1-4 columns of str, int or float cells, each with
+    its specifier, between separators free of NUL and %; 0-20 rows."""
+    rows = draw(st.integers(0, 20))
+    text = st.text(st.characters(exclude_characters="\0%"), max_size=4)
+    ints = st.integers(-2**63, 2**63 - 1)
+    cell = {"%s": text, "%d": ints, "%+d": ints, "%r": st.floats(allow_nan=False)}
+    specs = draw(st.lists(st.sampled_from(sorted(cell)), min_size=1, max_size=4))
+    columns = [draw(st.lists(cell[c], min_size=rows, max_size=rows)) for c in specs]
+    seps = draw(st.lists(text, min_size=len(specs) + 1, max_size=len(specs) + 1))
+    return seps[0] + "".join(c + sep for c, sep in zip(specs, seps[1:])), columns
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(request=cell_columns())
+@example(request=("%s,%d", [[], []]))
+@example(request=('"%s"', [[""]]))
+@example(request=("%d %d", [[1, -2], [3, 4]]))
+@example(request=("%d", [[]]))
+def test_cells_equal_the_per_row_loop(request):
+    template, columns = request
+    expected = [template % row for row in zip(*columns)]
+    assert cli._cells(template, columns) == expected
+    arrays = [np.array(c, dtype=object) for c in columns]  # array columns render alike
+    assert cli._cells(template, arrays) == expected
+    if "%s" not in template and "%r" not in template:  # integer columns as one array
+        stacked = np.array(columns, dtype=np.int64).reshape(len(columns), -1)
+        assert cli._cells(template, stacked) == expected
 
 
 # recorded before the sphere and torus branches of cmd_bounds became one loop
@@ -701,7 +779,8 @@ def test_a_merged_value_that_is_not_its_mirror_prints_its_own_repr():
     # the merged means of the two clusters differ in the last bit, so the
     # negative one is not the exact mirror of the positive one
     xs = [8.768610301298834, 8.768610301360322, 8.76861030141971]
-    spec = Spectrum.from_triples([(s * x, 1, (s, i)) for s in (-1, 1) for i, x in enumerate(xs)],
+    labels = [(s, i) for s in (-1, 1) for i in range(len(xs))]
+    spec = Spectrum.from_triples(triples([s * xs[i] for s, i in labels], 1, labels),
                                  tolerance=1e-9)
     assert spec.values().tolist() == [-8.768610301359622, 8.76861030135962]
     assert cli._entry_lines(spec, "%s,%d,%s", list("abcdef"), ";") == [

@@ -3,26 +3,32 @@
 import numpy as np
 import pytest
 
-from magdirac.spectrum import Spectrum, merge_tolerance
+from magdirac.spectrum import Spectrum, merge_tolerance, triples
+
+
+def _records(pairs):
+    """Structured triples of (value, mult) pairs; the label of pair i is (i,)."""
+    values, mults = zip(*pairs)
+    return triples(values, mults, np.arange(len(pairs))[:, None])
 
 
 def test_merge_combines_close_values_with_weighted_mean():
     spec = Spectrum.from_triples(
-        [(1.0, 2, "a"), (1.0 + 5e-10, 3, "b"), (2.0, 1, "c")],
+        _records([(1.0, 2), (1.0 + 5e-10, 3), (2.0, 1)]),
         tolerance=1e-9,
     )
     assert len(spec) == 2
     first = spec.entries[0]
     assert first.multiplicity == 5
     assert abs(first.value - (2 * 1.0 + 3 * (1.0 + 5e-10)) / 5) < 1e-15
-    assert first.labels == ("a", "b")
+    assert first.labels == ((0,), (1,))
     assert spec.entries[1].multiplicity == 1
 
 
 def test_merge_is_chained_across_consecutive_gaps():
     # values 0, 0.8e-9, 1.6e-9: pairwise gaps below tolerance chain together
     spec = Spectrum.from_triples(
-        [(0.0, 1, None), (0.8e-9, 1, None), (1.6e-9, 1, None)],
+        _records([(0.0, 1), (0.8e-9, 1), (1.6e-9, 1)]),
         tolerance=1e-9,
     )
     assert len(spec) == 1
@@ -31,45 +37,37 @@ def test_merge_is_chained_across_consecutive_gaps():
 
 def test_gap_equal_to_tolerance_chains():
     spec = Spectrum.from_triples(
-        [(0.5, 1, None), (0.0, 1, None), (0.25, 1, None), (1.0, 1, None)],
+        _records([(0.5, 1), (0.0, 1), (0.25, 1), (1.0, 1)]),
         tolerance=0.25,
     )
     assert [(e.value, e.multiplicity) for e in spec] == [(0.25, 3), (1.0, 1)]
 
 
 def test_no_merge_beyond_tolerance():
-    spec = Spectrum.from_triples(
-        [(0.0, 1, None), (1e-6, 1, None)], tolerance=1e-9
-    )
+    spec = Spectrum.from_triples(_records([(0.0, 1), (1e-6, 1)]), tolerance=1e-9)
     assert len(spec) == 2
 
 
 def test_values_sorted_and_total_multiplicity():
-    spec = Spectrum.from_triples(
-        [(3.0, 2, None), (-1.0, 4, None), (0.5, 1, None)]
-    )
+    spec = Spectrum.from_triples(_records([(3.0, 2), (-1.0, 4), (0.5, 1)]))
     assert np.all(np.diff(spec.values()) > 0)
     assert spec.total_multiplicity() == 7
     assert list(spec.multiplicities()) == [4, 1, 2]
 
 
 def test_min_abs_and_first_positive():
-    spec = Spectrum.from_triples(
-        [(-0.25, 1, None), (0.5, 1, None), (2.0, 1, None)]
-    )
+    spec = Spectrum.from_triples(_records([(-0.25, 1), (0.5, 1), (2.0, 1)]))
     assert spec.min_abs() == 0.25
     assert spec.first_positive() == 0.5
     with pytest.raises(ValueError):
         Spectrum([]).min_abs()
-    neg = Spectrum.from_triples([(-1.0, 1, None)])
+    neg = Spectrum.from_triples(_records([(-1.0, 1)]))
     with pytest.raises(ValueError):
         neg.first_positive()
 
 
 def test_in_window_and_multiplicity_at():
-    spec = Spectrum.from_triples(
-        [(-2.0, 1, None), (0.0, 3, None), (1.5, 2, None)]
-    )
+    spec = Spectrum.from_triples(_records([(-2.0, 1), (0.0, 3), (1.5, 2)]))
     win = spec.in_window(-0.5, 1.5)
     assert [e.value for e in win] == [0.0, 1.5]
     assert spec.multiplicity_at(0.0) == 3
@@ -80,7 +78,7 @@ def test_in_window_and_multiplicity_at():
 def test_tolerance_environment_override(monkeypatch):
     monkeypatch.setenv("MAGDIRAC_TOLERANCE", "1e-3")
     assert merge_tolerance() == 1e-3
-    spec = Spectrum.from_triples([(0.0, 1, None), (5e-4, 1, None)])
+    spec = Spectrum.from_triples(_records([(0.0, 1), (5e-4, 1)]))
     assert len(spec) == 1
     monkeypatch.setenv("MAGDIRAC_TOLERANCE", "not-a-number")
     with pytest.raises(ValueError):
@@ -124,6 +122,12 @@ def _random_triples(rng, tol):
     ]
 
 
+def _structured(items):
+    """The (value, mult, label) tuples as a structured array."""
+    values, mults, labels = zip(*items)
+    return triples(values, mults, labels)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_array_merge_equals_left_to_right_reference(seed):
     rng = np.random.default_rng(seed)
@@ -133,29 +137,20 @@ def test_array_merge_equals_left_to_right_reference(seed):
     value_of = {lbl: v for v, _, lbl in triples}
     spans = [max(value_of[l] for l in g) - min(value_of[l] for l in g) for *_, g in expected]
     assert max(spans) > tol  # some chain merges values further apart than tol
-    spec = Spectrum.from_triples(triples, tolerance=tol)
+    spec = Spectrum.from_triples(_structured(triples), tolerance=tol)
     got = [(e.value, e.multiplicity, e.labels) for e in spec]
     assert got == expected
     assert all(np.copysign(1.0, a) == np.copysign(1.0, b)
                for (a, *_), (b, *_) in zip(got, expected))
-    # the same triples as a structured array with integer-row labels
-    records = np.array(
-        [(v, m, lbl) for v, m, lbl in triples],
-        dtype=[("value", "f8"), ("mult", "i8"), ("label", "i8", (2,))],
-    )
-    columnar = Spectrum.from_triples(records, tolerance=tol)
-    assert [(e.value, e.multiplicity, e.labels) for e in columnar] == expected
 
 
 @pytest.mark.parametrize("window", [(-20.0, 20.0), (-1e3, 1e3), (3.0, 3.0), (5.0, -5.0),
                                     (60.0, 70.0)])
 def test_in_window_slices_the_member_labels(window):
     rng = np.random.default_rng(11)
-    triples = _random_triples(rng, 1e-6)
-    records = np.array(triples, dtype=[("value", "f8"), ("mult", "i8"), ("label", "i8", (2,))])
-    for spec in (Spectrum.from_triples(triples, 1e-6), Spectrum.from_triples(records, 1e-6)):
-        lo, hi = window
-        win = spec.in_window(lo, hi)
-        assert win.entries == [e for e in spec.entries if lo <= e.value <= hi]
-        labels, offsets = win.members()
-        assert len(labels) == offsets[-1] == sum(len(e.labels) for e in win)
+    spec = Spectrum.from_triples(_structured(_random_triples(rng, 1e-6)), 1e-6)
+    lo, hi = window
+    win = spec.in_window(lo, hi)
+    assert win.entries == [e for e in spec.entries if lo <= e.value <= hi]
+    labels, offsets = win.members()
+    assert len(labels) == offsets[-1] == sum(len(e.labels) for e in win)

@@ -100,13 +100,20 @@ def test_spectrum_frozen_values_at_half():
         assert gm == em
 
 
+def _named(labels) -> set:
+    """The integer (family, k, p, sign) rows as named label tuples."""
+    return set(sphere.member_labels(*np.reshape(labels, (-1, 4)).T))
+
+
 def test_spectrum_labels_carry_quantum_numbers():
     spec = sphere.spectrum(0.5, 3.0)
     by_value = {round(e.value, 9): e for e in spec}
     entry = by_value[round(0.5 + np.sqrt(4.25), 9)]
-    assert entry.labels == (("branch", 1, 0, +1),)
+    assert entry.labels == ((2, 1, 0, +1),)
+    assert _named(entry.labels) == {("branch", 1, 0, +1)}
     entry = by_value[round(1.0, 9)]
-    assert entry.labels == (("minus", 0, None, None),)
+    assert entry.labels == ((1, 0, -1, -1),)
+    assert _named(entry.labels) == {("minus", 0, None, None)}
 
 
 def test_spectrum_invariant_under_coupling_sign_flip():
@@ -277,14 +284,15 @@ def _brute_force_triples(t, cutoff):
     (0.37, 11.0), (-4.123, 6.3), (5.9, 2.0),              # generic t
 ])
 def test_tight_level_bound_matches_brute_force(t, cutoff):
-    got = [(e.value, e.multiplicity, set(e.labels)) for e in sphere.spectrum(t, cutoff)]
+    got = [(e.value, e.multiplicity, _named(e.labels)) for e in sphere.spectrum(t, cutoff)]
     assert got == _merge_left_to_right(_brute_force_triples(t, cutoff))
 
 
 def test_value_on_the_cutoff_is_kept():
     # t = 1/2, cutoff 3: plus(k=1) sits exactly at 3/2 + 1/2 + 1 = 3
     spec = sphere.spectrum(0.5, 3.0)
-    assert ("plus", 1, None, None) in spec.entries[-1].labels
+    assert (0, 1, -1, 1) in spec.entries[-1].labels
+    assert ("plus", 1, None, None) in _named(spec.entries[-1].labels)
     assert spec.entries[-1].value == 3.0
 
 
@@ -340,14 +348,16 @@ def test_collision_arrays_reject_any_parallel_or_invalid_pair():
 def test_spectrum_merges_exactly_the_curve_rows_in_the_window(monkeypatch, t, cutoff):
     merged = []
     monkeypatch.setattr(sphere.Spectrum, "from_triples",
-                        lambda triples, tolerance=None: merged.extend(triples))
+                        lambda triples, tolerance=None: merged.append(triples))
     sphere.spectrum(t, cutoff)
     _, members, _, j, value = sphere.curve_table([t], int(cutoff + abs(t)) + 3,
                                                  window=(-cutoff, cutoff))
-    labels = sphere.member_labels(*members)
-    assert merged == [(v, labels[b][1] + 1, labels[b])
-                      for b, v in zip(j.tolist(), value.tolist())]
-    assert len(merged) > 0
+    (got,) = merged
+    labels = np.stack(members, axis=1)[j]  # integer rows, in member order
+    assert got["value"].tolist() == value.tolist()
+    assert got["mult"].tolist() == (labels[:, 1] + 1).tolist()
+    assert got["label"].tolist() == labels.tolist()
+    assert len(got) > 0
 
 
 @pytest.mark.parametrize("call, message", [

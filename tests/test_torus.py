@@ -298,6 +298,19 @@ def test_weyl_counting_sandwich(data, cutoff):
     assert _ball_volume(n, r - rho) / covol <= count <= _ball_volume(n, r + rho) / covol
 
 
+@pytest.mark.filterwarnings("error")  # refused before the cast to int64 could warn
+@pytest.mark.parametrize("rows, A, centre", [
+    ([[1.0]], [1e17], "7.95775e\\+15"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1e25, 0.0], "7.95775e\\+23"),
+])
+def test_zero_mode_refuses_a_centre_past_2_52(rows, A, centre):
+    # solve(dual basis, base shift) is A / 4 pi here: past 2**52 its
+    # fraction is lost, and rounding it used to invent a zero mode
+    data = SpinCData(Lattice.from_rows(rows), [0] * len(A), [0.0] * len(A), A)
+    with pytest.raises(ValueError, match=f"centre coordinate {centre} is 2\\*\\*52 or more"):
+        torus.zero_mode(data)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: torus.potential_from_fluxes(Lattice(np.eye(2)), [1.0]), "fluxes has shape"),
 ])
