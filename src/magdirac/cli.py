@@ -65,9 +65,49 @@ def _print_json(payload):
     print(json.dumps(payload, indent=2, default=_json_default))
 
 
-# The eigenvalue lists of `sphere` and `torus` are written from the
-# spectrum's arrays with fixed templates, in the layout json.dumps(indent=2)
-# gives; floats are float.__repr__, as json prints them.
+# Tables are written from the arrays a block of rows at a time, so the text
+# held at once is one block, whatever the size of the table.  The eigenvalue
+# lists of `sphere` and `torus` use fixed templates in the layout
+# json.dumps(indent=2) gives; floats are float.__repr__, as json prints them.
+BLOCK = 1024
+
+
+def _write_table(head: str, edges: list, render, tail: str, sep: str = ""):
+    """Write head, the rows and tail to stdout.  For consecutive ``edges``
+    a < b, ``render(a, b)`` gives the text of rows a..b, each row followed
+    by ``sep``, and is written before the next block is rendered; the sep
+    after the last row is dropped."""
+    write = sys.stdout.write
+    write(head)
+    for a, b in zip(edges, edges[1:]):
+        text = render(a, b)
+        write(text[:len(text) - len(sep)] if b == edges[-1] else text)
+    write(tail)
+
+
+def _write_json_list(head: str, edges: list, render, tail: str):
+    """``_write_table`` of items each followed by a comma, as a list at
+    indent 2."""
+    if edges[-1]:
+        _write_table(head + "[\n", edges, render, "\n  ]" + tail, ",\n")
+    else:
+        sys.stdout.write(head + "[]" + tail)
+
+
+def _row_edges(rows: int) -> list:
+    """Block edges over ``rows`` rows, BLOCK at a time."""
+    return [*range(0, rows, BLOCK), rows]
+
+
+def _entry_edges(offsets: np.ndarray) -> list:
+    """Block edges over spectrum entries with member ``offsets``: a block
+    holds at most BLOCK members, or one entry that has more."""
+    edges = [0]
+    while edges[-1] < len(offsets) - 1:
+        a = edges[-1]
+        b = int(np.searchsorted(offsets, offsets[a] + BLOCK, "right")) - 1
+        edges.append(max(a + 1, b))
+    return edges
 
 
 def _json_list(items: list, indent: str) -> str:
@@ -83,9 +123,10 @@ def _json_row(cells: list, indent: str) -> str:
 
 
 def _json_entry(key: str) -> str:
-    """Template of one eigenvalue object: value, multiplicity, member list."""
+    """Template of one eigenvalue object (value, multiplicity, member list)
+    followed by a comma."""
     return ('    {\n      "value": %s,\n      "multiplicity": %d,\n      "'
-            + key + '": [\n%s\n      ]\n    }')
+            + key + '": [\n%s\n      ]\n    },\n')
 
 
 def _value_strings(values: np.ndarray) -> list:
@@ -99,23 +140,29 @@ def _value_strings(values: np.ndarray) -> list:
     return out.tolist()
 
 
-def _entry_lines(spec, template: str, members: list, sep: str) -> list:
-    """``template % (value string, multiplicity, its members joined by sep)``
-    per entry; ``members`` holds one rendered string per label in merged
-    order."""
-    if len(members) == len(spec):  # one member per entry: no joins
-        groups = members
-    else:
-        bounds = spec.members()[1].tolist()
-        groups = [sep.join(members[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return list(map(template.__mod__, zip(_value_strings(spec.values()),
-                                          spec.multiplicities().tolist(), groups)))
+def _entry_blocks(spec, template: str, members, join: str) -> tuple:
+    """Block edges and renderer of the spectrum's entries for
+    ``_write_table``: ``template % (value string, multiplicity, the entry's
+    members joined by join)``, where ``members(labels)`` renders one string
+    per label row.  Value strings are made once, since the mirror rule
+    reads the far end of the list."""
+    labels, offsets = spec.members()
+    values, mults = _value_strings(spec.values()), spec.multiplicities()
+
+    def render(a, b):
+        lo, hi = offsets[a], offsets[b]
+        groups = members(labels[lo:hi])
+        if hi - lo != b - a:  # some entry has more than one member
+            bounds = (offsets[a:b + 1] - lo).tolist()
+            groups = [join.join(groups[c:d]) for c, d in zip(bounds, bounds[1:])]
+        return _text(template, [values[a:b], mults[a:b], groups])
+
+    return _entry_edges(offsets), render
 
 
-def _cells(template: str, columns) -> list:
-    """``template % row`` per row of the equal-length ``columns`` (lists,
-    arrays or one (width, rows) array), all rows in one % call; neither the
-    template nor a str cell may contain NUL."""
+def _text(template: str, columns) -> str:
+    """``template % row`` for each row of the equal-length ``columns``
+    (lists, arrays or one (width, rows) array), concatenated by one % call."""
     rows, width = len(columns[0]), len(columns)
     if isinstance(columns, np.ndarray):  # its transpose is the cells row by row
         flat = columns.T.ravel().tolist()
@@ -123,7 +170,13 @@ def _cells(template: str, columns) -> list:
         flat = [None] * (rows * width)
         for j, column in enumerate(columns):
             flat[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
-    return ((template + "\0") * rows % tuple(flat)).split("\0")[:-1]
+    return template * rows % tuple(flat)
+
+
+def _cells(template: str, columns) -> list:
+    """``_text`` split into its rows; neither the template nor a str cell
+    may contain NUL."""
+    return _text(template + "\0", columns).split("\0")[:-1]
 
 
 def _sphere_members(labels, end: str, branch: str) -> list:
@@ -145,6 +198,7 @@ def _parse_grid(text: str) -> np.ndarray:
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
+    check_size(steps, "grid points")
     return np.linspace(start, stop, steps)
 
 
@@ -199,33 +253,42 @@ def cmd_sphere(ns) -> int:
     t = float(ns.t)
     cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
     spec = sphere.spectrum(t, cutoff)
-    labels = spec.members()[0]
     if ns.json:
-        members = _sphere_members(labels, _json_row(['"%s"', "%d", "null", "null"], " " * 8),
-                                  _json_row(['"%s"', "%d", "%d", "%d"], " " * 8))
-        lines = _entry_lines(spec, _json_entry("labels"), members, ",\n")
-        print('{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": %s\n}'
-              % (t, cutoff, _json_list(lines, "  ")))
+        head = '{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": ' % (t, cutoff)
+        template, join = _json_entry("labels"), ",\n"
+        end, branch = (_json_row(['"%s"', "%d", *cells], " " * 8)
+                       for cells in (["null", "null"], ["%d", "%d"]))
     elif ns.csv:
-        members = _sphere_members(labels, "%s:k=%d", "%s:k=%d:p=%d:s=%+d")
-        print("\n".join(["value,multiplicity,labels",
-                         *_entry_lines(spec, "%s,%d,%s", members, ";")]))
+        head, template, join = "value,multiplicity,labels\n", "%s,%d,%s\n", ";"
+        end, branch = "%s:k=%d", "%s:k=%d:p=%d:s=%+d"
     else:
-        members = _sphere_members(labels, "%s(k=%d)", "%s(k=%d,p=%d,%+d)")
-        print("\n".join([f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}",
-                         f"{'value':>24}  {'mult':>5}  families",
-                         *_entry_lines(spec, "%24s  %5d  %s", members, " ")]))
+        head = (f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}\n"
+                f"{'value':>24}  {'mult':>5}  families\n")
+        template, join, end, branch = "%24s  %5d  %s\n", " ", "%s(k=%d)", "%s(k=%d,p=%d,%+d)"
+    edges, render = _entry_blocks(spec, template,
+                                  lambda labels: _sphere_members(labels, end, branch), join)
+    if ns.json:
+        _write_json_list(head, edges, render, "\n}\n")
+    else:
+        _write_table(head, edges, render, "")
     return 0
 
 
 def cmd_sphere_curve(ns) -> int:
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
     t_values, members, i, j, value = sphere.curve_table(_parse_grid(ns.t_range), ns.k_max, window)
-    # the t cell of each coupling and the family,k,p,sign cell of each member, once
-    ts = np.array(list(map(repr, t_values.tolist())), dtype=object)
-    cells = np.array(_sphere_members(np.stack(members, axis=1), "%s,%d,,", "%s,%d,%d,%d"),
-                     dtype=object)
-    print("\n".join(["t,family,k,p,sign,value", *_cells("%s,%s,%r", [ts[i], cells[j], value])]))
+    members = np.stack(members, axis=1)
+
+    def render(a, b):
+        # the t cell of each coupling and the family,k,p,sign cell of each
+        # member in the block, once
+        ts, ti = np.unique(i[a:b], return_inverse=True)
+        ms, mj = np.unique(j[a:b], return_inverse=True)
+        t_cells = np.array(list(map(repr, t_values[ts].tolist())), dtype=object)
+        m_cells = np.array(_sphere_members(members[ms], "%s,%d,,", "%s,%d,%d,%d"), dtype=object)
+        return _text("%s,%s,%r\n", [t_cells[ti], m_cells[mj], value[a:b]])
+
+    _write_table("t,family,k,p,sign,value\n", _row_edges(len(i)), render, "")
     return 0
 
 
@@ -239,13 +302,15 @@ def cmd_collisions(ns) -> int:
     cols = [ks[i[keep]], ps[i[keep]], ks[j[keep]], ps[j[keep]]]
     cols.append(sphere.collision_t(*cols))
     cols.append(sphere.f0(cols[0], cols[1], cols[4]))
+    edges = _row_edges(len(cols[0]))
     if ns.json:
         item = ('    {\n      "k": %d,\n      "p": %d,\n      "k2": %d,\n      "p2": %d,\n'
-                '      "t": %r,\n      "f0": %r\n    }')
-        print('{\n  "k_max": %d,\n  "collisions": %s\n}'
-              % (k_max, _json_list(_cells(item, cols), "  ")))
+                '      "t": %r,\n      "f0": %r\n    },\n')
+        _write_json_list('{\n  "k_max": %d,\n  "collisions": ' % k_max, edges,
+                         lambda a, b: _text(item, [c[a:b] for c in cols]), "\n}\n")
     else:
-        print("\n".join(["k,p,k2,p2,t,f0", *_cells("%d,%d,%d,%d,%r,%r", cols)]))
+        _write_table("k,p,k2,p2,t,f0\n", edges,
+                     lambda a, b: _text("%d,%d,%d,%d,%r,%r\n", [c[a:b] for c in cols]), "")
     return 0
 
 
@@ -253,15 +318,18 @@ def cmd_torus(ns) -> int:
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
     if ns.csv:
-        members = _cells(" ".join(["%d"] * data.n), spec.members()[0].T)
-        print("\n".join(["value,multiplicity,modes",
-                         *_entry_lines(spec, "%s,%d,%s", members, ";")]))
+        mode = " ".join(["%d"] * data.n)
+        edges, render = _entry_blocks(spec, "%s,%d,%s\n",
+                                      lambda labels: _cells(mode, labels.T), ";")
+        _write_table("value,multiplicity,modes\n", edges, render, "")
         return 0
     zm = torus.zero_mode(data)
-    members = _cells(_json_row(["%d"] * data.n, " " * 8), spec.members()[0].T)
-    lines = _entry_lines(spec, _json_entry("modes"), members, ",\n")
+    mode = _json_row(["%d"] * data.n, " " * 8)
+    edges, render = _entry_blocks(spec, _json_entry("modes"),
+                                  lambda labels: _cells(mode, labels.T), ",\n")
     zero = "null" if zm is None else _json_list(["    %d" % c for c in zm.tolist()], "  ")
-    print('{\n  "eigenvalues": %s,\n  "zero_mode": %s\n}' % (_json_list(lines, "  "), zero))
+    _write_json_list('{\n  "eigenvalues": ', edges, render,
+                     ',\n  "zero_mode": %s\n}\n' % zero)
     return 0
 
 

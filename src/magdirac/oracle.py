@@ -20,6 +20,7 @@ from . import torus
 from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
                        vector_action, volume_element)
 from .lattice import Lattice
+from .spectrum import check_size
 from .sphere import curve_table, member_labels
 from .torus import SpinCData
 
@@ -354,11 +355,13 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     """Cross-check closed per-mode eigenvalues against Clifford matrices.
 
     Draws every sample first (basis until well conditioned, delta, theta,
-    A, m), then on the stack: theta' = inv(basis)^T @ (m + (delta + theta)/2)
-    + A/(4 pi), the matrices 2 pi i c(theta') checked finite and Hermitian
-    and solved by one batched LAPACK call, against the sorted closed list
-    from ``torus.mode_values``.  Refused (ValueError) before any draw unless
-    samples >= 1, 1 <= n <= 12 and samples * N^2 <= MAX_OPERATOR_DIM^2.
+    A, m) into arrays over the samples, then on the stack:
+    theta' = inv(basis)^T @ (m + (delta + theta)/2) + A/(4 pi), the
+    matrices 2 pi i c(theta') checked finite and Hermitian and solved by one
+    batched LAPACK call, against the sorted closed list from
+    ``torus.mode_values``.  Refused (ValueError) before any draw unless
+    1 <= samples <= MAX_SPECTRUM_SIZE, 1 <= n <= 12 and
+    samples * N^2 <= MAX_OPERATOR_DIM^2.
     """
     if samples < 1:
         raise ValueError(f"torus-modes check needs samples >= 1, got {samples}")
@@ -367,16 +370,18 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     if entries > MAX_OPERATOR_DIM ** 2:
         raise ValueError(f"torus-modes check of {samples} samples at n = {n} holds {entries} "
                          f"matrix entries, past the cap {MAX_OPERATOR_DIM ** 2}")
+    check_size(samples, "torus-mode samples")
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(samples):
+    bases = np.empty((samples, n, n))
+    delta, modes = np.empty((2, samples, n), dtype=np.int64)
+    theta, A = np.empty((2, samples, n))
+    for s in range(samples):
         while True:
-            basis = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(n, n))
-            if abs(np.linalg.det(basis)) > 0.2 and np.linalg.cond(basis) < 50.0:
+            bases[s] = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(n, n))
+            if abs(np.linalg.det(bases[s])) > 0.2 and np.linalg.cond(bases[s]) < 50.0:
                 break
-        draws.append((basis, rng.integers(0, 2, size=n), rng.uniform(0.0, 1.0, size=n),
-                      rng.normal(0.0, 3.0, size=n), rng.integers(-6, 7, size=n)))
-    bases, delta, theta, A, modes = (np.stack(x) for x in zip(*draws))
+        delta[s], theta[s] = rng.integers(0, 2, size=n), rng.uniform(0.0, 1.0, size=n)
+        A[s], modes[s] = rng.normal(0.0, 3.0, size=n), rng.integers(-6, 7, size=n)
     x = modes + (delta + theta) / 2.0
     tp = (np.linalg.inv(bases).swapaxes(1, 2) @ x[..., None])[..., 0] + A / (4.0 * np.pi)
     stack = 2j * np.pi * vector_action(tp, gens)

@@ -350,11 +350,26 @@ def test_torus_modes_refusals_come_before_any_draw(capsys, monkeypatch):
         raise AssertionError("drew a sample")
 
     monkeypatch.setattr(np.random, "default_rng", no_draw)
-    for argv in (("--n", "0"), ("--n", "13"), ("--n", "12", "--samples", "4097")):
+    for argv in (("--n", "0"), ("--n", "13"), ("--n", "12", "--samples", "4097"),
+                 ("--n", "1", "--samples", "1000001")):
         code, out, err = run(capsys, "verify", "torus-modes", *argv)
         assert code == 1 and out == "" and err.startswith("error:")
-    with pytest.raises(AssertionError, match="drew a sample"):
-        run(capsys, "verify", "torus-modes", "--n", "12", "--samples", "4096")  # at the cap
+    for argv in (("--n", "12", "--samples", "4096"), ("--n", "1", "--samples", "1000000")):
+        with pytest.raises(AssertionError, match="drew a sample"):  # at the caps
+            run(capsys, "verify", "torus-modes", *argv)
+
+
+def test_oversized_grids_are_refused_before_allocation(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("allocated the grid")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for argv in (("sphere-curve", "--t-range", "0:1:10000000000000", "--k-max", "2"),
+                 ("verify", "sphere-blocks", "--t-grid", "0:1:10000000000000"),
+                 ("sphere-curve", "--t-range", "0:1:100000000", "--k-max", "2"),
+                 ("sphere-curve", "--t-range", "0:1:1000001", "--k-max", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "grid points exceed the cap" in err
 
 
 def test_help_exits_zero(capsys):
@@ -518,6 +533,73 @@ def test_s3_writers_build_no_label_tuples(capsys, monkeypatch):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, request_line
 
 
+# a torus whose potential cancels mode (1, -2): a zero mode, and the
+# entries around it are pairs of modes
+ZERO_MODE_TORUS = ("torus --basis [[1,0.3],[0,1.2]] --delta 1,0 --theta 0.2,0.7 "
+                   "--A -25.289820861397835,17.27875959474386")
+
+# request -> rows of its table (entries for sphere and torus); at BLOCK = 3
+# they are written in 0, 1, 1 and 4 blocks (sphere and torus entries fill a
+# block up to 3 members, so a merged entry may end a block early)
+BLOCK_EDGE_TABLES = {
+    **{f"sphere --t 1 --cutoff {cutoff}{fmt}": rows
+       for cutoff, rows in (("0.4", 0), ("0.5", 1), ("1.8", 3), ("3.5", 10))
+       for fmt in ("", " --csv", " --json")},
+    # clusters of up to 5 members, each past a whole block
+    **{f"sphere --t 0 --cutoff 6{fmt}": 10 for fmt in ("", " --csv", " --json")},
+    "torus --basis [[1,0.3],[0,1.2]] --delta 1,0 --theta 0.2,0.7 --cutoff 0.1": 0,
+    "torus --basis [[1,0.3],[0,1.2]] --delta 1,0 --theta 0.2,0.7 --cutoff 0.1 --csv": 0,
+    **{f"{ZERO_MODE_TORUS} --cutoff {cutoff}{fmt}": rows  # the zero mode makes them odd
+       for cutoff, rows in (("1", 1), ("5.5", 3), ("11", 11)) for fmt in ("", " --csv")},
+    **{f"sphere-curve --t-range 0.37:0.37:1 --k-max 12 --window {window}": rows
+       for window, rows in (("-20:-13", 0), ("-13:-12.8", 1), ("-13:-12.7", 3),
+                            ("-13:-12.3", 10))},
+    "sphere-curve --t-range 0:1:5 --k-max 0 --window none": 10,  # two rows per coupling
+    **{f"collisions --k-max {k_max}{fmt}": rows
+       for k_max, rows in ((0, 0), (2, 3), (3, 14)) for fmt in ("", " --json")},
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(BLOCK_EDGE_TABLES))
+def test_block_edges_leave_the_output_unchanged(capsys, monkeypatch, request_line):
+    code, whole, _ = run(capsys, *request_line.split())
+    assert code == 0
+    last_edges = []
+    for name in ("_row_edges", "_entry_edges"):
+        def recorded(arg, edges=getattr(cli, name)):
+            last_edges.append(edges(arg))
+            return last_edges[-1]
+        monkeypatch.setattr(cli, name, recorded)
+    monkeypatch.setattr(cli, "BLOCK", 3)
+    code, blocked, _ = run(capsys, *request_line.split())
+    assert code == 0 and blocked == whole
+    assert last_edges[-1][-1] == BLOCK_EDGE_TABLES[request_line]
+
+
+# each table here is past one block of the default size
+LARGE_TABLES = [
+    *[f"sphere --t 0.5 --cutoff 60{fmt}" for fmt in ("", " --csv", " --json")],
+    "sphere --t 0 --cutoff 100 --json",  # entries of up to 100 members
+    *[f"torus --basis [[1,0],[0,1]] --cutoff 150{fmt}" for fmt in ("", " --csv")],
+    "sphere-curve --t-range -3:3:61 --k-max 8 --window none",
+    *[f"collisions --k-max 14{fmt}" for fmt in ("", " --json")],
+]
+
+
+@pytest.mark.parametrize("request_line", LARGE_TABLES)
+def test_no_call_renders_more_than_a_block(capsys, monkeypatch, request_line):
+    # _text holds the one % call that renders every table
+    rendered = []
+
+    def recorded(template, columns, text=cli._text):
+        rendered.append(len(columns[0]))
+        return text(template, columns)
+
+    monkeypatch.setattr(cli, "_text", recorded)
+    assert run(capsys, *request_line.split())[0] == 0
+    assert sum(rendered) > cli.BLOCK >= max(rendered)
+
+
 @st.composite
 def cell_columns(draw):
     """(template, columns): 1-4 columns of str, int or float cells, each with
@@ -542,6 +624,7 @@ def test_cells_equal_the_per_row_loop(request):
     template, columns = request
     expected = [template % row for row in zip(*columns)]
     assert cli._cells(template, columns) == expected
+    assert cli._text(template, columns) == "".join(expected)
     arrays = [np.array(c, dtype=object) for c in columns]  # array columns render alike
     assert cli._cells(template, arrays) == expected
     if "%s" not in template and "%r" not in template:  # integer columns as one array
@@ -689,17 +772,23 @@ def test_python_m_magdirac_prints_what_cli_main_prints(capsys):
 
 
 def test_closed_stdout_ends_quietly():
-    # ~640 kB of output, far more than a pipe holds, so the write must
-    # still be blocked when the reader closes its end
-    command, env = _python_m_magdirac("sphere", "--t", "0.5", "--cutoff", "60", "--json")
-    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          env=env) as proc:
-        head = [proc.stdout.readline() for _ in range(2)]
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert head == [b"{\n", b'  "t": 0.5,\n']
-    assert err == b"" and code == 1
+    # each writes far more than a pipe holds (~640 kB, ~3.8 MB and ~500 kB),
+    # in many blocks, so a write must still be blocked when the reader
+    # closes its end
+    for argv, head in ((("sphere", "--t", "0.5", "--cutoff", "60", "--json"),
+                        [b"{\n", b'  "t": 0.5,\n']),
+                       (("collisions", "--k-max", "30"), [b"k,p,k2,p2,t,f0\n", b"1,0,2,0,"]),
+                       (("torus", "--basis", "[[1,0],[0,1]]", "--cutoff", "600", "--csv"),
+                        [b"value,multiplicity,modes\n", b"-599."])):
+        command, env = _python_m_magdirac(*argv)
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            lines = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert [line[:len(h)] for line, h in zip(lines, head)] == head, argv
+        assert err == b"" and code == 1, argv
 
 
 @st.composite
@@ -783,5 +872,6 @@ def test_a_merged_value_that_is_not_its_mirror_prints_its_own_repr():
     spec = Spectrum.from_triples(triples([s * xs[i] for s, i in labels], 1, labels),
                                  tolerance=1e-9)
     assert spec.values().tolist() == [-8.768610301359622, 8.76861030135962]
-    assert cli._entry_lines(spec, "%s,%d,%s", list("abcdef"), ";") == [
-        "-8.768610301359622,3,a;b;c", "8.76861030135962,3,d;e;f"]
+    edges, render = cli._entry_blocks(spec, "%s,%d,%s\n", lambda labels: list("abcdef"), ";")
+    assert edges == [0, 2]
+    assert render(0, 2) == "-8.768610301359622,3,a;b;c\n8.76861030135962,3,d;e;f\n"
