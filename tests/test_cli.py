@@ -539,13 +539,13 @@ ZERO_MODE_TORUS = ("torus --basis [[1,0.3],[0,1.2]] --delta 1,0 --theta 0.2,0.7 
                    "--A -25.289820861397835,17.27875959474386")
 
 # request -> rows of its table (entries for sphere and torus); at BLOCK = 3
-# they are written in 0, 1, 1 and 4 blocks (sphere and torus entries fill a
-# block up to 3 members, so a merged entry may end a block early)
+# a table of rows is written in 0, 1, 1 or 4 blocks, while sphere and torus
+# entries fill a block up to 3 members, so a merged entry may end it early
 BLOCK_EDGE_TABLES = {
     **{f"sphere --t 1 --cutoff {cutoff}{fmt}": rows
        for cutoff, rows in (("0.4", 0), ("0.5", 1), ("1.8", 3), ("3.5", 10))
        for fmt in ("", " --csv", " --json")},
-    # clusters of up to 5 members, each past a whole block
+    # clusters of up to 6 members, most of them past a whole block
     **{f"sphere --t 0 --cutoff 6{fmt}": 10 for fmt in ("", " --csv", " --json")},
     "torus --basis [[1,0.3],[0,1.2]] --delta 1,0 --theta 0.2,0.7 --cutoff 0.1": 0,
     "torus --basis [[1,0.3],[0,1.2]] --delta 1,0 --theta 0.2,0.7 --cutoff 0.1 --csv": 0,
