@@ -190,15 +190,15 @@ def _sphere_members(labels, end: str, branch: str) -> list:
     return out.tolist()
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'start:stop:steps' into a uniform grid."""
+def _parse_grid(text: str, option: str) -> np.ndarray:
+    """Parse 'start:stop:steps', the value of ``option``, into a uniform grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:steps, got {text!r}")
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
-    check_size(steps, "grid points")
+    check_size(steps, "grid points", f"the {option} steps")
     return np.linspace(start, stop, steps)
 
 
@@ -276,7 +276,8 @@ def cmd_sphere(ns) -> int:
 
 def cmd_sphere_curve(ns) -> int:
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
-    t_values, members, i, j, value = sphere.curve_table(_parse_grid(ns.t_range), ns.k_max, window)
+    t_values, members, i, j, value = sphere.curve_table(
+        _parse_grid(ns.t_range, "--t-range"), ns.k_max, window)
     members = np.stack(members, axis=1)
 
     def render(a, b):
@@ -295,7 +296,7 @@ def cmd_sphere_curve(ns) -> int:
 def cmd_collisions(ns) -> int:
     k_max = sphere._check_level(ns.k_max)
     curves = k_max * (k_max + 1) / 2
-    check_size(curves * (curves - 1) / 2, "curve pairs")
+    check_size(curves * (curves - 1) / 2, "curve pairs", "--k-max")
     ks, ps = np.tril_indices(k_max + 1, -1)  # curves (k, p), 0 <= p < k
     i, j = np.triu_indices(len(ks), 1)
     keep = 2 * (ps[i] - ps[j]) != ks[i] - ks[j]
@@ -408,7 +409,7 @@ def cmd_bounds(ns) -> int:
 def cmd_verify(ns) -> int:
     if ns.target == "sphere-blocks":
         report = oracle.verify_sphere_blocks(
-            k_max=int(ns.k_max), t_values=_parse_grid(ns.t_grid)
+            k_max=int(ns.k_max), t_values=_parse_grid(ns.t_grid, "--t-grid")
         )
     elif ns.target == "torus-modes":
         report = oracle.verify_torus_modes(

@@ -20,12 +20,13 @@ DEFAULT_TOLERANCE = 1e-9
 MAX_SPECTRUM_SIZE = 10**6
 
 
-def check_size(estimate: float, what: str) -> None:
-    """Raise ValueError if a request would produce more than the cap."""
+def check_size(estimate: float, what: str, hint: str) -> None:
+    """Raise ValueError if a request would produce more than the cap; the
+    message ends "reduce <hint>", the input that sets the size."""
     if estimate > MAX_SPECTRUM_SIZE:
         raise ValueError(
             f"about {estimate:.3g} {what} exceed the cap {MAX_SPECTRUM_SIZE}; "
-            "reduce the cutoff or k_max"
+            f"reduce {hint}"
         )
 
 

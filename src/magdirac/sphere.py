@@ -85,7 +85,7 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     # level k has |value| >= k + 1/2 - |t|, so levels > cutoff + |t| drop out
     # (a float, so an overflowing cutoff + |t| is refused as inf, not raised)
     k_max = float(np.ceil(cutoff + abs(t))) + 1.0
-    check_size(triple_count(k_max), "triples")
+    check_size(triple_count(k_max), "triples", "--cutoff or |t|")
     value, *members = _levels(int(k_max), t)
     keep = np.flatnonzero(np.abs(value) <= edge)
     label = np.stack([x[keep] for x in members], axis=1)
@@ -188,7 +188,8 @@ def curve_table(t_values, k_max: int, window=None) -> tuple:
             raise ValueError("window must be lo:hi with lo <= hi, got "
                              + repr(":".join(map(str, window))))
     k_max = _check_level(k_max)
-    check_size(len(t_values) * triple_count(k_max), "curve rows")
+    check_size(len(t_values) * triple_count(k_max), "curve rows",
+               "--k-max or the coupling grid steps")
     t_values = np.array([_check_coupling(t) for t in t_values], dtype=np.float64)
     value, *members = _levels(k_max, t_values)
     i, j = np.nonzero((lo <= value) & (value <= hi))  # coupling by coupling

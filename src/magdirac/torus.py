@@ -138,7 +138,7 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
     cutoff = float(cutoff)
     if not np.isfinite(cutoff) or cutoff <= 0.0:
         raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
-    check_size(mode_count_estimate(data.lattice, cutoff), "modes")
+    check_size(mode_count_estimate(data.lattice, cutoff), "modes", "--cutoff")
     radius = cutoff / (2.0 * np.pi)
     modes = data.lattice.dual().enumerate_shifted(data.base_shift(), radius)
     values, mults = mode_values(data.theta_prime(modes))

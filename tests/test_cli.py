@@ -359,6 +359,25 @@ def test_torus_modes_refusals_come_before_any_draw(capsys, monkeypatch):
             run(capsys, "verify", "torus-modes", *argv)
 
 
+@pytest.mark.parametrize("argv, hint", [
+    (("torus", "--basis", "[[1,0],[0,1]]", "--cutoff", "100000"), "reduce --cutoff"),
+    (("sphere", "--t", "0", "--cutoff", "1000"), "reduce --cutoff or |t|"),
+    (("sphere", "--t", "500"), "reduce --cutoff or |t|"),  # default cutoff 5 + |t|
+    (("sphere-curve", "--t-range", "0:1:100000000"), "reduce the --t-range steps"),
+    (("verify", "sphere-blocks", "--t-grid", "0:1:100000000"), "reduce the --t-grid steps"),
+    (("sphere-curve", "--t-range", "0:1:1000", "--k-max", "100"),
+     "reduce --k-max or the coupling grid steps"),
+    (("verify", "sphere-blocks", "--t-grid", "0:1:1000", "--k-max", "100"),
+     "reduce --k-max or the coupling grid steps"),
+    (("collisions", "--k-max", "53"), "reduce --k-max"),
+    (("verify", "torus-modes", "--n", "1", "--samples", "1000001"), "reduce --samples"),
+])
+def test_size_refusals_name_the_option_to_reduce(capsys, argv, hint):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "exceed the cap 1000000" in err
+    assert err.rstrip().endswith(f"; {hint}")
+
+
 def test_oversized_grids_are_refused_before_allocation(capsys, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("allocated the grid")
@@ -672,7 +691,9 @@ def test_bounds_stdout_is_pinned(capsys, request_line):
 
 # recorded before the sphere levels were assembled from their nonzero
 # entries and the torus modes solved in one batch; torus-modes n = 1 before
-# the samples were drawn into arrays
+# the samples were drawn into arrays (its report does not depend on the
+# draws), n = 2..6 when all bases came to be drawn in rejection rounds and
+# delta, theta, A and m with one call each, which draws another sample set
 VERIFY_STDOUT_SHA256 = {
     "verify sphere-blocks --k-max 0":
         "a4e396446b16f021e42641cb1debf65158d8adea88c68407d6257a2a4070af60",
@@ -689,15 +710,15 @@ VERIFY_STDOUT_SHA256 = {
     "verify torus-modes --n 1 --seed 7":
         "0b755654e16d23abfcf80380e3f52555a8e300080e626a8d644d8c18c402dc0b",
     "verify torus-modes --n 2 --seed 7":
-        "f2a4b1adbde3701631f5961ab6621a2adc7ee5b8c78e754ed284ff7b99909a05",
+        "250954bb7374a7a8d9a8559334947daf59ead4a00d542adeb6f887b8af00eef4",
     "verify torus-modes --n 3 --seed 7":
-        "732d57c2d9d7c296de90487c37375c515a5fb97fe69cfa67c1f0d0be5ffb95f8",
+        "7660471c5108079440543ee02d7ae032e18801fde8927b5c6f03e4f29e801fe4",
     "verify torus-modes --n 4 --seed 7":
-        "4c33d04a2ce4b90b9115b69f61e11b2b3d72b6a8ac50967a79246694e506542d",
+        "6096fa4fe36f130245479c2ef533432a50d9ba6f165c89a370f60cafd4163a31",
     "verify torus-modes --n 5 --seed 7":
-        "0fda4c5dcaf545f3f4797e35994516e4dc6709df8470e3cc3fb120fc9eb91cbc",
+        "8945b1cf61577897ee8ea97b18a97e667508f46c7fa57bad78b15921e7601b92",
     "verify torus-modes --n 6 --seed 7":
-        "22b505fd65344a505e6e8fd4a1c3858b4e3a9501588b61cfd43d7e584a156f1a",
+        "cbb872e2d94b5656fbf48af05e153953ee960b0677855f9ab496f7ff91246bcd",
 }
 
 

@@ -684,18 +684,86 @@ def test_verify_sphere_blocks_checks_the_members_the_spectrum_merges(monkeypatch
     assert {f["family"] for f in rep["failures"]} == {"minus"}
 
 
-def test_verify_torus_modes_reports_each_failing_mode(monkeypatch):
+def _shifted_mode_values(monkeypatch, recorded=None):
+    """Patch torus.mode_values to add 1e-6 to every value, so that every
+    sample fails; ``recorded`` collects the sorted closed list of each."""
     real = torus.mode_values
 
     def shifted(tp):
         values, mults = real(tp)
+        if recorded is not None:
+            recorded.extend(np.sort(np.repeat(v, m)) + 1e-6 for v, m in zip(values, mults))
         return values + 1e-6, mults
 
     monkeypatch.setattr(torus, "mode_values", shifted)
-    rep = oracle.verify_torus_modes(n=2, samples=5)
-    assert rep["pass"] is False and rep["checks"] == 5 and len(rep["failures"]) == 5
+
+
+def test_verify_torus_modes_reports_each_failing_mode(monkeypatch):
+    closed = []
+    _shifted_mode_values(monkeypatch, closed)
+    rep = oracle.verify_torus_modes(n=2, samples=45)
+    assert rep["pass"] is False and rep["checks"] == 45 and len(closed) == 45
+    # the first 20 failures, in sample order
+    assert [f["closed"] for f in rep["failures"]] == [c.tolist() for c in closed[:20]]
     assert all(set(f) == {"closed", "mode", "oracle", "theta_prime"} for f in rep["failures"])
-    assert 1e-7 < rep["max_residual"] < 2e-7
+    # every value is off by the shift, so each sample's residual is
+    # 1e-6 / (1 + max |closed|); relative 1e-7 of the shift covers the
+    # rounding of values up to |2 pi theta'| ~ 100 (ulp 1.4e-14)
+    for f in rep["failures"]:
+        assert np.subtract(f["closed"], f["oracle"]) == pytest.approx([1e-6] * 2, rel=1e-7)
+    expected = [1e-6 / (1.0 + np.max(np.abs(c))) for c in closed]
+    assert rep["max_residual"] == pytest.approx(max(expected), rel=1e-7)
+
+
+@pytest.mark.parametrize("n, block", [(2, 28), (3, 1), (5, 48)])
+@pytest.mark.parametrize("mutated", [False, True])
+def test_torus_mode_blocks_leave_the_report_unchanged(monkeypatch, n, block, mutated):
+    # block entries per sample N^2 = 4, 4, 16: blocks of 7, 1 (the budget is
+    # below one matrix) and 3 samples against one block of 50
+    if mutated:
+        _shifted_mode_values(monkeypatch)
+    whole = oracle.verify_torus_modes(n=n, samples=50, seed=n)
+    assert whole["pass"] is not mutated
+    monkeypatch.setattr(oracle, "TORUS_MODE_BLOCK", block)
+    assert oracle.verify_torus_modes(n=n, samples=50, seed=n) == whole
+
+
+class _CallSpy:
+    """A generator that records the name and result of every draw."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            self.draws.append((name, getattr(self.rng, name)(*args, **kwargs)))
+            return self.draws[-1][1]
+        return draw
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_verify_torus_modes_draws_each_quantity_once(monkeypatch, n):
+    real, spies = np.random.default_rng, []
+
+    def spied(seed):
+        spies.append(_CallSpy(real(seed)))
+        return spies[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spied)
+    rep = oracle.verify_torus_modes(n=n, samples=30, seed=n)
+    assert rep["pass"] and rep == oracle.verify_torus_modes(n=n, samples=30, seed=n)
+    *rounds, delta, theta, A, modes = spies[0].draws
+    assert [(name, x.shape) for name, x in (delta, theta, A, modes)] == [
+        ("integers", (30, n)), ("uniform", (30, n)), ("normal", (30, n)), ("integers", (30, n))]
+    # replay the rounds sample by sample: each redraws exactly the bases the
+    # rule rejected, and every basis passes it in the end
+    bases, pending = {}, list(range(30))
+    for name, drawn in rounds:
+        assert name == "uniform" and drawn.shape == (len(pending), n, n)
+        bases.update(zip(pending, np.eye(n) + 0.4 * drawn))
+        pending = [s for s in pending if not (abs(np.linalg.det(bases[s])) > 0.2
+                                              and np.linalg.cond(bases[s]) < 50.0)]
+    assert pending == [] and len(bases) == 30
 
 
 def test_verify_torus_modes_builds_no_object_per_sample(monkeypatch):
