@@ -130,19 +130,10 @@ def diamagnetic_upper(
     return BoundValue("diamagnetic", float(value), "upper_squared")
 
 
-def berger_q(S: float, sector: str = "top") -> tuple[float, float]:
-    """(lambda, q) for the squashed 3-sphere of scalar curvature S.
-
-    Both quasi-Killing spinors have eigenvalue 3/4 + S/8 and
-    q = +-(3/2 + S/4) according to the sector.
-    """
-    lam = 0.75 + S / 8.0
-    q = 1.5 + S / 4.0
-    if sector == "top":
-        return lam, q
-    if sector == "bottom":
-        return lam, -q
-    raise ValueError(f"sector must be 'top' or 'bottom', got {sector!r}")
+def berger_q(S: float) -> tuple[float, float]:
+    """(lambda, q) = (3/4 + S/8, 3/2 + S/4) of the top quasi-Killing sector
+    on the squashed 3-sphere of scalar curvature S; the bottom one has -q."""
+    return 0.75 + S / 8.0, 1.5 + S / 4.0
 
 
 def compare(

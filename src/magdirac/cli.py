@@ -335,10 +335,9 @@ def cmd_torus(ns) -> int:
 
 
 def _sphere_diamagnetic(data, t):
-    """Diamagnetic upper bound on S^3: the smaller of the two quasi-Killing sectors."""
-    ups = [bounds_mod.diamagnetic_upper(*bounds_mod.berger_q(data.S, s), data.eta_Linf, t)
-           for s in ("top", "bottom")]
-    return min(ups, key=lambda b: b.value)
+    """Diamagnetic bound on S^3 in the quasi-Killing sector whose q has the sign of t:
+    for q >= 0, min over +-q of lam^2 -+ t q + t^2 is lam^2 - |t| q + t^2 bit for bit."""
+    return bounds_mod.diamagnetic_upper(*bounds_mod.berger_q(data.S), data.eta_Linf, abs(t))
 
 
 # bound name -> evaluator (GeometricData, coupling) -> BoundValue
@@ -376,9 +375,12 @@ def _torus_model(ns):
         raise ValueError("bounds --model torus takes no --t: its coupling is 1")
     ns.basis = "[[1]]" if ns.basis is None else ns.basis
     spinc = _spinc_from_args(ns)
-    lam1 = torus.spectrum(spinc, 20.0 if ns.cutoff is None else ns.cutoff).min_abs()
+    cutoff = 20.0 if ns.cutoff is None else ns.cutoff
+    spec = torus.spectrum(spinc, cutoff)
+    if not len(spec):
+        raise ValueError(f"no eigenvalue has |value| <= the cutoff {cutoff!r}; raise --cutoff")
     geo = bounds_mod.torus_data(spinc.lattice.basis, spinc.A / 2.0)
-    return {"model": "torus"}, geo, 1.0, {"squared": lam1**2}, _TORUS_REASONS
+    return {"model": "torus"}, geo, 1.0, {"squared": spec.min_abs()**2}, _TORUS_REASONS
 
 
 # --model -> (report head, GeometricData, coupling, the exact quantity each
@@ -406,25 +408,24 @@ def cmd_bounds(ns) -> int:
     return 0
 
 
+def _verify_gauge(ns) -> dict:
+    lat = _parse_basis(ns.basis)
+    delta = _parse_ints(ns.delta) if ns.delta else [1] + [0] * (lat.n - 1)
+    data = torus.SpinCData(lat, delta, [0.0] * lat.n, np.zeros(lat.n))
+    return oracle.verify_gauge(data, _parse_f_terms(ns.f_terms), tuple(_parse_ints(ns.cutoffs)))
+
+
+# verify target -> the report of the parsed options
+_VERIFY = {
+    "sphere-blocks": lambda ns: oracle.verify_sphere_blocks(
+        ns.k_max, _parse_grid(ns.t_grid, "--t-grid")),
+    "torus-modes": lambda ns: oracle.verify_torus_modes(ns.n, ns.samples, ns.seed),
+    "gauge": _verify_gauge,
+}
+
+
 def cmd_verify(ns) -> int:
-    if ns.target == "sphere-blocks":
-        report = oracle.verify_sphere_blocks(
-            k_max=int(ns.k_max), t_values=_parse_grid(ns.t_grid, "--t-grid")
-        )
-    elif ns.target == "torus-modes":
-        report = oracle.verify_torus_modes(
-            n=int(ns.n), samples=int(ns.samples), seed=int(ns.seed)
-        )
-    elif ns.target == "gauge":
-        lat = _parse_basis(ns.basis)
-        delta = _parse_ints(ns.delta) if ns.delta else [1] + [0] * (lat.n - 1)
-        data = torus.SpinCData(lat, delta, [0.0] * lat.n, np.zeros(lat.n))
-        report = oracle.verify_gauge(
-            data, _parse_f_terms(ns.f_terms),
-            cutoffs=tuple(_parse_ints(ns.cutoffs)),
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verify target {ns.target!r}")
+    report = _VERIFY[ns.target](ns)
     _print_json(report)
     return 0 if report["pass"] else 2
 
@@ -486,18 +487,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="matrix-oracle cross-checks")
+    p.set_defaults(func=cmd_verify)
     vsub = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
 
     v = vsub.add_parser("sphere-blocks")
     v.add_argument("--k-max", type=int, default=30)
     v.add_argument("--t-grid", default="-4:4:17")
-    v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("torus-modes")
     v.add_argument("--n", type=int, default=3)
     v.add_argument("--samples", type=int, default=200)
     v.add_argument("--seed", type=int, default=7)
-    v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("gauge")
     v.add_argument("--basis", required=True,
@@ -506,7 +506,6 @@ def build_parser() -> _Parser:
     v.add_argument("--f-terms", required=True,
                    help="JSON list of [freq-list, re, im] for f")
     v.add_argument("--cutoffs", default="4,8,12")
-    v.set_defaults(func=cmd_verify)
 
     return parser
 

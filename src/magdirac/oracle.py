@@ -283,11 +283,11 @@ def sphere_level_matrix(k: int):
 def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     """Cross-check every closed-form sphere eigenvalue against the levels.
 
-    Ranked by (level, weight, index), level k splits into 1x1 ends (lowest
-    weight: minus, highest: plus) and k 2x2 blocks whose ascending pairs
-    are the branch members (k, p, -1), (k, p, +1); the entries of all
-    levels are scattered into them at once, and all blocks are solved at
-    every coupling by one batched LAPACK call.  Every row of
+    The operator preserves the weight w = sigma_3/2 + J_3, so a basis vector
+    of level k lies in slot w + (k + 1)/2: 0 the 1x1 minus end, k + 1 the
+    plus end, p + 1 the 2x2 block (Pauli row up first) whose ascending pair
+    is the branch members (k, p, -1), (k, p, +1).  All blocks of all levels
+    are solved at every coupling by one batched LAPACK call.  Every row of
     ``sphere.curve_table`` (k <= k_max; default grid 17 points on [-4, 4])
     is compared with the member of its label, relative to 1 + |value|; a
     member no row reaches fails too.  Raises ValueError if a level couples
@@ -298,30 +298,25 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
     rows, cols, values, weight = sphere_level_entries(k_max)
     level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
-    rank = np.empty_like(level)
-    rank[np.lexsort((weight, level))] = np.arange(len(level))  # stable: ties keep index order
-    rank -= level * (level + 1)  # within the level: 0 the minus end, 2k + 1 the plus end
-    # ends and pairs of every level, numbered apart: (rank + 1) // 2 is 0..k + 1
-    group = level * (level + 3) // 2 + (rank + 1) // 2
+    slot = (weight + (level + 1) / 2).astype(np.int64)  # exact: weights are half-integers
     # the split is exact only if every nonzero entry lies in an end or a pair
-    apart = group[rows] != group[cols]
+    apart = slot[rows] != slot[cols]
     if np.any(apart):
         raise ValueError(f"level {np.min(level[rows[apart]])} couples two different weights")
-    tip = ((rank == 0) | (rank == 2 * level + 1))[rows]
-    ends = np.zeros((2, k_max + 1, 2))
-    ends[:, level[rows[tip]], np.minimum(rank[rows[tip]], 1)] = values[:, tip].real
-    pair = level * (level - 1) // 2 + (rank - 1) // 2
-    a, b = rows[~tip], cols[~tip]
-    blocks = np.zeros((2, k_max * (k_max + 1) // 2, 2, 2), dtype=np.complex128)
-    blocks[:, pair[a], (rank[a] - 1) % 2, (rank[b] - 1) % 2] = values[:, ~tip]
-    branch = np.linalg.eigvalsh(blocks[0] + ts[:, None, None, None] * blocks[1])
+    pauli_row = np.arange(len(level)) // (level + 1) - level  # index k(k+1) + r(k+1) + i
+    blocks = np.zeros((2, k_max + 1, k_max + 2, 2, 2), dtype=np.complex128)
+    blocks[:, level[rows], slot[rows], pauli_row[rows], pauli_row[cols]] = values
+    kk, pp = np.tril_indices(k_max + 1, -1)  # branch pair p of level k: slot p + 1
+    pairs = blocks[:, kk, pp + 1]
+    branch = np.linalg.eigvalsh(pairs[0] + ts[:, None, None, None] * pairs[1])
+    ks = np.arange(k_max + 1)  # the ends: minus (row down) and plus (row up)
+    ends = np.stack([blocks[:, ks, 0, 1, 1], blocks[:, ks, ks + 1, 0, 0]], axis=-1).real
 
     # the oracle value of member (family, k, p, sign) at coupling t sits at
     # got[t, k, p + 1, (sign + 1) / 2]; the ends take p + 1 = 0 and sign -1
     # (minus) or +1 (plus), and the slots p >= k hold no member
     got = np.full((len(ts), k_max + 1, k_max + 2, 2), np.nan)
     got[:, :, 0] = ends[0] + ts[:, None, None] * ends[1]
-    kk, pp = np.tril_indices(k_max + 1, -1)  # pairs in the order of their blocks
     got[:, kk, pp + 1] = branch
     # families index (plus, minus, branch); the ends carry p = -1, so slot 0
     fam, k, p, sign = members
@@ -336,10 +331,10 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     bad = np.flatnonzero(~(rel <= 1e-12))[:20]
     failures = [{**dict(zip(keys, (ts[i[r]], *label, closed[r]))), "oracle": got.flat[at[r]]}
                 for r, label in zip(bad, member_labels(*(x[j[bad]] for x in members)))]
-    missing = np.flatnonzero(~reached)[:20]  # members no row reaches
-    for t, kr, pr, sr in zip(*(x.tolist() for x in np.unravel_index(missing, got.shape))):
-        label = ("branch", kr, pr - 1, 2 * sr - 1) if pr else (("minus", "plus")[sr], kr, None, None)
-        failures.append({**dict(zip(keys, (ts[t], *label, None))), "oracle": got[t, kr, pr, sr]})
+    tm, km, pm, sm = np.unravel_index(np.flatnonzero(~reached)[:20], got.shape)  # unreached
+    failures += [{**dict(zip(keys, (ts[r], *label, None))), "oracle": got[r, kr, pr, sr]}
+                 for r, kr, pr, sr, label in zip(tm, km, pm, sm, member_labels(
+                     np.where(pm == 0, 1 - sm, 2), km, pm - 1, 2 * sm - 1))]
     return {
         "checks": len(closed),
         "max_residual": float(np.max(rel, initial=0.0)),

@@ -80,16 +80,19 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     if not np.isfinite(cutoff) or cutoff <= 0.0:
         raise ValueError(f"cutoff must be a positive number, got {cutoff!r}")
 
-    edge = cutoff + 1e-12
-    # f0 = (k + 1 - t)^2 + 4t(p + 1) >= (k + 1 - |t|)^2: every value of
-    # level k has |value| >= k + 1/2 - |t|, so levels > cutoff + |t| drop out
-    # (a float, so an overflowing cutoff + |t| is refused as inf, not raised)
-    k_max = float(np.ceil(cutoff + abs(t))) + 1.0
-    check_size(triple_count(k_max), "triples", "--cutoff or |t|")
-    value, *members = _levels(int(k_max), t)
-    keep = np.flatnonzero(np.abs(value) <= edge)
+    value, *members = _levels(_top_level(t, cutoff, "--cutoff or |t|"), t)
+    keep = np.flatnonzero(np.abs(value) <= cutoff + 1e-12)
     label = np.stack([x[keep] for x in members], axis=1)
     return Spectrum.from_triples(triples(value[keep], label[:, 1] + 1, label), tolerance=merge_tol)
+
+
+def _top_level(t: float, cutoff: float, hint: str) -> int:
+    """Level past which f0 >= (k + 1 - |t|)^2 puts every |value| above cutoff,
+    refused past the cap with "reduce <hint>"; computed as a float, so an
+    overflowing cutoff + |t| is refused as inf, not raised."""
+    k_max = float(np.ceil(cutoff + abs(t))) + 1.0
+    check_size(triple_count(k_max), "triples", hint)
+    return int(k_max)
 
 
 FAMILIES = ("plus", "minus", "branch")
@@ -130,6 +133,7 @@ def lambda1(t: float) -> float:
     family alone gives an eigenvalue of magnitude <= 3/2 + |t|.
     """
     t = _check_coupling(t)
+    _top_level(t, 5.0 + abs(t), "|t|")  # the cutoff is not the caller's to reduce
     return spectrum(t, 5.0 + abs(t)).min_abs()
 
 

@@ -269,9 +269,9 @@ def test_soundness_sweep_bounds_never_violated():
         assert bounds.compare(
             bounds.basic(s3, t), sphere.lambda1_basic(t)
         ).satisfied, t
-        for sector in ("top", "bottom"):
-            lam, q = bounds.berger_q(6.0, sector)
-            up = bounds.diamagnetic_upper(lam, q, 1.0, t)
+        lam, q = bounds.berger_q(6.0)
+        for sector, q_sector in (("top", q), ("bottom", -q)):
+            up = bounds.diamagnetic_upper(lam, q_sector, 1.0, t)
             assert bounds.compare(up, lam1**2).satisfied, (t, sector)
 
     rng = np.random.default_rng(108)

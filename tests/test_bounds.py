@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magdirac import bounds, sphere
+from magdirac import bounds, cli, sphere
 
 
 S3 = bounds.sphere3_data()
@@ -58,7 +58,7 @@ def test_basic_vacuous_for_negative_curvature():
 
 
 def test_diamagnetic_upper_sphere_values():
-    lam, q = bounds.berger_q(6.0, "top")
+    lam, q = bounds.berger_q(6.0)
     for t in np.linspace(-2, 2, 17):
         bv = bounds.diamagnetic_upper(lam, q, 1.0, t)
         assert bv.form == "upper_squared"
@@ -66,14 +66,20 @@ def test_diamagnetic_upper_sphere_values():
 
 
 def test_berger_q_agrees_with_round_case():
-    lam, q = bounds.berger_q(6.0, "top")
-    assert (lam, q) == (1.5, 3.0)
-    lam, q = bounds.berger_q(6.0, "bottom")
-    assert (lam, q) == (1.5, -3.0)
-    lam, q = bounds.berger_q(2.0, "top")
-    assert (lam, q) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        bounds.berger_q(6.0, "middle")
+    assert bounds.berger_q(6.0) == (1.5, 3.0)
+    assert bounds.berger_q(2.0) == (1.0, 2.0)
+
+
+def test_sphere_diamagnetic_takes_the_sector_of_the_sign_of_t():
+    # one call with |t| equals, bit for bit, the smaller of the two sectors (lam, +-q)
+    lam, q = bounds.berger_q(6.0)
+    couplings = np.linspace(-8.0, 8.0, 3001).tolist()
+    couplings += np.random.default_rng(23).uniform(-8.0, 8.0, 200).tolist()
+    for t in couplings + [0.0, -0.0, 1.5, -1.5, 1e300, -1e300]:
+        got = cli._sphere_diamagnetic(S3, t)
+        want = min((bounds.diamagnetic_upper(lam, s, 1.0, t) for s in (q, -q)),
+                   key=lambda b: b.value)
+        assert got == want and got.value.hex() == want.value.hex(), t
 
 
 def test_compare_forms_and_equality():

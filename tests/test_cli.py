@@ -378,6 +378,28 @@ def test_size_refusals_name_the_option_to_reduce(capsys, argv, hint):
     assert err.rstrip().endswith(f"; {hint}")
 
 
+def test_bounds_sphere_size_refusal_names_only_the_coupling(capsys):
+    # bounds --model sphere takes no --cutoff (its cutoff is 5 + |t|), so its
+    # refusal names |t| alone; the sphere subcommand keeps both options
+    for t in ("500", "-500", "1e300"):
+        code, out, err = run(capsys, "bounds", "--model", "sphere", "--t", t)
+        assert code == 1 and out == "" and "exceed the cap 1000000" in err
+        assert err.rstrip().endswith("; reduce |t|") and "--cutoff" not in err
+    code, out, err = run(capsys, "sphere", "--t", "0", "--cutoff", "1e4")
+    assert code == 1 and out == "" and err.rstrip().endswith("; reduce --cutoff or |t|")
+
+
+def test_bounds_torus_empty_spectrum_names_the_cutoff(capsys):
+    # lambda_1 = 100 pi on the circle of length 0.01 with the odd spin structure
+    torus_args = ("bounds", "--model", "torus", "--basis", "[[0.01]]", "--delta", "1")
+    for extra, cutoff in (((), "20.0"), (("--cutoff", "300"), "300.0")):
+        code, out, err = run(capsys, *torus_args, *extra)
+        assert code == 1 and out == ""
+        assert err == f"error: no eigenvalue has |value| <= the cutoff {cutoff}; raise --cutoff\n"
+    code, out, _ = run(capsys, *torus_args, "--cutoff", "400")
+    assert code == 0 and json.loads(out)["model"] == "torus"
+
+
 def test_oversized_grids_are_refused_before_allocation(capsys, monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("allocated the grid")

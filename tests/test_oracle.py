@@ -141,6 +141,8 @@ def test_verify_sphere_blocks_reports_members_no_row_reaches(monkeypatch):
     (miss,) = rep["failures"]
     assert (miss["family"], miss["k"], miss["p"], miss["sign"]) == ("branch", 2, 1, -1)
     assert miss["closed"] is None and miss["t"] == 0.25
+    # the oracle value reported is the unreached member's own
+    assert abs(miss["oracle"] - (0.5 - np.sqrt(sphere.f0(2, 1, 0.25)))) < 1e-12
 
 
 def test_verify_sphere_blocks_counts_and_duplicate_couplings():
