@@ -196,6 +196,8 @@ def _parse_grid(text: str, option: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:steps, got {text!r}")
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not np.isfinite([start, stop, stop - start]).all():
+        raise ValueError(f"{option} needs finite start, stop and stop - start, got {text!r}")
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
     check_size(steps, "grid points", f"the {option} steps")

@@ -208,17 +208,6 @@ def hermitian_eigs(H) -> np.ndarray:
 _ROUND_FRAME = (1.0, 1.0, 1.0)
 
 
-def _kron_entries(pauli, size, level, row, col, value):
-    """Entries of pauli (x) J on every level, as (row * size + col, value),
-    J given by its entries (level, row, col, value): the products of the
-    nonzeros of both."""
-    base = level * (level + 1)
-    r, c = np.nonzero(pauli)
-    return (np.concatenate([(base + x * (level + 1) + row) * size + base + y * (level + 1) + col
-                            for x, y in zip(r, c)]),
-            np.concatenate([pauli[x, y] * value for x, y in zip(r, c)]))
-
-
 def sphere_level_entries(k_max: int):
     """Nonzero entries of the sphere operator on levels 0..k_max.
 
@@ -230,43 +219,45 @@ def sphere_level_entries(k_max: int):
     the ladder entries sqrt(j(j+1) - m(m+1)) and the Pauli matrices alone.
 
     Basis vector (r, i) of level k (Pauli row r, m = i - k/2) has index
-    k(k+1) + r(k+1) + i.  The X and Y terms share their positions; each
-    position sums its terms in the order X, Y, Z before the factor 2 and
-    the 3/2, so every entry rounds as the dense sum of Kronecker products
-    does, and entries that cancel to zero are dropped.  Returns (rows,
-    cols, values, weight): ``values`` is (2, nnz), H0 and S at (rows,
-    cols), and ``weight`` is sigma_3/2 + J_3 of each basis vector, which
-    both matrices preserve.
+    k(k+1) + r(k+1) + i, and its row holds at most three entries: the Z
+    term on the diagonal and the X and Y terms, which share their
+    positions, at (1 - r, i - 1) and (1 - r, i + 1).  Each entry sums its
+    terms as (0 + X) + Y (or 0 + Z) before the factor 2 and the 3/2, so it
+    rounds as the dense sum of Kronecker products does, and entries that
+    cancel to zero are dropped.  The columns of a row ascend in the order
+    diagonal, i - 1, i + 1 (r = 0) or i - 1, i + 1, diagonal (r = 1), so
+    the entries come out row-major.  Returns (rows, cols, values, weight):
+    ``values`` is (2, nnz), H0 and S at (rows, cols), and ``weight`` is
+    sigma_3/2 + J_3 of each basis vector, which both matrices preserve.
     """
     k_max = int(k_max)
     if k_max < 0:
         raise ValueError(f"level must be non-negative, got {k_max}")
-    k = np.repeat(np.arange(k_max + 1), np.arange(k_max + 1) + 1)  # level of state i of V_k
-    i = np.arange(k.size) - k * (k + 1) // 2
-    j = k / 2.0
-    m = i - j
-    up = i < k
-    ladder = np.sqrt(j[up] * (j[up] + 1) - m[up] * (m[up] + 1))  # J_+ from m to m + 1
-    off = (np.tile(k[up], 2), np.concatenate([i[up] + 1, i[up]]),
-           np.concatenate([i[up], i[up] + 1]))  # J_+ and its transpose
-    spin = ((*off, np.concatenate([ladder, ladder]) / 2),  # (J_+ + J_-) / 2
-            (*off, np.concatenate([ladder, -ladder]) / 2j),  # (J_+ - J_-) / 2i
-            (k, i, i, m))
     size = (k_max + 1) * (k_max + 2)
-    key, value = (np.concatenate(part) for part in zip(*[
-        _kron_entries(scale * pauli, size, *J)
-        for scale, pauli, J in zip(_ROUND_FRAME, (PAULI_X, PAULI_Y, PAULI_Z), spin)]))
-    rows, cols, h0 = _summed(size, *np.divmod(key, size), value)  # sums in X, Y, Z order
-    h0.real *= 2.0
-    h0.imag *= 2.0
-    h0.real[rows == cols] += 1.5
-
     level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
-    pauli_row, state = np.divmod(np.arange(size) - level * (level + 1), level + 1)
-    s = np.where(rows == cols, np.diag(PAULI_Z)[pauli_row[rows]], 0.0)
-    weight = np.array([0.5, -0.5])[pauli_row] + m[level * (level + 1) // 2 + state]
-    keep = (h0 != 0) | (s != 0)
-    return rows[keep], cols[keep], np.stack([h0[keep], s[keep]]), weight
+    row = np.arange(size)
+    r, i = np.divmod(row - level * (level + 1), level + 1)
+    j = level / 2.0
+    m = i - j
+    up = np.sqrt(j * (j + 1) - m * (m + 1))  # J_+ from m to m + 1, 0 at the top i = k
+    # J_+ from m - 1 to m: ``up`` of the row before, a top state (0) where i = 0
+    down = np.append(0.0, up[:-1])
+    x, y, z = (scale * pauli for scale, pauli in zip(_ROUND_FRAME, (PAULI_X, PAULI_Y, PAULI_Z)))
+    x, y, z = x[r, 1 - r], y[r, 1 - r], z[r, r]  # the Pauli entry of each term in row r
+    other = row + (1 - 2 * r) * (level + 1)  # (1 - r, i)
+    cols = np.empty((size, 3), dtype=np.int64)
+    values = np.zeros((2, size, 3), dtype=np.complex128)
+    # X + Y at (1 - r, i - 1) and (1 - r, i + 1), with J_x = (J_+ + J_-)/2 and
+    # J_y = (J_+ - J_-)/2i, then Z on the diagonal
+    for slot, col, h0 in ((1 - r, other - 1, 2.0 * (0.0 + x * (down / 2) + y * (down / 2j))),
+                          (2 - r, other + 1, 2.0 * (0.0 + x * (up / 2) + y * (-up / 2j))),
+                          (2 * r, row, 2.0 * (0.0 + z * m) + 1.5)):
+        cols[row, slot] = col
+        values[0, row, slot] = h0
+    values[1, row, 2 * r] = PAULI_Z[r, r]
+    keep = np.flatnonzero(np.any(values != 0, axis=0))  # row * 3 + slot, ascending
+    weight = np.array([0.5, -0.5])[r] + m
+    return keep // 3, cols.ravel()[keep], values.reshape(2, -1).take(keep, axis=1), weight
 
 
 def sphere_level_matrix(k: int):

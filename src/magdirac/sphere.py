@@ -129,12 +129,13 @@ def triple_count(k_max: float) -> float:
 def lambda1(t: float) -> float:
     """Smallest eigenvalue in absolute value.
 
-    The cutoff 5 + |t| always contains the minimizer, since the minus
-    family alone gives an eigenvalue of magnitude <= 3/2 + |t|.
+    The cutoff 2 always contains the minimizer: lambda_1 <= 3/2 for every
+    t, reached by the minus (t >= 0) or plus (t < 0) member 3/2 - |t| + k
+    nearest zero.
     """
     t = _check_coupling(t)
-    _top_level(t, 5.0 + abs(t), "|t|")  # the cutoff is not the caller's to reduce
-    return spectrum(t, 5.0 + abs(t)).min_abs()
+    _top_level(t, 2.0, "|t|")  # the cutoff is not the caller's to reduce
+    return spectrum(t, 2.0).min_abs()
 
 
 def lambda1_basic(t: float) -> float:

@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -379,14 +380,23 @@ def test_size_refusals_name_the_option_to_reduce(capsys, argv, hint):
 
 
 def test_bounds_sphere_size_refusal_names_only_the_coupling(capsys):
-    # bounds --model sphere takes no --cutoff (its cutoff is 5 + |t|), so its
+    # bounds --model sphere takes no --cutoff (its cutoff is 2), so its
     # refusal names |t| alone; the sphere subcommand keeps both options
-    for t in ("500", "-500", "1e300"):
+    for t in ("1000", "-1000", "1e300"):
         code, out, err = run(capsys, "bounds", "--model", "sphere", "--t", t)
         assert code == 1 and out == "" and "exceed the cap 1000000" in err
         assert err.rstrip().endswith("; reduce |t|") and "--cutoff" not in err
     code, out, err = run(capsys, "sphere", "--t", "0", "--cutoff", "1e4")
     assert code == 1 and out == "" and err.rstrip().endswith("; reduce --cutoff or |t|")
+
+
+def test_bounds_sphere_lambda1_at_large_coupling(capsys):
+    # lambda_1 = |3/2 - 500 + 499|, from the member k = 499 of the nearest family
+    for t in ("500", "-500"):
+        code, out, err = run(capsys, "bounds", "--model", "sphere", "--t", t)
+        assert code == 0 and err == ""
+        reference = {b["form"]: b["reference"] for b in json.loads(out)["bounds"]}
+        assert reference["absolute"] == 0.5 and reference["squared"] == 0.25
 
 
 def test_bounds_torus_empty_spectrum_names_the_cutoff(capsys):
@@ -411,6 +421,17 @@ def test_oversized_grids_are_refused_before_allocation(capsys, monkeypatch):
                  ("sphere-curve", "--t-range", "0:1:1000001", "--k-max", "0")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and "grid points exceed the cap" in err
+
+
+def test_non_finite_grid_endpoints_are_refused_before_the_grid(capsys):
+    for option, text in (("--t-grid", "0:inf:2"), ("--t-range", "0:inf:2"),
+                         ("--t-grid", "-1e308:1e308:3"), ("--t-grid", "nan:1:2")):
+        verb = ("verify", "sphere-blocks") if option == "--t-grid" else ("sphere-curve",)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *verb, option, text)
+        assert code == 1 and out == "" and caught == []
+        assert err == f"error: {option} needs finite start, stop and stop - start, got {text!r}\n"
 
 
 def test_help_exits_zero(capsys):

@@ -86,6 +86,21 @@ def test_sphere_level_entries_are_the_nonzeros_of_the_kron_sum():
             assert all(np.array_equal(a, b) for a, b in zip(dense, (H0, S, w)))
 
 
+def test_sphere_level_entries_are_row_major_to_high_levels():
+    rows, cols, values, weight = oracle.sphere_level_entries(200)
+    assert np.all(np.diff(rows * len(weight) + cols) > 0)  # row-major, each position once
+    for k in (150, 200):
+        H0, S, w = _kron_level(k)
+        start, dim = k * (k + 1), 2 * k + 2
+        mine = (rows >= start) & (rows < start + dim)
+        dense = np.zeros((2, dim, dim), dtype=np.complex128)
+        dense[:, rows[mine] - start, cols[mine] - start] = values[:, mine]
+        for got, ref in ((dense[0], H0), (dense[1], S)):
+            assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+        assert np.count_nonzero(mine) == np.count_nonzero((H0 != 0) | (S != 0))
+        assert np.array_equal(weight[start:start + dim], w)
+
+
 def test_sphere_level_matrix_spectrum_is_the_closed_form():
     # the whole level solved densely, without the split by weight
     for k in range(13):
