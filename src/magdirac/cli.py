@@ -34,11 +34,20 @@ class _Parser(argparse.ArgumentParser):
 
     Tokens that start with a minus and a digit (grids like ``-4:4:17``,
     comma lists like ``-0.3,0.1``) count as values, not option names.
+    ``options(parser)``, if given, adds the arguments when the parser first
+    parses, which for a subparser is when argparse dispatches to it.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, options=None, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
+        self._options = options
+
+    def parse_known_args(self, args=None, namespace=None):
+        options, self._options = self._options, None
+        if options is not None:
+            options(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -212,22 +221,38 @@ def _parse_ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _is_number(x) -> bool:
+    """A JSON number: int or float, not true or false."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_basis(text: str) -> Lattice:
     rows = json.loads(text)
+    if not (isinstance(rows, list) and rows and all(
+            isinstance(r, list) and len(r) == len(rows) and all(map(_is_number, r))
+            for r in rows)):
+        raise ValueError(f"--basis must be a square JSON matrix of numbers, got {text!r}")
     return Lattice.from_rows(np.array(rows, dtype=np.float64))
 
 
-def _parse_f_terms(text: str):
-    """JSON list of [frequency-list, re, im] triples."""
+def _parse_f_terms(text: str, n: int):
+    """JSON list of [frequency-list, re, im] triples; a frequency is a list
+    of n integers."""
     raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise ValueError(f"--f-terms must be a JSON list of [freq-list, re, im], got {text!r}")
     terms = []
     for item in raw:
-        if len(item) != 3:
+        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], list)
+                and all(map(_is_number, item[1:]))):
             raise ValueError(
-                f"each f-term must be [freq-list, re, im], got {item!r}"
+                f"each f-term must be [freq-list, re, im] in --f-terms, got {json.dumps(item)}"
             )
-        freq, re, im = item
-        terms.append((tuple(int(c) for c in freq), complex(float(re), float(im))))
+        freq, real, imag = item
+        if len(freq) != n or not all(type(c) is int for c in freq):
+            raise ValueError(f"--f-terms frequency {json.dumps(freq)} must be a list of "
+                             f"{n} integers, one per lattice generator")
+        terms.append((tuple(freq), complex(float(real), float(imag))))
     return terms
 
 
@@ -414,7 +439,8 @@ def _verify_gauge(ns) -> dict:
     lat = _parse_basis(ns.basis)
     delta = _parse_ints(ns.delta) if ns.delta else [1] + [0] * (lat.n - 1)
     data = torus.SpinCData(lat, delta, [0.0] * lat.n, np.zeros(lat.n))
-    return oracle.verify_gauge(data, _parse_f_terms(ns.f_terms), tuple(_parse_ints(ns.cutoffs)))
+    return oracle.verify_gauge(data, _parse_f_terms(ns.f_terms, lat.n),
+                               tuple(_parse_ints(ns.cutoffs)))
 
 
 # verify target -> the report of the parsed options
@@ -433,82 +459,94 @@ def cmd_verify(ns) -> int:
 
 
 def build_parser() -> _Parser:
+    """The root parser and one bare subparser per command; a command's
+    options are added when argparse dispatches to it."""
+
+    def sphere_options(p):
+        p.add_argument("--t", required=True, type=float, help="coupling strength")
+        p.add_argument("--cutoff", type=float, default=None,
+                       help="keep |value| <= cutoff (default 5 + |t|)")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true")
+        fmt.add_argument("--csv", action="store_true")
+        p.set_defaults(func=cmd_sphere)
+
+    def sphere_curve_options(p):
+        p.add_argument("--t-range", default="-5:5:201",
+                       help="grid start:stop:steps (default -5:5:201)")
+        p.add_argument("--k-max", type=int, default=5)
+        p.add_argument("--window", default="-5:5",
+                       help="keep lo <= value <= hi, or 'none'")
+        p.set_defaults(func=cmd_sphere_curve)
+
+    def collisions_options(p):
+        p.add_argument("--k-max", type=int, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=cmd_collisions)
+
+    def torus_options(p):
+        p.add_argument("--basis", required=True,
+                       help="JSON matrix whose rows generate the lattice")
+        p.add_argument("--delta", default=None, help="spin structure bits, e.g. 1,0")
+        p.add_argument("--theta", default=None, help="holonomy parameters in [0,1)")
+        p.add_argument("--A", default=None, help="harmonic potential covector")
+        p.add_argument("--flux", default=None,
+                       help="holonomies of A over the generators (alternative to --A)")
+        p.add_argument("--cutoff", required=True, type=float)
+        p.add_argument("--csv", action="store_true")
+        p.set_defaults(func=cmd_torus)
+
+    def bounds_options(p):
+        p.add_argument("--model", choices=tuple(_BOUND_MODELS), required=True)
+        p.add_argument("--t", type=float, default=None,
+                       help="sphere model: coupling (default 0)")
+        p.add_argument("--which", default="friedrich,hijazi,basic,diamagnetic")
+        p.add_argument("--basis", default=None,
+                       help="torus model: lattice rows (JSON; default [[1]])")
+        p.add_argument("--delta", default=None)
+        p.add_argument("--theta", default=None)
+        p.add_argument("--A", default=None)
+        p.add_argument("--flux", default=None)
+        p.add_argument("--cutoff", type=float, default=None,
+                       help="torus model: spectrum cutoff (default 20)")
+        p.set_defaults(func=cmd_bounds)
+
+    def sphere_blocks_options(v):
+        v.add_argument("--k-max", type=int, default=30)
+        v.add_argument("--t-grid", default="-4:4:17")
+
+    def torus_modes_options(v):
+        v.add_argument("--n", type=int, default=3)
+        v.add_argument("--samples", type=int, default=200)
+        v.add_argument("--seed", type=int, default=7)
+
+    def gauge_options(v):
+        v.add_argument("--basis", required=True,
+                       help="JSON matrix whose rows generate the lattice")
+        v.add_argument("--delta", default=None)
+        v.add_argument("--f-terms", required=True,
+                       help="JSON list of [freq-list, re, im] for f")
+        v.add_argument("--cutoffs", default="4,8,12")
+
+    def verify_options(p):
+        p.set_defaults(func=cmd_verify)
+        vsub = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
+        for name, options in (("sphere-blocks", sphere_blocks_options),
+                              ("torus-modes", torus_modes_options),
+                              ("gauge", gauge_options)):
+            vsub.add_parser(name, options=options)
+
     parser = _Parser(prog="magdirac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-
-    p = sub.add_parser("sphere", help="exact 3-sphere spectrum at coupling t")
-    p.add_argument("--t", required=True, type=float, help="coupling strength")
-    p.add_argument("--cutoff", type=float, default=None,
-                   help="keep |value| <= cutoff (default 5 + |t|)")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_sphere)
-
-    p = sub.add_parser("sphere-curve",
-                       help="eigenvalue curves on a coupling grid (CSV)")
-    p.add_argument("--t-range", default="-5:5:201",
-                   help="grid start:stop:steps (default -5:5:201)")
-    p.add_argument("--k-max", type=int, default=5)
-    p.add_argument("--window", default="-5:5",
-                   help="keep lo <= value <= hi, or 'none'")
-    p.set_defaults(func=cmd_sphere_curve)
-
-    p = sub.add_parser("collisions",
-                       help="couplings where two branch curves cross")
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_collisions)
-
-    p = sub.add_parser("torus", help="exact flat-torus spectrum")
-    p.add_argument("--basis", required=True,
-                   help="JSON matrix whose rows generate the lattice")
-    p.add_argument("--delta", default=None, help="spin structure bits, e.g. 1,0")
-    p.add_argument("--theta", default=None, help="holonomy parameters in [0,1)")
-    p.add_argument("--A", default=None, help="harmonic potential covector")
-    p.add_argument("--flux", default=None,
-                   help="holonomies of A over the generators (alternative to --A)")
-    p.add_argument("--cutoff", required=True, type=float)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_torus)
-
-    p = sub.add_parser("bounds", help="evaluate eigenvalue bounds")
-    p.add_argument("--model", choices=tuple(_BOUND_MODELS), required=True)
-    p.add_argument("--t", type=float, default=None,
-                   help="sphere model: coupling (default 0)")
-    p.add_argument("--which", default="friedrich,hijazi,basic,diamagnetic")
-    p.add_argument("--basis", default=None,
-                   help="torus model: lattice rows (JSON; default [[1]])")
-    p.add_argument("--delta", default=None)
-    p.add_argument("--theta", default=None)
-    p.add_argument("--A", default=None)
-    p.add_argument("--flux", default=None)
-    p.add_argument("--cutoff", type=float, default=None,
-                   help="torus model: spectrum cutoff (default 20)")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("verify", help="matrix-oracle cross-checks")
-    p.set_defaults(func=cmd_verify)
-    vsub = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
-
-    v = vsub.add_parser("sphere-blocks")
-    v.add_argument("--k-max", type=int, default=30)
-    v.add_argument("--t-grid", default="-4:4:17")
-
-    v = vsub.add_parser("torus-modes")
-    v.add_argument("--n", type=int, default=3)
-    v.add_argument("--samples", type=int, default=200)
-    v.add_argument("--seed", type=int, default=7)
-
-    v = vsub.add_parser("gauge")
-    v.add_argument("--basis", required=True,
-                   help="JSON matrix whose rows generate the lattice")
-    v.add_argument("--delta", default=None)
-    v.add_argument("--f-terms", required=True,
-                   help="JSON list of [freq-list, re, im] for f")
-    v.add_argument("--cutoffs", default="4,8,12")
-
+    for name, summary, options in (
+            ("sphere", "exact 3-sphere spectrum at coupling t", sphere_options),
+            ("sphere-curve", "eigenvalue curves on a coupling grid (CSV)", sphere_curve_options),
+            ("collisions", "couplings where two branch curves cross", collisions_options),
+            ("torus", "exact flat-torus spectrum", torus_options),
+            ("bounds", "evaluate eigenvalue bounds", bounds_options),
+            ("verify", "matrix-oracle cross-checks", verify_options)):
+        sub.add_parser(name, help=summary, options=options)
     return parser
 
 

@@ -81,14 +81,18 @@ def vector_action(v: np.ndarray, gens: tuple[np.ndarray, ...]) -> np.ndarray:
     """Clifford action sum_j v_j g_j of a (real or complex) vector.
 
     ``v`` may also be a stack (..., n) of vectors; the result is then the
-    stack (..., N, N) of their actions, from one contraction.
+    stack (..., N, N) of their actions, from one matrix product.  Each
+    entry of the generators is one of 0, +-1, +-i, so every real and every
+    imaginary part of the result sums at most one nonzero product: the
+    product is exact, whatever order BLAS sums in.
     """
     v = np.asarray(v)
-    if v.shape[-1:] != (len(gens),):
-        raise ValueError(
-            f"vector has shape {v.shape}, expected (..., {len(gens)})"
-        )
-    return np.einsum("...j,jab->...ab", v, gens)
+    n = len(gens)
+    if v.shape[-1:] != (n,):
+        raise ValueError(f"vector has shape {v.shape}, expected (..., {n})")
+    dim = gens[0].shape[0]
+    flat = v.reshape(-1, n) @ np.reshape(gens, (n, dim * dim))
+    return flat.reshape(*v.shape[:-1], dim, dim)
 
 
 def two_form_action(omega: np.ndarray, gens: tuple[np.ndarray, ...]) -> np.ndarray:

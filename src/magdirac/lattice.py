@@ -91,7 +91,10 @@ class Lattice:
         if not np.all(np.isfinite(basis)):
             raise ValueError("basis contains non-finite entries")
         self.n = basis.shape[0]
-        self.gram = basis.T @ basis
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.gram = basis.T @ basis
+        if not np.all(np.isfinite(self.gram)):
+            raise ValueError("the Gram matrix overflows float64: the basis scale is out of range")
         try:
             np.linalg.cholesky(self.gram)
         except np.linalg.LinAlgError:

@@ -455,6 +455,8 @@ class FourierPotential:
         coeffs = {}
         for nu, c in f_terms:
             nu = tuple(int(x) for x in nu)
+            if len(nu) != lattice.n:
+                raise ValueError(f"frequency {nu} has wrong length for n={lattice.n}")
             coeffs[nu] = coeffs.get(nu, 0.0) + complex(c)
         for nu in list(coeffs):
             mirror = tuple(-c for c in nu)

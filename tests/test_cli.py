@@ -1,5 +1,6 @@
 """Command-line interface: output schemas and exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -284,6 +285,23 @@ def test_invalid_inputs_exit_one(capsys):
     (("torus", "--basis", "[[1,0],[0,1]]", "--A", "1e25,0", "--cutoff", "3"),
      "centre coordinate 7.95775e+23 is 2**52 or more"),
     (("collisions", "--k-max", "-3", "--json"), "level must be non-negative"),
+    # malformed JSON of the right syntax: no traceback, no silent guess
+    (("torus", "--basis", "{}", "--cutoff", "3"),
+     "--basis must be a square JSON matrix of numbers, got '{}'"),
+    (("torus", "--basis", "[[1,2],[3]]", "--cutoff", "3"), "--basis must be a square JSON"),
+    (("bounds", "--model", "torus", "--basis", "[[true]]"), "--basis must be a square JSON"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[1,1,1]]"),
+     "each f-term must be [freq-list, re, im] in --f-terms, got [1, 1, 1]"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "{}"), "--f-terms must be a JSON list"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[[1],null,0]]"),
+     "each f-term must be [freq-list, re, im] in --f-terms"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1],0.1,0]]"),
+     "--f-terms frequency [1] must be a list of 2 integers"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1.9,0],0.1,0]]"),
+     "--f-terms frequency [1.9, 0] must be a list of 2 integers"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[true,0],0.1,0]]"),
+     "--f-terms frequency [true, 0] must be a list of 2 integers"),
+    (("torus", "--basis", "[[1e308]]", "--cutoff", "5"), "the Gram matrix overflows float64"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -436,6 +454,101 @@ def test_non_finite_grid_endpoints_are_refused_before_the_grid(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# sha256 of repr((exit code, stdout, stderr)) of each help and usage-error
+# request at a terminal width of 80 (Python 3.11 argparse), recorded while
+# build_parser still added every option of every command up front; adding a
+# command's options on dispatch must not move a byte
+PARSER_SHA256 = {
+    "":
+        "eeee51e59f858a34f8375a4996343e483f974868ed09085712dad1a3160016cf",
+    "-h":
+        "06968f8a28b6be9368c26b31ea808a6e44ec9fd2368ac79f3031db59221395b3",
+    "-h sphere":
+        "06968f8a28b6be9368c26b31ea808a6e44ec9fd2368ac79f3031db59221395b3",
+    "bogus":
+        "eabd74901931c65f06d13dfef03f290a98417e5cbd00508029b54576d3ad4658",
+    "bounds --model nope":
+        "c874b95045646715df61340afe994288f3858247a5efab8bf82156dc417d80d3",
+    "bounds -h":
+        "8054d233eb6df28cb9cb1bc86abf197efadaf29fb40662fe873bf26eaf454996",
+    "collisions --k-max x":
+        "c4530ba9b7910065cf8c714635c095b2e72496a6a630d38e92e20810f17cf78e",
+    "collisions -h":
+        "3cfd64101d78dd035e6263b8ae4016fb5da8d0479e5e0a2ffde491c8187b61ee",
+    "sphere":
+        "571492c5877fc35f935d830cd9cb36ac2b050dda62bca15b02556a8a8f063b14",
+    "sphere --t 1 --bogus":
+        "92c2c0de516c9c692669d84b38cf737afd819aa8c284dafeecf11e0a0c1e2726",
+    "sphere --t 1 --json --csv":
+        "95a611cace4344de2fb1b9efbfefbaad5d8ce66f3b7f6958b931d4ae91efcd8f",
+    "sphere --t x":
+        "183f69c86b15e5e7dd8105523e9baaf0626267b1853ca9433b4e8b7c8f6b381c",
+    "sphere -h":
+        "d7dd45b72dab2e36ab028753ba2a46aff2d6f9132607aba1ce7a0f0dcf4f73fc",
+    "sphere-curve --k-max 1.5":
+        "ab5cbca50205fb9582ddb5789007eff19abbf7db1523e173358f23d4dfbcd157",
+    "sphere-curve -h":
+        "22fe40aca1a8dfda7feb41b6d0711c375e1523e5da184febd15fbda64296dd08",
+    "torus --cutoff 1":
+        "230c097341e646ffcac35f2ae7bc1a785e64d9cc4f2e49267b03305cb4427d6f",
+    "torus -h":
+        "e994ddf9f6df3b834fa9171bf00926486a31bf0fdaaf3169e51c30fdb49b42a9",
+    "verify":
+        "2c9bead8482bc16972d1384796ab8c4e345f3039e2e847019511f20e23b19424",
+    "verify -h":
+        "c82dec33a7cf276f76ec9ce48f30f281060ac3cce1cb59121be0325b3fa0f77a",
+    "verify bogus":
+        "e190b1f0f79eb395b7ae46ff46ee0ddc66976880952561f8bc9100c4bcde7e63",
+    "verify gauge --basis [[1]]":
+        "5933b6af8670b8139446b9fa19d2c4fb1c9c2bb686433c8f750045d3937b0416",
+    "verify gauge -h":
+        "261ef7196bd0f0d77704e17884653c826383aea0140b7db0bb1469a7ea802051",
+    "verify sphere-blocks -h":
+        "c5044b817af89b1bcafa27a673f4e81f77a7730afc74377affe41abf7e017290",
+    "verify torus-modes --n x":
+        "8d7d3a593fd0e9fb45f8dac22512f80fd4aa32f8c444acb0e8c8aa10dfec5d80",
+    "verify torus-modes -h":
+        "6950a9fba55346bd1bc5a9c3fd0d8d7c6fae4ab8e053fb5f1f575249a02abd06",
+}
+
+
+@pytest.mark.parametrize("request_line", sorted(PARSER_SHA256))
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, request_line):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    record = repr(run(capsys, *shlex.split(request_line))).encode()
+    assert hashlib.sha256(record).hexdigest() == PARSER_SHA256[request_line]
+
+
+def _built(parser) -> list:
+    """prog of each parser under ``parser``, itself included, that holds an
+    option other than -h."""
+    progs = [parser.prog] if any(a.option_strings and a.dest != "help"
+                                 for a in parser._actions) else []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                progs += _built(sub)
+    return progs
+
+
+@pytest.mark.parametrize("request_line", [
+    "sphere --t 1",
+    "sphere-curve",
+    "collisions --k-max 3",
+    "torus --basis [[1]] --cutoff 3",
+    "bounds --model sphere",
+    *[f"verify {target}" for target in ("sphere-blocks", "torus-modes")],
+    "verify gauge --basis [[1]] --f-terms [[[1],1,0]]",
+])
+def test_a_request_builds_only_its_own_options(request_line):
+    # a request reads one command; the others stay bare parsers
+    argv = request_line.split()
+    parser = cli.build_parser()
+    assert _built(parser) == []
+    parser.parse_args(argv)
+    assert _built(parser) == ["magdirac " + " ".join(argv[:2 if argv[0] == "verify" else 1])]
 
 # sha256 of the stdout of each request, recorded before the sphere level
 # bound was tightened and collisions moved to the closed form; the output

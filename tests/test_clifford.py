@@ -127,6 +127,28 @@ def test_vector_action_of_a_stack_is_the_stack_of_actions():
         assert np.array_equal(clifford.vector_action(stack, gens), np.array(loop))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_vector_action_equals_the_einsum_bit_for_bit(n, kind):
+    # every real and imaginary part of the result sums at most one nonzero
+    # product, so the BLAS product must equal the plain contraction in every
+    # bit, signs of zero included, at scales near both ends of float64
+    rng = np.random.default_rng(100 + n)
+    gens = clifford.build_rep(n)
+    shape = (3, 4, n)
+
+    def part():
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        return np.where(rng.random(shape) < 0.3, rng.choice([0.0, -0.0], size=shape), x)
+
+    v = part() if kind == "real" else part() + 1j * part()
+    for stack in (v, v[0, 0], v[:0]):
+        want = np.einsum("...j,jab->...ab", stack, gens)
+        got = clifford.vector_action(stack, gens)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_two_form_action_matches_generator_products():
     rng = np.random.default_rng(13)
     for n in (2, 3, 4, 5):

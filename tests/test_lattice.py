@@ -172,6 +172,11 @@ def test_enumerate_core_empty_and_growth():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Lattice(np.ones((2, 3))), "basis must be square"),
+    # the Gram matrix overflows (products past float64, or inf - inf), for a
+    # huge basis or the dual of a tiny one; refused with no numpy warning
+    (lambda: Lattice.from_rows([[1e308]]), "Gram matrix overflows float64"),
+    (lambda: Lattice.from_rows([[1e308, 1e308], [1e308, -1e308]]), "Gram matrix overflows"),
+    (lambda: Lattice.from_rows([[1e-160]]).dual(), "Gram matrix overflows float64"),
     (lambda: Lattice(np.eye(2)).enumerate_shifted([0, 0], np.inf), "radius must be finite"),
     # 2**52 itself: float64 holds no fraction from there on
     (lambda: Lattice(np.eye(2)).enumerate_shifted([0, -2.0 ** 52], 1.0),

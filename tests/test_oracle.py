@@ -652,6 +652,7 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
                              grading=[1, -1]),
      "non-finite entries"),
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0, 0), np.ones(2))]), "wrong length"),
+    (lambda: FourierPotential.from_gradient(Lattice(np.eye(2)), [((1,), 0.1)]), "wrong length"),
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0), np.array([np.inf, 0.0]))]),
      "not finite"),
     (lambda: oracle.verify_gauge(SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2)),
