@@ -34,18 +34,25 @@ class _Parser(argparse.ArgumentParser):
 
     Tokens that start with a minus and a digit (grids like ``-4:4:17``,
     comma lists like ``-0.3,0.1``) count as values, not option names.
-    ``options(parser)``, if given, adds the arguments when the parser first
-    parses, which for a subparser is when argparse dispatches to it.
+    Given ``options``, the parser is built, and ``options(parser)`` adds its
+    arguments, when it first parses, which for a subparser is when argparse
+    dispatches to it; until then it holds only its constructor arguments.
     """
 
+    _pending = None  # (args, kwargs, options) of a parser not built yet
+
     def __init__(self, *args, options=None, **kwargs):
+        if options is not None:
+            self._pending = args, kwargs, options
+            return
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
-        self._options = options
 
     def parse_known_args(self, args=None, namespace=None):
-        options, self._options = self._options, None
-        if options is not None:
+        if self._pending is not None:
+            init_args, kwargs, options = self._pending
+            self._pending = None
+            self.__init__(*init_args, **kwargs)
             options(self)
         return super().parse_known_args(args, namespace)
 
@@ -201,24 +208,38 @@ def _sphere_members(labels, end: str, branch: str) -> list:
 
 def _parse_grid(text: str, option: str) -> np.ndarray:
     """Parse 'start:stop:steps', the value of ``option``, into a uniform grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected start:stop:steps, got {text!r}")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, steps = text.split(":")
+        start, stop, steps = float(start), float(stop), int(steps)
+    except ValueError:
+        raise ValueError(f"{option} must be start:stop:steps with integer steps, "
+                         f"got {text!r}") from None
     if not np.isfinite([start, stop, stop - start]).all():
         raise ValueError(f"{option} needs finite start, stop and stop - start, got {text!r}")
     if steps < 1:
-        raise ValueError(f"grid needs at least one step, got {steps}")
+        raise ValueError(f"grid needs at least one step, got {steps} in {option}")
     check_size(steps, "grid points", f"the {option} steps")
     return np.linspace(start, stop, steps)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+def _parse_list(text: str, option: str, kind=float) -> list:
+    """The comma-separated values of ``option``: numbers, or with ``kind``
+    int, integers that fit int64."""
+    try:
+        values = [kind(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        values = None
+    if values is None or kind is int and any(abs(v) >= 2 ** 63 for v in values):
+        what = "integers less than 2**63 in size" if kind is int else "numbers"
+        raise ValueError(f"{option} must be a comma-separated list of {what}, got {text!r}")
+    return values
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+def _parse_json(text: str, option: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{option} is not valid JSON ({exc}), got {text!r}") from None
 
 
 def _is_number(x) -> bool:
@@ -227,7 +248,7 @@ def _is_number(x) -> bool:
 
 
 def _parse_basis(text: str) -> Lattice:
-    rows = json.loads(text)
+    rows = _parse_json(text, "--basis")
     if not (isinstance(rows, list) and rows and all(
             isinstance(r, list) and len(r) == len(rows) and all(map(_is_number, r))
             for r in rows)):
@@ -238,7 +259,7 @@ def _parse_basis(text: str) -> Lattice:
 def _parse_f_terms(text: str, n: int):
     """JSON list of [frequency-list, re, im] triples; a frequency is a list
     of n integers."""
-    raw = json.loads(text)
+    raw = _parse_json(text, "--f-terms")
     if not isinstance(raw, list):
         raise ValueError(f"--f-terms must be a JSON list of [freq-list, re, im], got {text!r}")
     terms = []
@@ -249,24 +270,28 @@ def _parse_f_terms(text: str, n: int):
                 f"each f-term must be [freq-list, re, im] in --f-terms, got {json.dumps(item)}"
             )
         freq, real, imag = item
-        if len(freq) != n or not all(type(c) is int for c in freq):
+        if len(freq) != n or not all(type(c) is int and abs(c) < 2 ** 63 for c in freq):
             raise ValueError(f"--f-terms frequency {json.dumps(freq)} must be a list of "
-                             f"{n} integers, one per lattice generator")
-        terms.append((tuple(freq), complex(float(real), float(imag))))
+                             f"{n} integers, one per lattice generator, each less than "
+                             "2**63 in size")
+        coeff = complex(float(real), float(imag))
+        if not np.isfinite(coeff):
+            raise ValueError(f"--f-terms coefficient {json.dumps(item[1:])} is not finite")
+        terms.append((tuple(freq), coeff))
     return terms
 
 
 def _spinc_from_args(ns) -> torus.SpinCData:
     lat = _parse_basis(ns.basis)
     n = lat.n
-    delta = _parse_ints(ns.delta) if ns.delta else [0] * n
-    theta = _parse_floats(ns.theta) if ns.theta else [0.0] * n
+    delta = _parse_list(ns.delta, "--delta", int) if ns.delta else [0] * n
+    theta = _parse_list(ns.theta, "--theta") if ns.theta else [0.0] * n
     if ns.flux is not None and ns.A is not None:
         raise ValueError("give either --A or --flux, not both")
     if ns.flux is not None:
-        A = torus.potential_from_fluxes(lat, _parse_floats(ns.flux))
+        A = torus.potential_from_fluxes(lat, _parse_list(ns.flux, "--flux"))
     elif ns.A is not None:
-        A = np.array(_parse_floats(ns.A), dtype=np.float64)
+        A = np.array(_parse_list(ns.A, "--A"), dtype=np.float64)
     else:
         A = np.zeros(n)
     return torus.SpinCData(lat, delta, theta, A)
@@ -437,10 +462,10 @@ def cmd_bounds(ns) -> int:
 
 def _verify_gauge(ns) -> dict:
     lat = _parse_basis(ns.basis)
-    delta = _parse_ints(ns.delta) if ns.delta else [1] + [0] * (lat.n - 1)
+    delta = _parse_list(ns.delta, "--delta", int) if ns.delta else [1] + [0] * (lat.n - 1)
     data = torus.SpinCData(lat, delta, [0.0] * lat.n, np.zeros(lat.n))
     return oracle.verify_gauge(data, _parse_f_terms(ns.f_terms, lat.n),
-                               tuple(_parse_ints(ns.cutoffs)))
+                               tuple(_parse_list(ns.cutoffs, "--cutoffs", int)))
 
 
 # verify target -> the report of the parsed options
@@ -459,8 +484,8 @@ def cmd_verify(ns) -> int:
 
 
 def build_parser() -> _Parser:
-    """The root parser and one bare subparser per command; a command's
-    options are added when argparse dispatches to it."""
+    """The root parser with each command's name and help; a command's
+    parser is built, with its options, when argparse dispatches to it."""
 
     def sphere_options(p):
         p.add_argument("--t", required=True, type=float, help="coupling strength")
@@ -558,7 +583,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return ns.func(ns)
-    except (ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -85,7 +85,26 @@ class Lattice:
     dual_basis: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=np.float64)
+        basis = self._set_basis(self.basis)
+        cond = np.linalg.cond(basis)
+        if cond > 1e6:
+            warnings.warn(
+                f"lattice basis is badly conditioned (cond = {cond:.3e}); "
+                "enumeration accuracy may degrade",
+                stacklevel=2,
+            )
+        self.dual_basis = np.linalg.inv(basis).T
+        pairing = basis.T @ self.dual_basis
+        # the inverse is accurate to about eps * cond, so is the pairing
+        if not np.allclose(pairing, np.eye(self.n), atol=1e-12 * cond):
+            raise ValueError("dual pairing failed to reproduce the identity")
+        self.dual_basis.setflags(write=False)
+
+    def _set_basis(self, basis) -> np.ndarray:
+        """Set ``basis``, ``n`` and ``gram``, refusing (ValueError) a basis
+        that is not square, not finite, or whose Gram matrix overflows or
+        is not positive definite."""
+        basis = np.array(basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValueError(f"basis must be square, got shape {basis.shape}")
         if not np.all(np.isfinite(basis)):
@@ -99,22 +118,10 @@ class Lattice:
             np.linalg.cholesky(self.gram)
         except np.linalg.LinAlgError:
             raise ValueError("basis is singular (Gram matrix not positive definite)")
-        cond = np.linalg.cond(basis)
-        if cond > 1e6:
-            warnings.warn(
-                f"lattice basis is badly conditioned (cond = {cond:.3e}); "
-                "enumeration accuracy may degrade",
-                stacklevel=2,
-            )
-        self.dual_basis = np.linalg.inv(basis).T
-        pairing = basis.T @ self.dual_basis
-        # the inverse is accurate to about eps * cond, so is the pairing
-        if not np.allclose(pairing, np.eye(self.n), atol=1e-12 * cond):
-            raise ValueError("dual pairing failed to reproduce the identity")
         basis.setflags(write=False)
         self.gram.setflags(write=False)
-        self.dual_basis.setflags(write=False)
         self.basis = basis
+        return basis
 
     @classmethod
     def from_rows(cls, rows) -> "Lattice":
@@ -122,8 +129,14 @@ class Lattice:
         return cls(np.array(rows, dtype=np.float64).T)
 
     def dual(self) -> "Lattice":
-        """The dual lattice, generated by the dual basis columns."""
-        return Lattice(self.dual_basis)
+        """The dual lattice, generated by the dual basis columns.  Its basis
+        and Gram matrix are those of ``Lattice(self.dual_basis)``; the
+        conditioning and pairing checks are not repeated, since
+        cond(B^-T) = cond(B) and the dual of the dual is B."""
+        dual = object.__new__(Lattice)
+        dual._set_basis(self.dual_basis)
+        dual.dual_basis = self.basis
+        return dual
 
     def point(self, m) -> np.ndarray:
         """Standard coordinates of the lattice point with integer coords m."""

@@ -349,11 +349,13 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
     batched LAPACK call, against the sorted closed list from
     ``torus.mode_values``; the report does not depend on the block size.
     Refused (ValueError) before any draw unless
-    1 <= samples <= MAX_SPECTRUM_SIZE, 1 <= n <= 12 and
+    1 <= samples <= MAX_SPECTRUM_SIZE, seed >= 0, 1 <= n <= 12 and
     samples * N^2 <= MAX_OPERATOR_DIM^2.
     """
     if samples < 1:
         raise ValueError(f"torus-modes check needs samples >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"torus-modes check needs --seed >= 0, got {seed}")
     gens = build_rep(n)  # refuses n outside 1..12
     entries = samples * gens[0].size
     if entries > MAX_OPERATOR_DIM ** 2:

@@ -302,6 +302,34 @@ def test_invalid_inputs_exit_one(capsys):
     (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[true,0],0.1,0]]"),
      "--f-terms frequency [true, 0] must be a list of 2 integers"),
     (("torus", "--basis", "[[1e308]]", "--cutoff", "5"), "the Gram matrix overflows float64"),
+    # every unreadable value is refused with the option that carries it
+    (("torus", "--basis", "[[1]]", "--delta", "x", "--cutoff", "3"),
+     "--delta must be a comma-separated list of integers less than 2**63 in size, got 'x'"),
+    (("torus", "--basis", "[[1]]", "--delta", "100000000000000000000", "--cutoff", "3"),
+     "--delta must be a comma-separated list of integers"),
+    (("torus", "--basis", "[[1]]", "--theta", "0.1,y", "--cutoff", "3"),
+     "--theta must be a comma-separated list of numbers, got '0.1,y'"),
+    (("torus", "--basis", "[[1]]", "--A", "z", "--cutoff", "3"),
+     "--A must be a comma-separated list of numbers, got 'z'"),
+    (("bounds", "--model", "torus", "--flux", "1,z"),
+     "--flux must be a comma-separated list of numbers, got '1,z'"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[[1],1,0]]", "--cutoffs", "x"),
+     "--cutoffs must be a comma-separated list of integers"),
+    (("sphere-curve", "--t-range", "0:1:x"),
+     "--t-range must be start:stop:steps with integer steps, got '0:1:x'"),
+    (("sphere-curve", "--t-range", "1:2"), "--t-range must be start:stop:steps"),
+    (("verify", "sphere-blocks", "--t-grid", "x:1:2"), "--t-grid must be start:stop:steps"),
+    (("verify", "sphere-blocks", "--t-grid", "0:1:0"),
+     "grid needs at least one step, got 0 in --t-grid"),
+    (("torus", "--basis", "not-json", "--cutoff", "3"), "--basis is not valid JSON"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[1"), "--f-terms is not valid JSON"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[[100000000000000000000],1,0]]"),
+     "--f-terms frequency [100000000000000000000] must be a list of 1 integers"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[[1],1e400,0]]"),
+     "--f-terms coefficient [Infinity, 0] is not finite"),
+    (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[[1],0,NaN]]"),
+     "--f-terms coefficient [0, NaN] is not finite"),
+    (("verify", "torus-modes", "--seed", "-1"), "torus-modes check needs --seed >= 0, got -1"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -523,17 +551,20 @@ def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, request_line):
 
 def _built(parser) -> list:
     """prog of each parser under ``parser``, itself included, that holds an
-    option other than -h."""
+    option other than -h.  A parser that argparse has not dispatched to yet
+    is not built, so it holds no actions."""
+    actions = getattr(parser, "_actions", [])
     progs = [parser.prog] if any(a.option_strings and a.dest != "help"
-                                 for a in parser._actions) else []
-    for action in parser._actions:
+                                 for a in actions) else []
+    for action in actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
                 progs += _built(sub)
     return progs
 
 
-@pytest.mark.parametrize("request_line", [
+# one request of each command and each verify target
+ONE_OF_EACH = [
     "sphere --t 1",
     "sphere-curve",
     "collisions --k-max 3",
@@ -541,14 +572,36 @@ def _built(parser) -> list:
     "bounds --model sphere",
     *[f"verify {target}" for target in ("sphere-blocks", "torus-modes")],
     "verify gauge --basis [[1]] --f-terms [[[1],1,0]]",
-])
+]
+
+
+@pytest.mark.parametrize("request_line", ONE_OF_EACH)
 def test_a_request_builds_only_its_own_options(request_line):
-    # a request reads one command; the others stay bare parsers
+    # a request reads one command; the other parsers are never built
     argv = request_line.split()
     parser = cli.build_parser()
     assert _built(parser) == []
     parser.parse_args(argv)
     assert _built(parser) == ["magdirac " + " ".join(argv[:2 if argv[0] == "verify" else 1])]
+
+
+@pytest.mark.parametrize("request_line", ONE_OF_EACH)
+def test_a_request_builds_only_the_parsers_it_dispatches_to(capsys, monkeypatch, request_line):
+    # the root, the command and, for verify, the target: no other parser
+    # object exists, so a new command costs other requests nothing
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = request_line.split()
+    assert run(capsys, *argv)[0] == 0
+    depth = 2 if argv[0] == "verify" else 1
+    assert built == [" ".join(["magdirac", *argv[:i]]) for i in range(depth + 1)]
+
 
 # sha256 of the stdout of each request, recorded before the sphere level
 # bound was tightened and collisions moved to the closed form; the output

@@ -40,6 +40,21 @@ def test_dual_of_dual_is_original():
     assert np.allclose(back.basis, lat.basis, atol=1e-12)
 
 
+def test_dual_equals_the_lattice_of_the_dual_basis():
+    # dual() skips the checks the primal already made, but its basis and
+    # Gram matrix, all that enumeration reads, are the same bytes
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        lat = Lattice(rng.normal(size=(n, n)) * np.exp(rng.uniform(-3, 3)) + np.eye(n))
+        dual, full = lat.dual(), Lattice(lat.dual_basis)
+        assert dual.n == full.n == n
+        for got, want in ((dual.basis, full.basis), (dual.gram, full.gram)):
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            assert not got.flags.writeable
+        assert dual.dual_basis is lat.basis
+
+
 def test_moderately_conditioned_basis_is_accepted():
     # a unimodular image B U with cond 145: a Gram-determinant consistency
     # check at 1e-12 refused it from rounding alone
