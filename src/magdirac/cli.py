@@ -35,11 +35,14 @@ class _Parser(argparse.ArgumentParser):
     Tokens that start with a minus and a digit (grids like ``-4:4:17``,
     comma lists like ``-0.3,0.1``) count as values, not option names.
     Given ``options``, the parser is built, and ``options(parser)`` adds its
-    arguments, when it first parses, which for a subparser is when argparse
-    dispatches to it; until then it holds only its constructor arguments.
+    arguments, when it first parses or reports an error; until then it holds
+    only its constructor arguments.  Unbuilt, it takes a first token that
+    names one of its ``commands`` as argparse would, without building: the
+    command's parser parses the other tokens and the name goes to the dest.
     """
 
     _pending = None  # (args, kwargs, options) of a parser not built yet
+    commands = {}  # command name -> (its parser, the dest that takes the name)
 
     def __init__(self, *args, options=None, **kwargs):
         if options is not None:
@@ -48,15 +51,25 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
 
-    def parse_known_args(self, args=None, namespace=None):
+    def _build(self):
         if self._pending is not None:
             init_args, kwargs, options = self._pending
             self._pending = None
             self.__init__(*init_args, **kwargs)
             options(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if self._pending is not None and args and args[0] in self.commands:
+            parser, dest = self.commands[args[0]]
+            namespace, extras = parser.parse_known_args(args[1:], namespace)
+            setattr(namespace, dest, args[0])
+            return namespace, extras
+        self._build()
         return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        self._build()
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
@@ -483,9 +496,22 @@ def cmd_verify(ns) -> int:
     return 0 if report["pass"] else 2
 
 
+def _commands(prog: str, dest: str, rows) -> tuple:
+    """``options`` of parser ``prog`` whose ``dest`` names one of the (name,
+    add_parser keywords, options) ``rows``, and its ``_Parser.commands``."""
+
+    def options(p):
+        sub = p.add_subparsers(dest=dest, required=True, parser_class=_Parser)
+        for name, keywords, command_options in rows:
+            sub.add_parser(name, **keywords, options=command_options)
+
+    return options, {name: (_Parser(prog=f"{prog} {name}", options=command_options), dest)
+                     for name, _, command_options in rows}
+
+
 def build_parser() -> _Parser:
-    """The root parser with each command's name and help; a command's
-    parser is built, with its options, when argparse dispatches to it."""
+    """The root parser, not built: a request that starts with a command
+    builds one parser, that command's or, for verify, the target's."""
 
     def sphere_options(p):
         p.add_argument("--t", required=True, type=float, help="coupling strength")
@@ -537,15 +563,18 @@ def build_parser() -> _Parser:
         p.set_defaults(func=cmd_bounds)
 
     def sphere_blocks_options(v):
+        v.set_defaults(func=cmd_verify)
         v.add_argument("--k-max", type=int, default=30)
         v.add_argument("--t-grid", default="-4:4:17")
 
     def torus_modes_options(v):
+        v.set_defaults(func=cmd_verify)
         v.add_argument("--n", type=int, default=3)
         v.add_argument("--samples", type=int, default=200)
         v.add_argument("--seed", type=int, default=7)
 
     def gauge_options(v):
+        v.set_defaults(func=cmd_verify)
         v.add_argument("--basis", required=True,
                        help="JSON matrix whose rows generate the lattice")
         v.add_argument("--delta", default=None)
@@ -553,25 +582,21 @@ def build_parser() -> _Parser:
                        help="JSON list of [freq-list, re, im] for f")
         v.add_argument("--cutoffs", default="4,8,12")
 
-    def verify_options(p):
-        p.set_defaults(func=cmd_verify)
-        vsub = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
-        for name, options in (("sphere-blocks", sphere_blocks_options),
-                              ("torus-modes", torus_modes_options),
-                              ("gauge", gauge_options)):
-            vsub.add_parser(name, options=options)
-
-    parser = _Parser(prog="magdirac", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-    for name, summary, options in (
+    verify_options, targets = _commands("magdirac verify", "target", (
+        ("sphere-blocks", {}, sphere_blocks_options),
+        ("torus-modes", {}, torus_modes_options),
+        ("gauge", {}, gauge_options)))
+    root_options, commands = _commands("magdirac", "command", [
+        (name, {"help": summary}, options) for name, summary, options in (
             ("sphere", "exact 3-sphere spectrum at coupling t", sphere_options),
             ("sphere-curve", "eigenvalue curves on a coupling grid (CSV)", sphere_curve_options),
             ("collisions", "couplings where two branch curves cross", collisions_options),
             ("torus", "exact flat-torus spectrum", torus_options),
             ("bounds", "evaluate eigenvalue bounds", bounds_options),
-            ("verify", "matrix-oracle cross-checks", verify_options)):
-        sub.add_parser(name, help=summary, options=options)
+            ("verify", "matrix-oracle cross-checks", verify_options))])
+    commands["verify"][0].commands = targets
+    parser = _Parser(prog="magdirac", description=__doc__.splitlines()[0], options=root_options)
+    parser.commands = commands
     return parser
 
 

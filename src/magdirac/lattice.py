@@ -91,7 +91,7 @@ class Lattice:
             warnings.warn(
                 f"lattice basis is badly conditioned (cond = {cond:.3e}); "
                 "enumeration accuracy may degrade",
-                stacklevel=2,
+                stacklevel=3,
             )
         self.dual_basis = np.linalg.inv(basis).T
         pairing = basis.T @ self.dual_basis

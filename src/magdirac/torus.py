@@ -55,7 +55,7 @@ class SpinCData:
             warnings.warn(
                 "theta reduced into [0, 1); an odd integer part flips delta "
                 "(the mode shift (delta + theta)/2 has period 2 in theta)",
-                stacklevel=2,
+                stacklevel=3,
             )
             delta = (delta + np.mod(np.floor(theta), 2.0).astype(np.int64)) % 2
             theta = np.mod(theta, 1.0)

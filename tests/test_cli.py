@@ -540,6 +540,23 @@ PARSER_SHA256 = {
     "verify torus-modes -h":
         "6950a9fba55346bd1bc5a9c3fd0d8d7c6fae4ab8e053fb5f1f575249a02abd06",
 }
+# argv shapes that a parser not built yet hands back to argparse (a first
+# token that is no command name, extra tokens, "--"), recorded the same way
+# while every request still built the root parser
+PARSER_SHA256.update({
+    "-- sphere --t 1 --cutoff 2":
+        "afb2aad7fb868c448751317c5c141a50cb2b7f386bcabf0eb6405fd00fe8b3c9",
+    "sphere --t 1 extra":
+        "7850626c5ab33e1dc1b7b9ddc0b60bbf088cdad520544213fe7a9568898981fd",
+    "sphere -- --t 1":
+        "571492c5877fc35f935d830cd9cb36ac2b050dda62bca15b02556a8a8f063b14",
+    "verify sphere-blocks --k-max 2 --t-grid 0:1:2 extra":
+        "7850626c5ab33e1dc1b7b9ddc0b60bbf088cdad520544213fe7a9568898981fd",
+    "verify -h sphere-blocks":
+        "c82dec33a7cf276f76ec9ce48f30f281060ac3cce1cb59121be0325b3fa0f77a",
+    "verify gauge --basis [[1]] --f-terms [[[1],1,0]] --cutoffs 1,2 x":
+        "ed9ab10febf26dc34177fc89be7621f17def28521c4ab7ffa140906914aa0067",
+})
 
 
 @pytest.mark.parametrize("request_line", sorted(PARSER_SHA256))
@@ -550,17 +567,14 @@ def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, request_line):
 
 
 def _built(parser) -> list:
-    """prog of each parser under ``parser``, itself included, that holds an
-    option other than -h.  A parser that argparse has not dispatched to yet
-    is not built, so it holds no actions."""
-    actions = getattr(parser, "_actions", [])
-    progs = [parser.prog] if any(a.option_strings and a.dest != "help"
-                                 for a in actions) else []
-    for action in actions:
+    """prog of each parser under ``parser``, itself included, that is built.
+    A parser not built yet holds only its constructor arguments."""
+    progs = [] if parser._pending is not None else [parser.prog]
+    subs = [sub for sub, _ in parser.commands.values()]
+    for action in getattr(parser, "_actions", []):
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                progs += _built(sub)
-    return progs
+            subs += action.choices.values()
+    return progs + [prog for sub in subs for prog in _built(sub)]
 
 
 # one request of each command and each verify target
@@ -575,20 +589,24 @@ ONE_OF_EACH = [
 ]
 
 
+def _own_prog(argv) -> str:
+    return "magdirac " + " ".join(argv[:2 if argv[0] == "verify" else 1])
+
+
 @pytest.mark.parametrize("request_line", ONE_OF_EACH)
 def test_a_request_builds_only_its_own_options(request_line):
-    # a request reads one command; the other parsers are never built
+    # a request reads one command; the root, verify and the other commands'
+    # parsers are never built
     argv = request_line.split()
     parser = cli.build_parser()
     assert _built(parser) == []
     parser.parse_args(argv)
-    assert _built(parser) == ["magdirac " + " ".join(argv[:2 if argv[0] == "verify" else 1])]
+    assert _built(parser) == [_own_prog(argv)]
 
 
-@pytest.mark.parametrize("request_line", ONE_OF_EACH)
-def test_a_request_builds_only_the_parsers_it_dispatches_to(capsys, monkeypatch, request_line):
-    # the root, the command and, for verify, the target: no other parser
-    # object exists, so a new command costs other requests nothing
+@contextlib.contextmanager
+def _constructed(monkeypatch):
+    """The prog of each ArgumentParser constructed in the block, in order."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -596,11 +614,82 @@ def test_a_request_builds_only_the_parsers_it_dispatches_to(capsys, monkeypatch,
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counted)
+        yield built
+
+
+@pytest.mark.parametrize("request_line", ONE_OF_EACH)
+def test_a_request_builds_only_the_parsers_it_dispatches_to(capsys, monkeypatch, request_line):
+    # the command's parser, or for verify the target's: no other parser
+    # object exists, so a new command costs other requests nothing
     argv = request_line.split()
-    assert run(capsys, *argv)[0] == 0
-    depth = 2 if argv[0] == "verify" else 1
-    assert built == [" ".join(["magdirac", *argv[:i]]) for i in range(depth + 1)]
+    with _constructed(monkeypatch) as built:
+        assert run(capsys, *argv)[0] == 0
+    assert built == [_own_prog(argv)]
+
+
+@pytest.mark.parametrize("request_line, built_progs", [
+    ("-h", ["magdirac"]),
+    ("bogus", ["magdirac"]),
+    ("-- sphere --t 1", ["magdirac"]),
+    ("sphere --t 1 extra", ["magdirac sphere", "magdirac"]),
+    ("verify", ["magdirac verify"]),
+    ("verify -h", ["magdirac verify"]),
+    ("verify bogus", ["magdirac verify"]),
+    ("verify sphere-blocks extra", ["magdirac verify sphere-blocks", "magdirac"]),
+])
+def test_help_and_usage_errors_build_the_parser_that_reports_them(
+        capsys, monkeypatch, request_line, built_progs):
+    # help and errors print the usage of the root or verify, so build it
+    with _constructed(monkeypatch) as built:
+        assert run(capsys, *request_line.split())[0] in (0, 1)
+    assert built == built_progs
+
+
+# each command and verify target with its required options only, so every
+# default shows, and with every option given
+EVERY_OPTION = [
+    "sphere --t 0.5", "sphere --t 0.5 --cutoff 3 --json", "sphere --t 0.5 --csv",
+    "sphere-curve", "sphere-curve --t-range 0:1:3 --k-max 2 --window none",
+    "collisions --k-max 2", "collisions --k-max 2 --json",
+    "torus --basis [[1]] --cutoff 2",
+    "torus --basis [[1]] --delta 1 --theta 0.5 --A 0.1 --flux 0.2 --cutoff 2 --csv",
+    "bounds --model sphere",
+    "bounds --model torus --t 1 --which friedrich --basis [[1]] --delta 1 --theta 0.5 "
+    "--A 0.1 --flux 0.2 --cutoff 3",
+    "verify sphere-blocks", "verify sphere-blocks --k-max 2 --t-grid 0:1:2",
+    "verify torus-modes", "verify torus-modes --n 2 --samples 3 --seed 4",
+    "verify gauge --basis [[1]] --f-terms []",
+    "verify gauge --basis [[1]] --delta 1 --f-terms [] --cutoffs 1,2",
+]
+
+
+def test_every_option_is_given_in_some_line():
+    given = {}
+    for line in EVERY_OPTION:
+        argv = line.split()
+        path = tuple(argv[:2 if argv[0] == "verify" else 1])
+        given.setdefault(path, set()).update(a for a in argv if a.startswith("--"))
+    assert len(given) == 8
+    for path, options in given.items():
+        parser = cli.build_parser()
+        for name in path:
+            parser = parser.commands[name][0]
+        parser._build()
+        assert options == {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+@pytest.mark.parametrize("request_line", EVERY_OPTION)
+def test_a_command_parsed_directly_gives_the_namespace_of_argparse(request_line):
+    # the root forced to build first dispatches through argparse subparsers
+    argv = request_line.split()
+    forced = cli.build_parser()
+    forced._build()
+    expected = vars(forced.parse_args(argv))
+    assert vars(cli.build_parser().parse_args(argv)) == expected
+    assert expected["command"] == argv[0] and "func" in expected
+    assert expected.get("target") == (argv[1] if argv[0] == "verify" else None)
 
 
 # sha256 of the stdout of each request, recorded before the sphere level

@@ -87,6 +87,13 @@ def test_ill_conditioned_basis_warns():
         Lattice.from_rows(rows)
 
 
+def test_ill_conditioned_basis_warning_names_the_constructing_call():
+    # not the __init__ that dataclass generates, whose file is "<string>"
+    with pytest.warns(UserWarning, match="badly conditioned") as caught:
+        Lattice(np.array([[1.0, 1.0], [0.0, 1e-7]]))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_enumeration_matches_brute_force():
     rng = np.random.default_rng(22)
     checked = 0

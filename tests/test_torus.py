@@ -161,6 +161,13 @@ def test_spin_data_validation():
         SpinCData(lat, [0, 0], [1.3, 0.0], np.zeros(2))
 
 
+def test_theta_reduction_warning_names_the_constructing_call():
+    # not the __init__ that dataclass generates, whose file is "<string>"
+    with pytest.warns(UserWarning, match="theta reduced") as caught:
+        SpinCData(square(1), [0], [1.3], np.zeros(1))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_spectrum_cutoff_validation_and_window():
     data = SpinCData(square(2), [1, 0], [0.0, 0.0], np.zeros(2))
     with pytest.raises(ValueError):
