@@ -35,10 +35,11 @@ class _Parser(argparse.ArgumentParser):
     Tokens that start with a minus and a digit (grids like ``-4:4:17``,
     comma lists like ``-0.3,0.1``) count as values, not option names.
     Given ``options``, the parser is built, and ``options(parser)`` adds its
-    arguments, when it first parses or reports an error; until then it holds
-    only its constructor arguments.  Unbuilt, it takes a first token that
-    names one of its ``commands`` as argparse would, without building: the
-    command's parser parses the other tokens and the name goes to the dest.
+    arguments, when it first parses or formats its usage or help; until then
+    it holds only its constructor arguments.  Unbuilt, it takes a first
+    token that names one of its ``commands`` as argparse would, without
+    building: the command's parser parses the other tokens and the name goes
+    to the dest.
     """
 
     _pending = None  # (args, kwargs, options) of a parser not built yet
@@ -68,15 +69,18 @@ class _Parser(argparse.ArgumentParser):
         self._build()
         return super().parse_known_args(args, namespace)
 
-    def error(self, message):
+    def format_usage(self):
         self._build()
-        self.print_usage(sys.stderr)
+        return super().format_usage()
+
+    def format_help(self):
+        self._build()
+        return super().format_help()
+
+    def error(self, message):
+        self.print_usage(sys.stderr)  # builds the parser, so self.prog is set
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _json_default(obj):
@@ -140,15 +144,9 @@ def _entry_edges(offsets: np.ndarray) -> list:
 
 
 def _json_list(items: list, indent: str) -> str:
-    """A list in json.dumps(indent=2) layout; ``items`` are rendered one
-    level deeper than ``indent``."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
-
-
-def _json_row(cells: list, indent: str) -> str:
-    """Template of a flat list that is an item at ``indent``: one cell
-    template per element."""
-    return indent + _json_list([indent + "  " + c for c in cells], indent)
+    """A list, not empty, in json.dumps(indent=2) layout at ``indent``; the
+    ``items`` (one cell template each) one level deeper."""
+    return "[\n" + ",\n".join(indent + "  " + c for c in items) + "\n" + indent + "]"
 
 
 def _json_entry(key: str) -> str:
@@ -169,54 +167,93 @@ def _value_strings(values: np.ndarray) -> list:
     return out.tolist()
 
 
+# a cell of a template: the text before a conversion (%s, %d or %r, with
+# flags and width), the conversion, and the text after the last conversion
+_CELL = re.compile(r"([^%]*%[-+ #0]*\d*([sdr])(?:[^%]*\Z)?)")
+
+
+def _join(vocab: np.ndarray, index: np.ndarray) -> str:
+    """The text of a block of rows: the strings ``vocab[index]``, row by row."""
+    return "".join(vocab[index.ravel()].tolist())
+
+
+def _distinct(column, kind: str) -> tuple:
+    """(cells, keys, shift) of a column of %``kind`` cells, row r holding
+    cells[keys[r] - shift]: integers over lo..hi, or their distinct values
+    where that span is sparse; floats by bit pattern, so -0.0 and 0.0 stay
+    apart; strings as they are."""
+    if kind == "s":
+        return column, np.arange(len(column)), 0
+    keys = np.asarray(column, np.float64 if kind == "r" else np.int64).view(np.int64)
+    lo, hi = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
+    if kind == "d" and hi - lo < 2 * keys.size + 64:
+        return range(lo, hi + 1), keys, lo
+    cells, keys = np.unique(keys, return_inverse=True)
+    return (cells.view(np.float64) if kind == "r" else cells), keys, 0
+
+
+class _Cells:
+    """A table's rows as places in ``vocab``, its distinct cell strings.
+
+    Row r follows ``templates[variant[r]]`` (``templates[0]`` without
+    variant): its i-th cell (``_CELL``) takes ``columns[i][r]``, and is
+    empty past the template's last.  Each string is made once per template
+    and distinct cell (``_distinct``); a bare %s cell is its string.
+    """
+
+    def __init__(self, templates, columns, variant=None):
+        parts = [_CELL.findall(t) for t in templates]
+        vocab, self.variant, self.columns = [], variant, []
+        for i, column in enumerate(columns):
+            kind = next(p[i][1] for p in parts if i < len(p))
+            cells, keys, shift = _distinct(column, kind)
+            cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+            self.columns.append((keys, shift, len(vocab), len(cells)))
+            for p in parts:
+                f = p[i][0] if i < len(p) else ""
+                vocab += cells if f == "%s" else map(f.__mod__, cells) if f else [f] * len(cells)
+        self.vocab = np.array(vocab, dtype=object)
+
+    def index(self, a: int, b: int) -> np.ndarray:
+        """The places in ``vocab`` of the cells of rows a..b, (rows, cells)."""
+        index = np.empty((b - a, len(self.columns)), np.intp)
+        for place, (keys, shift, start, stride) in zip(index.T, self.columns):
+            np.subtract(keys[a:b], shift, out=place)
+            place += start if self.variant is None else start + self.variant[a:b] * stride
+        return index
+
+    def text(self, a: int, b: int) -> str:
+        return _join(self.vocab, self.index(a, b))
+
+
 def _entry_blocks(spec, template: str, members, join: str) -> tuple:
     """Block edges and renderer of the spectrum's entries for
     ``_write_table``: ``template % (value string, multiplicity, the entry's
-    members joined by join)``, where ``members(labels)`` renders one string
-    per label row.  Value strings are made once, since the mirror rule
-    reads the far end of the list."""
+    members joined by join)``, ``members(labels)`` being the ``_Cells`` of
+    the labels.  Each member is a row, led by join or, in an entry's first,
+    by the template's head (behind the tail of the entry before), value and
+    multiplicity.  Value strings are made once for the whole list, since the
+    mirror rule reads its far end."""
     labels, offsets = spec.members()
-    values, mults = _value_strings(spec.values()), spec.multiplicities()
+    head, rest = template.split("%", 1)
+    entry, _, tail = ("%" + rest).rpartition("%s")  # the value and multiplicity cells
+    entries = _Cells([entry], [_value_strings(spec.values()), spec.multiplicities()])
+    cells = members(labels)
+    vocab = np.concatenate([np.array([head, tail + head, join, ""], dtype=object),
+                            entries.vocab, cells.vocab])
 
     def render(a, b):
         lo, hi = offsets[a], offsets[b]
-        groups = members(labels[lo:hi])
-        if hi - lo != b - a:  # some entry has more than one member
-            bounds = (offsets[a:b + 1] - lo).tolist()
-            groups = [join.join(groups[c:d]) for c, d in zip(bounds, bounds[1:])]
-        return _text(template, [values[a:b], mults[a:b], groups])
+        first = offsets[a:b] - lo
+        index = np.full((hi - lo, 3 + len(cells.columns)), 3)  # lead, value, multiplicity
+        index[:, 0] = 2  # join
+        index[first, 0] = 1  # the tail of the entry before and the head
+        index[0, 0] = 0  # the head
+        index[first, 1:3] = entries.index(a, b) + 4
+        index[:, 3:] = cells.index(lo, hi) + 4 + len(entries.vocab)
+        return _join(vocab, index) + tail
 
     return _entry_edges(offsets), render
-
-
-def _text(template: str, columns) -> str:
-    """``template % row`` for each row of the equal-length ``columns``
-    (lists, arrays or one (width, rows) array), concatenated by one % call."""
-    rows, width = len(columns[0]), len(columns)
-    if isinstance(columns, np.ndarray):  # its transpose is the cells row by row
-        flat = columns.T.ravel().tolist()
-    else:
-        flat = [None] * (rows * width)
-        for j, column in enumerate(columns):
-            flat[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
-    return template * rows % tuple(flat)
-
-
-def _cells(template: str, columns) -> list:
-    """``_text`` split into its rows; neither the template nor a str cell
-    may contain NUL."""
-    return _text(template + "\0", columns).split("\0")[:-1]
-
-
-def _sphere_members(labels, end: str, branch: str) -> list:
-    """Each (family, k, p, sign) row of ``labels`` rendered by the end
-    template (family name, k) or the branch template (name, k, p, sign)."""
-    names = np.array(sphere.FAMILIES, dtype=object)[labels[:, 0]]
-    ends = labels[:, 0] < 2
-    out = np.empty(len(labels), dtype=object)
-    out[ends] = _cells(end, [names[ends], labels[ends, 1]])
-    out[~ends] = _cells(branch, [names[~ends], *labels[~ends, 1:].T])
-    return out.tolist()
 
 
 def _parse_grid(text: str, option: str) -> np.ndarray:
@@ -321,17 +358,18 @@ def cmd_sphere(ns) -> int:
     if ns.json:
         head = '{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": ' % (t, cutoff)
         template, join = _json_entry("labels"), ",\n"
-        end, branch = (_json_row(['"%s"', "%d", *cells], " " * 8)
-                       for cells in (["null", "null"], ["%d", "%d"]))
+        families = [" " * 8 + _json_list([f'"{name}"', "%d", *cells], " " * 8) for name, cells
+                    in zip(sphere.FAMILIES, (["null", "null"], ["null", "null"], ["%d", "%d"]))]
     elif ns.csv:
         head, template, join = "value,multiplicity,labels\n", "%s,%d,%s\n", ";"
-        end, branch = "%s:k=%d", "%s:k=%d:p=%d:s=%+d"
+        families = ["plus:k=%d", "minus:k=%d", "branch:k=%d:p=%d:s=%+d"]
     else:
-        head = (f"# spectrum at t = {_fmt(t)}, |value| <= {_fmt(cutoff)}\n"
+        head = (f"# spectrum at t = {t!r}, |value| <= {cutoff!r}\n"
                 f"{'value':>24}  {'mult':>5}  families\n")
-        template, join, end, branch = "%24s  %5d  %s\n", " ", "%s(k=%d)", "%s(k=%d,p=%d,%+d)"
-    edges, render = _entry_blocks(spec, template,
-                                  lambda labels: _sphere_members(labels, end, branch), join)
+        template, join = "%24s  %5d  %s\n", " "
+        families = ["plus(k=%d)", "minus(k=%d)", "branch(k=%d,p=%d,%+d)"]
+    edges, render = _entry_blocks(
+        spec, template, lambda labels: _Cells(families, labels[:, 1:].T, labels[:, 0]), join)
     if ns.json:
         _write_json_list(head, edges, render, "\n}\n")
     else:
@@ -343,18 +381,13 @@ def cmd_sphere_curve(ns) -> int:
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
     t_values, members, i, j, value = sphere.curve_table(
         _parse_grid(ns.t_range, "--t-range"), ns.k_max, window)
-    members = np.stack(members, axis=1)
-
-    def render(a, b):
-        # the t cell of each coupling and the family,k,p,sign cell of each
-        # member in the block, once
-        ts, ti = np.unique(i[a:b], return_inverse=True)
-        ms, mj = np.unique(j[a:b], return_inverse=True)
-        t_cells = np.array(list(map(repr, t_values[ts].tolist())), dtype=object)
-        m_cells = np.array(_sphere_members(members[ms], "%s,%d,,", "%s,%d,%d,%d"), dtype=object)
-        return _text("%s,%s,%r\n", [t_cells[ti], m_cells[mj], value[a:b]])
-
-    _write_table("t,family,k,p,sign,value\n", _row_edges(len(i)), render, "")
+    # the ,family,k,p,sign cell of each member once; the cells of a block of
+    # rows with the block, since hardly a value recurs
+    cells = _Cells([",plus,%d,,", ",minus,%d,,", ",branch,%d,%d,%d"], members[1:], members[0])
+    names = np.array(list(map("".join, cells.vocab[cells.index(0, len(members[0]))].tolist())),
+                     dtype=object)
+    _write_table("t,family,k,p,sign,value\n", _row_edges(len(i)), lambda a, b: _Cells(
+        ["%r%s,%r\n"], [t_values[i[a:b]], names[j[a:b]], value[a:b]]).text(0, b - a), "")
     return 0
 
 
@@ -373,27 +406,24 @@ def cmd_collisions(ns) -> int:
         item = ('    {\n      "k": %d,\n      "p": %d,\n      "k2": %d,\n      "p2": %d,\n'
                 '      "t": %r,\n      "f0": %r\n    },\n')
         _write_json_list('{\n  "k_max": %d,\n  "collisions": ' % k_max, edges,
-                         lambda a, b: _text(item, [c[a:b] for c in cols]), "\n}\n")
+                         _Cells([item], cols).text, "\n}\n")
     else:
-        _write_table("k,p,k2,p2,t,f0\n", edges,
-                     lambda a, b: _text("%d,%d,%d,%d,%r,%r\n", [c[a:b] for c in cols]), "")
+        _write_table("k,p,k2,p2,t,f0\n", edges, _Cells(["%d,%d,%d,%d,%r,%r\n"], cols).text, "")
     return 0
 
 
 def cmd_torus(ns) -> int:
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
+    mode = " ".join(["%d"] * data.n) if ns.csv else " " * 8 + _json_list(["%d"] * data.n, " " * 8)
+    edges, render = _entry_blocks(spec, "%s,%d,%s\n" if ns.csv else _json_entry("modes"),
+                                  lambda labels: _Cells([mode], labels.T),
+                                  ";" if ns.csv else ",\n")
     if ns.csv:
-        mode = " ".join(["%d"] * data.n)
-        edges, render = _entry_blocks(spec, "%s,%d,%s\n",
-                                      lambda labels: _cells(mode, labels.T), ";")
         _write_table("value,multiplicity,modes\n", edges, render, "")
         return 0
     zm = torus.zero_mode(data)
-    mode = _json_row(["%d"] * data.n, " " * 8)
-    edges, render = _entry_blocks(spec, _json_entry("modes"),
-                                  lambda labels: _cells(mode, labels.T), ",\n")
-    zero = "null" if zm is None else _json_list(["    %d" % c for c in zm.tolist()], "  ")
+    zero = "null" if zm is None else _json_list(["%d"] * data.n, "  ") % tuple(zm.tolist())
     _write_json_list('{\n  "eigenvalues": ', edges, render,
                      ',\n  "zero_mode": %s\n}\n' % zero)
     return 0

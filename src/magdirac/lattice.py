@@ -126,7 +126,10 @@ class Lattice:
     @classmethod
     def from_rows(cls, rows) -> "Lattice":
         """Lattice whose generators are the *rows* of the given matrix."""
-        return cls(np.array(rows, dtype=np.float64).T)
+        lattice = object.__new__(cls)  # no __init__ frame: the warning names our caller
+        lattice.basis = np.array(rows, dtype=np.float64).T
+        lattice.__post_init__()
+        return lattice
 
     def dual(self) -> "Lattice":
         """The dual lattice, generated by the dual basis columns.  Its basis

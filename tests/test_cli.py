@@ -484,6 +484,16 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
+def test_an_unbuilt_parser_formats_its_help_and_usage(capsys, monkeypatch):
+    # build_parser returns the root not built; formatting builds it first
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and cli.build_parser().format_help() == out
+    assert cli.build_parser().format_usage() == out[:out.index("\n") + 1]
+    cli.build_parser().print_help()
+    assert capsys.readouterr().out == out
+
+
 # sha256 of repr((exit code, stdout, stderr)) of each help and usage-error
 # request at a terminal width of 80 (Python 3.11 argparse), recorded while
 # build_parser still added every option of every command up front; adding a
@@ -905,16 +915,36 @@ LARGE_TABLES = [
 
 @pytest.mark.parametrize("request_line", LARGE_TABLES)
 def test_no_call_renders_more_than_a_block(capsys, monkeypatch, request_line):
-    # _text holds the one % call that renders every table
+    # _join holds the one join that renders every block of every table
     rendered = []
 
-    def recorded(template, columns, text=cli._text):
-        rendered.append(len(columns[0]))
-        return text(template, columns)
+    def recorded(vocab, index, join=cli._join):
+        rendered.append(len(index))
+        return join(vocab, index)
 
-    monkeypatch.setattr(cli, "_text", recorded)
+    monkeypatch.setattr(cli, "_join", recorded)
     assert run(capsys, *request_line.split())[0] == 0
     assert sum(rendered) > cli.BLOCK >= max(rendered)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("", "59714d2f8745b870bac79c1742f29a420ace322a18ab3606d2c50d0e0ee70e19"),
+    (" --json", "b8ef34754d31a08c0f5b229d6092e1fedfa03545aaa793359de6fa109731698a")])
+def test_collision_cells_are_made_once_per_distinct_value(capsys, monkeypatch, fmt, digest):
+    # 5,257 rows, but 733 distinct t and 2,049 distinct f0: a float cell
+    # string is made once per bit pattern in the table (digests recorded
+    # while every cell was rendered by its own % conversion)
+    made = []
+
+    def recorded(column, kind, distinct=cli._distinct):
+        cells, keys, shift = distinct(column, kind)
+        made.append((kind, len(cells)))
+        return cells, keys, shift
+
+    monkeypatch.setattr(cli, "_distinct", recorded)
+    code, out, _ = run(capsys, *f"collisions --k-max 14{fmt}".split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    assert [n for kind, n in made if kind == "r"] == [733, 2049]
 
 
 @st.composite
@@ -924,11 +954,15 @@ def cell_columns(draw):
     rows = draw(st.integers(0, 20))
     text = st.text(st.characters(exclude_characters="\0%"), max_size=4)
     ints = st.integers(-2**63, 2**63 - 1)
-    cell = {"%s": text, "%d": ints, "%+d": ints, "%r": st.floats(allow_nan=False)}
+    cell = {"%s": text, "%24s": text, "%d": ints, "%+d": ints, "%5d": ints,
+            "%r": st.floats(allow_nan=False)}
     specs = draw(st.lists(st.sampled_from(sorted(cell)), min_size=1, max_size=4))
     columns = [draw(st.lists(cell[c], min_size=rows, max_size=rows)) for c in specs]
     seps = draw(st.lists(text, min_size=len(specs) + 1, max_size=len(specs) + 1))
     return seps[0] + "".join(c + sep for c, sep in zip(specs, seps[1:])), columns
+
+
+BIG = 2**63 - 1
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -937,16 +971,21 @@ def cell_columns(draw):
 @example(request=('"%s"', [[""]]))
 @example(request=("%d %d", [[1, -2], [3, 4]]))
 @example(request=("%d", [[]]))
+@example(request=("%r;%r\n", [[-0.0, 0.0, 0.0, -0.0], [math.inf, -math.inf, 5e-324, -5e-324]]))
+@example(request=("%d,%+d|%5d", [[BIG, 1, -BIG, 0], [3, -BIG, 2, BIG], [-BIG - 1, 7, BIG, 7]]))
+@example(request=("[%24s]%+d %5d", [["a", "", "a"], [-1, 0, 1], [12345678, -2, -2]]))
 def test_cells_equal_the_per_row_loop(request):
+    # the sparse integer path, -0.0 beside 0.0 and the flags and widths of
+    # the specifiers render as % renders each row
     template, columns = request
-    expected = [template % row for row in zip(*columns)]
-    assert cli._cells(template, columns) == expected
-    assert cli._text(template, columns) == "".join(expected)
+    expected = "".join(template % row for row in zip(*columns))
+    rows = len(columns[0])
+    assert cli._Cells([template], columns).text(0, rows) == expected
     arrays = [np.array(c, dtype=object) for c in columns]  # array columns render alike
-    assert cli._cells(template, arrays) == expected
-    if "%s" not in template and "%r" not in template:  # integer columns as one array
+    assert cli._Cells([template], arrays).text(0, rows) == expected
+    if all(isinstance(x, int) for c in columns for x in c):  # integer columns as one array
         stacked = np.array(columns, dtype=np.int64).reshape(len(columns), -1)
-        assert cli._cells(template, stacked) == expected
+        assert cli._Cells([template], stacked).text(0, rows) == expected
 
 
 # recorded before the sphere and torus branches of cmd_bounds became one loop
@@ -1191,6 +1230,7 @@ def test_a_merged_value_that_is_not_its_mirror_prints_its_own_repr():
     spec = Spectrum.from_triples(triples([s * xs[i] for s, i in labels], 1, labels),
                                  tolerance=1e-9)
     assert spec.values().tolist() == [-8.768610301359622, 8.76861030135962]
-    edges, render = cli._entry_blocks(spec, "%s,%d,%s\n", lambda labels: list("abcdef"), ";")
+    edges, render = cli._entry_blocks(spec, "%s,%d,%s\n",
+                                      lambda labels: cli._Cells(["%s"], [list("abcdef")]), ";")
     assert edges == [0, 2]
     assert render(0, 2) == "-8.768610301359622,3,a;b;c\n8.76861030135962,3,d;e;f\n"

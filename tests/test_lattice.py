@@ -94,6 +94,13 @@ def test_ill_conditioned_basis_warning_names_the_constructing_call():
     assert [w.filename for w in caught] == [__file__]
 
 
+def test_ill_conditioned_basis_warning_through_from_rows_names_its_caller():
+    # not the cls(...) line of from_rows in lattice.py
+    with pytest.warns(UserWarning, match="badly conditioned") as caught:
+        Lattice.from_rows(np.array([[1.0, 0.0], [1.0, 1e-7]]))
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_enumeration_matches_brute_force():
     rng = np.random.default_rng(22)
     checked = 0
