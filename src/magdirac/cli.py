@@ -178,22 +178,24 @@ def _join(vocab: np.ndarray, index: np.ndarray) -> str:
 
 
 def _distinct(column, kind: str) -> tuple:
-    """(cells, keys, shift) of a column of %``kind`` cells, row r holding
-    cells[keys[r] - shift]: integers over lo..hi, or their distinct values
-    where that span is sparse; floats by bit pattern, so -0.0 and 0.0 stay
-    apart; strings as they are."""
+    """(cells, keys) of a column of %``kind`` cells, row r holding
+    cells[keys[r]]: integers over lo..hi where that span is dense, which
+    spares the sort; else numbers once per bit pattern, so -0.0 and 0.0
+    stay apart; strings as they are."""
     if kind == "s":
-        return column, np.arange(len(column)), 0
-    keys = np.asarray(column, np.float64 if kind == "r" else np.int64).view(np.int64)
-    lo, hi = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
-    if kind == "d" and hi - lo < 2 * keys.size + 64:
-        return range(lo, hi + 1), keys, lo
-    cells, keys = np.unique(keys, return_inverse=True)
-    return (cells.view(np.float64) if kind == "r" else cells), keys, 0
+        return column, np.arange(len(column))
+    column = np.asarray(column, np.float64 if kind == "r" else np.int64)
+    if kind == "d" and column.size:
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < 2 * column.size + 64:
+            return range(lo, hi + 1), column - lo
+    cells, keys = np.unique(column.view(np.int64), return_inverse=True)
+    return cells.view(column.dtype).tolist(), keys
 
 
 class _Cells:
-    """A table's rows as places in ``vocab``, its distinct cell strings.
+    """A block of rows as ``index``, (rows, cells) places in ``vocab``, its
+    distinct cell strings.
 
     Row r follows ``templates[variant[r]]`` (``templates[0]`` without
     variant): its i-th cell (``_CELL``) takes ``columns[i][r]``, and is
@@ -201,57 +203,46 @@ class _Cells:
     and distinct cell (``_distinct``); a bare %s cell is its string.
     """
 
-    def __init__(self, templates, columns, variant=None):
+    def __init__(self, templates, columns, variant=0):
         parts = [_CELL.findall(t) for t in templates]
-        vocab, self.variant, self.columns = [], variant, []
+        vocab, self.index = [], np.empty((len(columns[0]), len(columns)), np.intp)
         for i, column in enumerate(columns):
-            kind = next(p[i][1] for p in parts if i < len(p))
-            cells, keys, shift = _distinct(column, kind)
-            cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
-            self.columns.append((keys, shift, len(vocab), len(cells)))
-            for p in parts:
-                f = p[i][0] if i < len(p) else ""
-                vocab += cells if f == "%s" else map(f.__mod__, cells) if f else [f] * len(cells)
+            cells, keys = _distinct(column, next(p[i][1] for p in parts if i < len(p)))
+            self.index[:, i] = keys + len(vocab) + variant * len(cells)
+            for p in parts:  # "%.0s" renders the empty cells past a template's last
+                f = p[i][0] if i < len(p) else "%.0s"
+                vocab.extend(cells if f == "%s" else map(f.__mod__, cells))
         self.vocab = np.array(vocab, dtype=object)
 
-    def index(self, a: int, b: int) -> np.ndarray:
-        """The places in ``vocab`` of the cells of rows a..b, (rows, cells)."""
-        index = np.empty((b - a, len(self.columns)), np.intp)
-        for place, (keys, shift, start, stride) in zip(index.T, self.columns):
-            np.subtract(keys[a:b], shift, out=place)
-            place += start if self.variant is None else start + self.variant[a:b] * stride
-        return index
-
-    def text(self, a: int, b: int) -> str:
-        return _join(self.vocab, self.index(a, b))
+    def text(self) -> str:
+        return _join(self.vocab, self.index)
 
 
 def _entry_blocks(spec, template: str, members, join: str) -> tuple:
     """Block edges and renderer of the spectrum's entries for
     ``_write_table``: ``template % (value string, multiplicity, the entry's
     members joined by join)``, ``members(labels)`` being the ``_Cells`` of
-    the labels.  Each member is a row, led by join or, in an entry's first,
-    by the template's head (behind the tail of the entry before), value and
-    multiplicity.  Value strings are made once for the whole list, since the
-    mirror rule reads its far end."""
+    a block's labels.  Each member is a row, led by join or, in an entry's
+    first, by the template's head (behind the tail of the entry before),
+    value and multiplicity.  Value strings are made once for the whole
+    list, since the mirror rule reads its far end."""
     labels, offsets = spec.members()
+    values, mults = _value_strings(spec.values()), spec.multiplicities()
     head, rest = template.split("%", 1)
     entry, _, tail = ("%" + rest).rpartition("%s")  # the value and multiplicity cells
-    entries = _Cells([entry], [_value_strings(spec.values()), spec.multiplicities()])
-    cells = members(labels)
-    vocab = np.concatenate([np.array([head, tail + head, join, ""], dtype=object),
-                            entries.vocab, cells.vocab])
+    leads = np.array([head, tail + head, join, ""], dtype=object)
 
     def render(a, b):
         lo, hi = offsets[a], offsets[b]
         first = offsets[a:b] - lo
-        index = np.full((hi - lo, 3 + len(cells.columns)), 3)  # lead, value, multiplicity
+        entries, cells = _Cells([entry], [values[a:b], mults[a:b]]), members(labels[lo:hi])
+        index = np.full((hi - lo, 3 + len(cells.index.T)), 3)  # lead, value, multiplicity
         index[:, 0] = 2  # join
         index[first, 0] = 1  # the tail of the entry before and the head
         index[0, 0] = 0  # the head
-        index[first, 1:3] = entries.index(a, b) + 4
-        index[:, 3:] = cells.index(lo, hi) + 4 + len(entries.vocab)
-        return _join(vocab, index) + tail
+        index[first, 1:3] = entries.index + 4
+        index[:, 3:] = cells.index + 4 + len(entries.vocab)
+        return _join(np.concatenate([leads, entries.vocab, cells.vocab]), index) + tail
 
     return _entry_edges(offsets), render
 
@@ -351,6 +342,11 @@ def _spinc_from_args(ns) -> torus.SpinCData:
 # subcommands
 
 
+def _family_templates(end: str, branch: str) -> list:
+    """The member template of each of sphere.FAMILIES, its name in the {}."""
+    return [f.format(name) for f, name in zip((end, end, branch), sphere.FAMILIES)]
+
+
 def cmd_sphere(ns) -> int:
     t = float(ns.t)
     cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
@@ -358,16 +354,16 @@ def cmd_sphere(ns) -> int:
     if ns.json:
         head = '{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": ' % (t, cutoff)
         template, join = _json_entry("labels"), ",\n"
-        families = [" " * 8 + _json_list([f'"{name}"', "%d", *cells], " " * 8) for name, cells
-                    in zip(sphere.FAMILIES, (["null", "null"], ["null", "null"], ["%d", "%d"]))]
+        end, branch = (" " * 8 + _json_list(['"{}"', "%d", *cells], " " * 8)
+                       for cells in (["null", "null"], ["%d", "%d"]))
     elif ns.csv:
         head, template, join = "value,multiplicity,labels\n", "%s,%d,%s\n", ";"
-        families = ["plus:k=%d", "minus:k=%d", "branch:k=%d:p=%d:s=%+d"]
+        end, branch = "{}:k=%d", "{}:k=%d:p=%d:s=%+d"
     else:
         head = (f"# spectrum at t = {t!r}, |value| <= {cutoff!r}\n"
                 f"{'value':>24}  {'mult':>5}  families\n")
-        template, join = "%24s  %5d  %s\n", " "
-        families = ["plus(k=%d)", "minus(k=%d)", "branch(k=%d,p=%d,%+d)"]
+        template, join, end, branch = "%24s  %5d  %s\n", " ", "{}(k=%d)", "{}(k=%d,p=%d,%+d)"
+    families = _family_templates(end, branch)
     edges, render = _entry_blocks(
         spec, template, lambda labels: _Cells(families, labels[:, 1:].T, labels[:, 0]), join)
     if ns.json:
@@ -381,13 +377,11 @@ def cmd_sphere_curve(ns) -> int:
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
     t_values, members, i, j, value = sphere.curve_table(
         _parse_grid(ns.t_range, "--t-range"), ns.k_max, window)
-    # the ,family,k,p,sign cell of each member once; the cells of a block of
-    # rows with the block, since hardly a value recurs
-    cells = _Cells([",plus,%d,,", ",minus,%d,,", ",branch,%d,%d,%d"], members[1:], members[0])
-    names = np.array(list(map("".join, cells.vocab[cells.index(0, len(members[0]))].tolist())),
-                     dtype=object)
+    # the ,family,k,p,sign text of each member once
+    names = _Cells(_family_templates(",{},%d,,", ",{},%d,%d,%d"), members[1:], members[0])
+    names = np.array(list(map("".join, names.vocab[names.index].tolist())), dtype=object)
     _write_table("t,family,k,p,sign,value\n", _row_edges(len(i)), lambda a, b: _Cells(
-        ["%r%s,%r\n"], [t_values[i[a:b]], names[j[a:b]], value[a:b]]).text(0, b - a), "")
+        ["%r%s,%r\n"], [t_values[i[a:b]], names[j[a:b]], value[a:b]]).text(), "")
     return 0
 
 
@@ -406,9 +400,10 @@ def cmd_collisions(ns) -> int:
         item = ('    {\n      "k": %d,\n      "p": %d,\n      "k2": %d,\n      "p2": %d,\n'
                 '      "t": %r,\n      "f0": %r\n    },\n')
         _write_json_list('{\n  "k_max": %d,\n  "collisions": ' % k_max, edges,
-                         _Cells([item], cols).text, "\n}\n")
+                         lambda a, b: _Cells([item], [c[a:b] for c in cols]).text(), "\n}\n")
     else:
-        _write_table("k,p,k2,p2,t,f0\n", edges, _Cells(["%d,%d,%d,%d,%r,%r\n"], cols).text, "")
+        _write_table("k,p,k2,p2,t,f0\n", edges, lambda a, b: _Cells(
+            ["%d,%d,%d,%d,%r,%r\n"], [c[a:b] for c in cols]).text(), "")
     return 0
 
 

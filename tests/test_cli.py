@@ -927,24 +927,42 @@ def test_no_call_renders_more_than_a_block(capsys, monkeypatch, request_line):
     assert sum(rendered) > cli.BLOCK >= max(rendered)
 
 
+@pytest.mark.parametrize("request_line", LARGE_TABLES)
+def test_no_call_holds_the_cell_strings_of_more_than_a_block(capsys, monkeypatch, request_line):
+    # the distinct cell strings are made block by block: with 64-row blocks
+    # no vocabulary passes 316 strings, where those of a whole table reach
+    # 518 (torus), 2,836 (collisions) and 4,033 (sphere)
+    vocabularies = []
+
+    def recorded(vocab, index, join=cli._join):
+        vocabularies.append(len(vocab))
+        return join(vocab, index)
+
+    monkeypatch.setattr(cli, "_join", recorded)
+    monkeypatch.setattr(cli, "BLOCK", 64)
+    assert run(capsys, *request_line.split())[0] == 0
+    assert len(vocabularies) > 1 and max(vocabularies) <= 8 * cli.BLOCK
+
+
 @pytest.mark.parametrize("fmt, digest", [
     ("", "59714d2f8745b870bac79c1742f29a420ace322a18ab3606d2c50d0e0ee70e19"),
     (" --json", "b8ef34754d31a08c0f5b229d6092e1fedfa03545aaa793359de6fa109731698a")])
 def test_collision_cells_are_made_once_per_distinct_value(capsys, monkeypatch, fmt, digest):
-    # 5,257 rows, but 733 distinct t and 2,049 distinct f0: a float cell
-    # string is made once per bit pattern in the table (digests recorded
-    # while every cell was rendered by its own % conversion)
+    # 5,257 rows in 6 blocks, but 1,135 t and 2,689 f0 strings: a float
+    # cell string is made once per bit pattern in its block (digests
+    # recorded while every cell was rendered by its own % conversion)
     made = []
 
     def recorded(column, kind, distinct=cli._distinct):
-        cells, keys, shift = distinct(column, kind)
+        cells, keys = distinct(column, kind)
         made.append((kind, len(cells)))
-        return cells, keys, shift
+        return cells, keys
 
     monkeypatch.setattr(cli, "_distinct", recorded)
     code, out, _ = run(capsys, *f"collisions --k-max 14{fmt}".split())
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
-    assert [n for kind, n in made if kind == "r"] == [733, 2049]
+    floats = [n for kind, n in made if kind == "r"]  # t and f0 of each block
+    assert len(floats) == 12 and [sum(floats[0::2]), sum(floats[1::2])] == [1135, 2689]
 
 
 @st.composite
@@ -980,12 +998,12 @@ def test_cells_equal_the_per_row_loop(request):
     template, columns = request
     expected = "".join(template % row for row in zip(*columns))
     rows = len(columns[0])
-    assert cli._Cells([template], columns).text(0, rows) == expected
+    assert cli._Cells([template], columns).text() == expected
     arrays = [np.array(c, dtype=object) for c in columns]  # array columns render alike
-    assert cli._Cells([template], arrays).text(0, rows) == expected
+    assert cli._Cells([template], arrays).text() == expected
     if all(isinstance(x, int) for c in columns for x in c):  # integer columns as one array
         stacked = np.array(columns, dtype=np.int64).reshape(len(columns), -1)
-        assert cli._Cells([template], stacked).text(0, rows) == expected
+        assert cli._Cells([template], stacked).text() == expected
 
 
 # recorded before the sphere and torus branches of cmd_bounds became one loop
