@@ -2,23 +2,25 @@
 flat tori, matrix oracles that cross-validate the closed forms, and
 evaluators for the associated eigenvalue bounds."""
 
-from . import bounds, clifford, oracle, sphere, torus
-from .lattice import Lattice
-from .spectrum import Spectrum, SpectrumEntry, merge_tolerance
-from .torus import SpinCData
+import importlib
+
+# public name -> the submodule that defines it (a submodule, itself); each is
+# imported on first use (PEP 562), so `import magdirac` loads no submodule
+_HOMES = {"bounds": "bounds", "clifford": "clifford", "oracle": "oracle", "sphere": "sphere",
+          "torus": "torus", "Lattice": "lattice", "Spectrum": "spectrum",
+          "SpectrumEntry": "spectrum", "SpinCData": "torus", "merge_tolerance": "spectrum"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "bounds",
-    "clifford",
-    "oracle",
-    "sphere",
-    "torus",
-    "Lattice",
-    "Spectrum",
-    "SpectrumEntry",
-    "SpinCData",
-    "merge_tolerance",
-    "__version__",
-]
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_HOMES[name]}")
+    return module if name == _HOMES[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -23,9 +23,6 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import oracle, sphere, torus
-from .lattice import Lattice
 from .spectrum import check_size
 
 
@@ -288,7 +285,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _parse_basis(text: str) -> Lattice:
+def _parse_basis(text: str) -> "Lattice":
+    from .lattice import Lattice
     rows = _parse_json(text, "--basis")
     if not (isinstance(rows, list) and rows and all(
             isinstance(r, list) and len(r) == len(rows) and all(map(_is_number, r))
@@ -322,7 +320,8 @@ def _parse_f_terms(text: str, n: int):
     return terms
 
 
-def _spinc_from_args(ns) -> torus.SpinCData:
+def _spinc_from_args(ns) -> "torus.SpinCData":
+    from . import torus
     lat = _parse_basis(ns.basis)
     n = lat.n
     delta = _parse_list(ns.delta, "--delta", int) if ns.delta else [0] * n
@@ -344,10 +343,12 @@ def _spinc_from_args(ns) -> torus.SpinCData:
 
 def _family_templates(end: str, branch: str) -> list:
     """The member template of each of sphere.FAMILIES, its name in the {}."""
+    from . import sphere
     return [f.format(name) for f, name in zip((end, end, branch), sphere.FAMILIES)]
 
 
 def cmd_sphere(ns) -> int:
+    from . import sphere
     t = float(ns.t)
     cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
     spec = sphere.spectrum(t, cutoff)
@@ -374,6 +375,7 @@ def cmd_sphere(ns) -> int:
 
 
 def cmd_sphere_curve(ns) -> int:
+    from . import sphere
     window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
     t_values, members, i, j, value = sphere.curve_table(
         _parse_grid(ns.t_range, "--t-range"), ns.k_max, window)
@@ -386,6 +388,7 @@ def cmd_sphere_curve(ns) -> int:
 
 
 def cmd_collisions(ns) -> int:
+    from . import sphere
     k_max = sphere._check_level(ns.k_max)
     curves = k_max * (k_max + 1) / 2
     check_size(curves * (curves - 1) / 2, "curve pairs", "--k-max")
@@ -408,6 +411,7 @@ def cmd_collisions(ns) -> int:
 
 
 def cmd_torus(ns) -> int:
+    from . import torus
     data = _spinc_from_args(ns)
     spec = torus.spectrum(data, float(ns.cutoff))
     mode = " ".join(["%d"] * data.n) if ns.csv else " " * 8 + _json_list(["%d"] * data.n, " " * 8)
@@ -424,15 +428,15 @@ def cmd_torus(ns) -> int:
     return 0
 
 
-def _sphere_diamagnetic(data, t):
+def _sphere_diamagnetic(bounds, data, t):
     """Diamagnetic bound on S^3 in the quasi-Killing sector whose q has the sign of t:
     for q >= 0, min over +-q of lam^2 -+ t q + t^2 is lam^2 - |t| q + t^2 bit for bit."""
-    return bounds_mod.diamagnetic_upper(*bounds_mod.berger_q(data.S), data.eta_Linf, abs(t))
+    return bounds.diamagnetic_upper(*bounds.berger_q(data.S), data.eta_Linf, abs(t))
 
 
-# bound name -> evaluator (GeometricData, coupling) -> BoundValue
-_BOUNDS = {"friedrich": bounds_mod.friedrich, "hijazi": bounds_mod.hijazi,
-           "basic": bounds_mod.basic, "diamagnetic": _sphere_diamagnetic}
+# bound name -> evaluator (the bounds module, GeometricData, coupling) -> BoundValue
+_BOUNDS = {"friedrich": lambda b, *a: b.friedrich(*a), "hijazi": lambda b, *a: b.hijazi(*a),
+           "basic": lambda b, *a: b.basic(*a), "diamagnetic": _sphere_diamagnetic}
 
 # flat tori: bound name -> why it does not apply
 _TORUS_REASONS = {
@@ -440,8 +444,7 @@ _TORUS_REASONS = {
               "no information",
     "basic": "flat translations have vanishing O'Neill tensor; the basic bound degenerates "
              "to |t|",
-    "diamagnetic": "needs a quasi-Killing eigenspinor of the plain operator, available on "
-                   "Sasakian geometries, not on flat tori",
+    "diamagnetic": "its evaluation on flat tori is not implemented yet",
 }
 
 
@@ -449,7 +452,8 @@ _TORUS_REASONS = {
 _TORUS_OPTIONS = ("basis", "delta", "theta", "A", "flux", "cutoff")
 
 
-def _sphere_model(ns):
+def _sphere_model(bounds, ns):
+    from . import sphere
     given = [f"--{o}" for o in _TORUS_OPTIONS if getattr(ns, o) is not None]
     if given:
         raise ValueError(f"bounds --model sphere takes no {', '.join(given)}")
@@ -457,10 +461,11 @@ def _sphere_model(ns):
     lam1 = sphere.lambda1(t)
     reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
                  "first_positive": sphere.lambda1_basic(t)}
-    return {"model": "sphere", "t": t}, bounds_mod.sphere3_data(), t, reference, {}
+    return {"model": "sphere", "t": t}, bounds.sphere3_data(), t, reference, {}
 
 
-def _torus_model(ns):
+def _torus_model(bounds, ns):
+    from . import torus
     if ns.t is not None:
         raise ValueError("bounds --model torus takes no --t: its coupling is 1")
     ns.basis = "[[1]]" if ns.basis is None else ns.basis
@@ -469,36 +474,38 @@ def _torus_model(ns):
     spec = torus.spectrum(spinc, cutoff)
     if not len(spec):
         raise ValueError(f"no eigenvalue has |value| <= the cutoff {cutoff!r}; raise --cutoff")
-    geo = bounds_mod.torus_data(spinc.lattice.basis, spinc.A / 2.0)
+    geo = bounds.torus_data(spinc.lattice.basis, spinc.A / 2.0)
     return {"model": "torus"}, geo, 1.0, {"squared": spec.min_abs()**2}, _TORUS_REASONS
 
 
-# --model -> (report head, GeometricData, coupling, the exact quantity each
-# bound form is compared against (see compare), why a bound does not apply)
+# --model -> (bounds module, options) -> (report head, GeometricData, coupling, the exact
+# quantity each bound form is compared against (see compare), why a bound does not apply)
 _BOUND_MODELS = {"sphere": _sphere_model, "torus": _torus_model}
 
 
 def cmd_bounds(ns) -> int:
+    from . import bounds
     which = [w.strip() for w in ns.which.split(",") if w.strip()]
     if not which:
         raise ValueError(f"bounds request names no bound; choose from {', '.join(_BOUNDS)}")
     for w in which:
         if w not in _BOUNDS:
             raise ValueError(f"unknown bound {w!r}; choose from {', '.join(_BOUNDS)}")
-    head, data, coupling, reference, reasons = _BOUND_MODELS[ns.model](ns)
+    head, data, coupling, reference, reasons = _BOUND_MODELS[ns.model](bounds, ns)
     entries = []
     for w in which:
-        bv = None if w in reasons else _BOUNDS[w](data, coupling)
+        bv = None if w in reasons else _BOUNDS[w](bounds, data, coupling)
         if bv is None or bv.vacuous:
             entries.append({"name": w, "applicable": False,
                             "reason": reasons[w] if bv is None else bv.reason})
         else:
-            entries.append(vars(bounds_mod.compare(bv, reference[bv.form])))
+            entries.append(vars(bounds.compare(bv, reference[bv.form])))
     _print_json({**head, "bounds": entries})
     return 0
 
 
-def _verify_gauge(ns) -> dict:
+def _verify_gauge(oracle, ns) -> dict:
+    from . import torus
     lat = _parse_basis(ns.basis)
     delta = _parse_list(ns.delta, "--delta", int) if ns.delta else [1] + [0] * (lat.n - 1)
     data = torus.SpinCData(lat, delta, [0.0] * lat.n, np.zeros(lat.n))
@@ -506,17 +513,18 @@ def _verify_gauge(ns) -> dict:
                                tuple(_parse_list(ns.cutoffs, "--cutoffs", int)))
 
 
-# verify target -> the report of the parsed options
+# verify target -> (the oracle module, options) -> the report
 _VERIFY = {
-    "sphere-blocks": lambda ns: oracle.verify_sphere_blocks(
+    "sphere-blocks": lambda oracle, ns: oracle.verify_sphere_blocks(
         ns.k_max, _parse_grid(ns.t_grid, "--t-grid")),
-    "torus-modes": lambda ns: oracle.verify_torus_modes(ns.n, ns.samples, ns.seed),
+    "torus-modes": lambda oracle, ns: oracle.verify_torus_modes(ns.n, ns.samples, ns.seed),
     "gauge": _verify_gauge,
 }
 
 
 def cmd_verify(ns) -> int:
-    report = _VERIFY[ns.target](ns)
+    from . import oracle
+    report = _VERIFY[ns.target](oracle, ns)
     _print_json(report)
     return 0 if report["pass"] else 2
 

@@ -363,14 +363,24 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
                          f"matrix entries, past the cap {MAX_OPERATOR_DIM ** 2}")
     check_size(samples, "torus-mode samples", "--samples")
     rng = np.random.default_rng(seed)
+    step = max(1, TORUS_MODE_BLOCK // gens[0].size)
     bases, redraw = np.empty((samples, n, n)), np.arange(samples)
     while redraw.size:
         bases[redraw] = drawn = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(redraw.size, n, n))
-        redraw = redraw[~((np.abs(np.linalg.det(drawn)) > 0.2) & (np.linalg.cond(drawn) < 50.0))]
+        good = np.abs(np.linalg.det(drawn)) > 0.2
+        drawn[~good] = np.eye(n)  # bases holds the draw; a rejected one needs no inverse
+        # (|B|_F |B^-1|_F)^2 >= (cond + 1/cond)^2, so under 2500 it admits B with no SVD;
+        # inverted a block at a time, so no inverse of the whole draw is held
+        inv = map(np.linalg.inv, np.split(drawn, range(step, len(drawn), step)))
+        frob2 = np.einsum("kij,kij->k", drawn, drawn) * np.concatenate(
+            [np.einsum("kij,kij->k", b, b) for b in inv])
+        unsure = np.flatnonzero(good & (frob2 >= 2500.0))
+        if unsure.size:  # cond has a fixed cost even on an empty stack
+            good[unsure] = np.linalg.cond(drawn[unsure]) < 50.0
+        redraw = redraw[~good]
     delta, theta = rng.integers(0, 2, size=(samples, n)), rng.uniform(0.0, 1.0, size=(samples, n))
     A, modes = rng.normal(0.0, 3.0, size=(samples, n)), rng.integers(-6, 7, size=(samples, n))
     worst, failures = 0.0, []
-    step = max(1, TORUS_MODE_BLOCK // gens[0].size)
     for a in range(0, samples, step):
         block = slice(a, a + step)
         x = modes[block] + (delta[block] + theta[block]) / 2.0

@@ -76,7 +76,7 @@ def test_sphere_diamagnetic_takes_the_sector_of_the_sign_of_t():
     couplings = np.linspace(-8.0, 8.0, 3001).tolist()
     couplings += np.random.default_rng(23).uniform(-8.0, 8.0, 200).tolist()
     for t in couplings + [0.0, -0.0, 1.5, -1.5, 1e300, -1e300]:
-        got = cli._sphere_diamagnetic(S3, t)
+        got = cli._sphere_diamagnetic(bounds, S3, t)
         want = min((bounds.diamagnetic_upper(lam, s, 1.0, t) for s in (q, -q)),
                    key=lambda b: b.value)
         assert got == want and got.value.hex() == want.value.hex(), t
