@@ -107,7 +107,7 @@ def two_form_action(omega: np.ndarray, gens: tuple[np.ndarray, ...]) -> np.ndarr
     n = len(gens)
     if omega.shape != (n, n):
         raise ValueError(f"two-form has shape {omega.shape}, expected ({n}, {n})")
-    if not np.allclose(omega, -omega.T, atol=1e-12):
+    if not np.allclose(omega, -omega.T, rtol=0, atol=1e-12):
         raise ValueError("two-form coefficient matrix is not antisymmetric")
     dim = gens[0].shape[0]
     out = np.zeros((dim, dim), dtype=np.complex128)

@@ -4,12 +4,14 @@ enumeration.
 A lattice is stored by its basis matrix whose *columns* are the generators.
 The dual basis columns gamma_j* satisfy <gamma_i, gamma_j*> = delta_ij.
 Enumeration of {m in Z^n : |basis @ m + shift| <= radius} runs on the
-Cholesky factor of the Gram matrix and is complete by construction (every
-candidate is membership-checked exactly at the boundary, inclusive up to an
-absolute 1e-9 slack on the radius).  It is the level-synchronous form of
-Fincke-Pohst enumeration (Math. Comp. 44, 1985): coordinates are fixed from
-n-1 down to 0 for all partial points at once, so memory is O(points at the
-widest level).
+Cholesky factor of the coordinate-reversed Gram matrix and is complete by
+construction (every candidate is membership-checked exactly at the
+boundary, inclusive up to an absolute 1e-9 slack on the radius).  It is the
+level-synchronous form of Fincke-Pohst enumeration (Math. Comp. 44, 1985):
+coordinates are fixed one at a time for all partial points at once, so
+memory is O(points at the widest level).  On the reversed coordinates m[0]
+is fixed first and m[n-1] last, so the points come out in row-lexicographic
+order with no sort.
 """
 
 import warnings
@@ -27,13 +29,15 @@ def enumerate_core(R, center, r_eff):
     left over from the fixed levels.  Interval bounds and pruning carry a
     1e-7 slack and every candidate is re-checked exactly against r_eff at
     the leaf, so slack never admits a wrong point and pruning never loses a
-    right one.  Returns a (count, n) int64 array, ordered lexicographically
-    by (m[n-1], ..., m[0]).
+    right one.  Partial points are the columns of an (n, count) array, so
+    each level's partial sums and the leaf check are matrix products.
+    Returns a (count, n) int64 array, ordered lexicographically by
+    (m[n-1], ..., m[0]): each level expands its parents in order.
     """
     n = R.shape[0]
     r2 = r_eff * r_eff
     slack = 1e-7
-    m = np.zeros((1, n), dtype=np.int64)
+    m = np.zeros((n, 1), dtype=np.int64)  # one column per partial point
     rem = np.array([r2])
     spart = np.zeros(1)
     for i in range(n - 1, -1, -1):
@@ -48,21 +52,14 @@ def enumerate_core(R, center, r_eff):
         contrib = ui * ui
         keep = contrib <= rem[parent] + slack
         parent, mi, contrib = parent[keep], mi[keep], contrib[keep]
-        m = m[parent]
-        m[:, i] = mi
+        m = m.take(parent, axis=1)
+        m[i] = mi
         rem = np.maximum(rem[parent] - contrib, 0.0)
         if i > 0:
-            spart = np.zeros(parent.size)
-            for j in range(i, n):
-                spart += R[i - 1, j] * (m[:, j] + center[j])
+            spart = R[i - 1, i:] @ (m[i:] + center[i:, None])
     # exact membership check, independent of the pruning slack
-    q = np.zeros(m.shape[0])
-    for a in range(n):
-        acc = np.zeros(m.shape[0])
-        for b in range(a, n):
-            acc += R[a, b] * (m[:, b] + center[b])
-        q += acc * acc
-    return m[q <= r2]
+    u = R @ (m + center[:, None])
+    return m.compress(np.einsum("ij,ij->j", u, u) <= r2, axis=1).T
 
 
 def check_centre(center) -> np.ndarray:
@@ -96,7 +93,7 @@ class Lattice:
         self.dual_basis = np.linalg.inv(basis).T
         pairing = basis.T @ self.dual_basis
         # the inverse is accurate to about eps * cond, so is the pairing
-        if not np.allclose(pairing, np.eye(self.n), atol=1e-12 * cond):
+        if not np.allclose(pairing, np.eye(self.n), rtol=0, atol=1e-12 * cond):
             raise ValueError("dual pairing failed to reproduce the identity")
         self.dual_basis.setflags(write=False)
 
@@ -148,7 +145,8 @@ class Lattice:
     def enumerate_shifted(self, shift, radius: float) -> np.ndarray:
         """Integer vectors m with |basis @ m + shift| <= radius (+1e-9).
 
-        Returns an (count, n) int64 array in lexicographic row order.  The
+        Returns an (count, n) int64 array in lexicographic row order, the
+        order ``enumerate_core`` emits on the reversed coordinates.  The
         boundary is inclusive: points at distance exactly ``radius`` are
         always returned.  ``check_centre`` refuses (ValueError) a centre
         solve(basis, shift) with a coordinate of 2**52 or more in size.
@@ -162,9 +160,5 @@ class Lattice:
         center = check_centre(np.linalg.solve(self.basis, shift))
         if radius < 0.0:
             return np.empty((0, self.n), dtype=np.int64)
-        upper = np.linalg.cholesky(self.gram).T.copy()
-        points = enumerate_core(upper, center, radius + 1e-9)
-        if points.shape[0] > 1:
-            order = np.lexsort(points.T[::-1])
-            points = points[order]
-        return points
+        upper = np.linalg.cholesky(self.gram[::-1, ::-1]).T.copy()
+        return enumerate_core(upper, center[::-1], radius + 1e-9)[:, ::-1]

@@ -561,7 +561,7 @@ def torus_fourier_operator(
     terms = {(0,) * data.n: _mode_blocks(data, modes)}
     if potential is not None:
         if potential.lattice is not data.lattice and not np.allclose(
-            potential.lattice.basis, data.lattice.basis, atol=1e-12
+            potential.lattice.basis, data.lattice.basis, rtol=0, atol=1e-12
         ):
             raise ValueError("potential and spin-c data use different lattices")
         gens = build_rep(data.n)

@@ -130,7 +130,8 @@ def mode_count_estimate(lattice: Lattice, cutoff: float) -> float:
 def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged across modes.
 
-    The triples come from ``mode_values`` of the modes' ``theta_prime``.
+    The triples come from ``mode_values`` of the modes' ``theta_prime``,
+    masked to the cutoff before the mode labels are attached.
     Labels are the integer mode coordinates; a merged entry lists every
     contributing mode.  Refused (ValueError) before any work when the mode
     count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
@@ -142,8 +143,9 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
     radius = cutoff / (2.0 * np.pi)
     modes = data.lattice.dual().enumerate_shifted(data.base_shift(), radius)
     values, mults = mode_values(data.theta_prime(modes))
-    out = triples(values.ravel(), mults.ravel(), np.repeat(modes, values.shape[1], axis=0))
-    out = out[(out["mult"] > 0) & (np.abs(out["value"]) <= cutoff + 1e-12)]
+    keep = (mults > 0) & (np.abs(values) <= cutoff + 1e-12)
+    out = triples(values[keep], mults[keep], modes.take(np.nonzero(keep)[0], axis=0))
+    del modes, values, mults, keep
     return Spectrum.from_triples(out, tolerance=merge_tol)
 
 

@@ -176,6 +176,14 @@ def test_two_form_action_accepts_complex_and_rejects_nonantisymmetric():
         clifford.two_form_action(np.eye(3), gens)
 
 
+def test_two_form_antisymmetry_check_is_absolute():
+    # off by 5e-6: within a relative 1e-5 of the entry, far past 1e-12
+    om = np.zeros((3, 3))
+    om[0, 1], om[1, 0] = 1.0, -1.0 + 5e-6
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        clifford.two_form_action(om, clifford.build_rep(3))
+
+
 def test_simple_two_form_eigenvalues():
     # action of e1^e2 squares to -1: eigenvalues are +-i
     for n in (2, 3, 4):

@@ -68,6 +68,15 @@ def test_moderately_conditioned_basis_is_accepted():
     assert len(lat.enumerate_shifted(np.zeros(2), 3.0)) > 0
 
 
+def test_dual_pairing_check_is_absolute(monkeypatch):
+    # cond 1: the pairing must hold to 1e-12, so an inverse off by 1e-7
+    # is refused (a relative tolerance of 1e-5 would let it through)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1 + 1e-7))
+    with pytest.raises(ValueError, match="dual pairing"):
+        Lattice(np.eye(2))
+
+
 def test_point_uses_integer_combinations_of_columns():
     lat = Lattice.from_rows(np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
     pt = lat.point([2, -1])
@@ -133,6 +142,14 @@ def test_enumeration_is_lexicographically_sorted():
     pts = lat.enumerate_shifted(np.zeros(3), 2.2)
     rows = [tuple(r) for r in pts]
     assert rows == sorted(rows)
+    # the order comes from the reversed factor, not from a sort: skewed,
+    # shifted bases as in the brute-force test, balls a few generators wide
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 3, 4) * 10:
+        lat = Lattice.from_rows(rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+        pts = lat.enumerate_shifted(rng.normal(size=n), float(rng.uniform(4.0, 10.0)))
+        assert len(pts) > 1
+        assert np.array_equal(pts, pts[np.lexsort(pts.T[::-1])])
 
 
 def test_enumeration_includes_boundary_points():

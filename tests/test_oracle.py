@@ -269,6 +269,15 @@ def test_operator_assembly_shapes_and_caps():
         oracle.torus_fourier_operator(data, pot, 3)
 
 
+def test_operator_refuses_a_potential_on_a_slightly_different_lattice():
+    # the bases differ by 1e-7: within a relative 1e-5, far past 1e-12
+    data = SpinCData(Lattice.from_rows(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2))
+    other = Lattice.from_rows(np.eye(2) * (1 + 1e-7))
+    pot = FourierPotential.from_gradient(other, [((1, 0), 0.1)])
+    with pytest.raises(ValueError, match="different lattices"):
+        oracle.torus_fourier_operator(data, pot, 3)
+
+
 def test_identity_checks_closed_and_nonclosed():
     rng = np.random.default_rng(67)
     lat = Lattice.from_rows(np.array([[1.0, 0.1], [0.0, 0.9]]))

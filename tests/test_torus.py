@@ -1,6 +1,7 @@
 """Flat-torus spectrum: modes, zero modes, symmetry, invariances."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -205,6 +206,22 @@ def test_spectrum_refuses_past_the_size_cap_before_enumerating(monkeypatch):
             torus.spectrum(data, 20.0)
     monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 32)
     assert torus.spectrum(data, 20.0).total_multiplicity() > 0
+
+
+def test_spectrum_frees_the_enumeration_before_merging():
+    # values and multiplicities are masked before the labels are attached,
+    # and the modes are freed before the merge: about 128 B per member,
+    # against 152 B when every (mode, value) pair was labelled and copied
+    data = SpinCData(square(2), [1, 0], [0.3, 0.1], [0.2, -0.7])
+    tracemalloc.start()
+    try:
+        spec = torus.spectrum(data, 600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    members = len(spec.members()[0])
+    assert 55_000 < members < 60_000
+    assert peak <= 140 * members
 
 
 def test_theta_reduction_keeps_the_spin_c_structure():
