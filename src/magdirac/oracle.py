@@ -234,30 +234,33 @@ def sphere_level_entries(k_max: int):
     if k_max < 0:
         raise ValueError(f"level must be non-negative, got {k_max}")
     size = (k_max + 1) * (k_max + 2)
-    level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
-    row = np.arange(size)
-    r, i = np.divmod(row - level * (level + 1), level + 1)
+    level = np.repeat(np.arange(k_max + 1), np.arange(k_max + 1) + 1)  # one per (k, i)
+    i = np.arange(size // 2) - level * (level + 1) // 2
     j = level / 2.0
     m = i - j
     up = np.sqrt(j * (j + 1) - m * (m + 1))  # J_+ from m to m + 1, 0 at the top i = k
-    # J_+ from m - 1 to m: ``up`` of the row before, a top state (0) where i = 0
-    down = np.append(0.0, up[:-1])
+    down = np.append(0.0, up[:-1])  # J_+ from m - 1 to m: 0 where i = 0
+    r = np.array([[0], [1]])  # the Pauli row: axis 0 of the (2, size / 2) arrays below
+    row = level * (level + 1) + r * (level + 1) + i
+    other = row + (1 - 2 * r) * (level + 1)  # (1 - r, i)
     x, y, z = (scale * pauli for scale, pauli in zip(_ROUND_FRAME, (PAULI_X, PAULI_Y, PAULI_Z)))
     x, y, z = x[r, 1 - r], y[r, 1 - r], z[r, r]  # the Pauli entry of each term in row r
-    other = row + (1 - 2 * r) * (level + 1)  # (1 - r, i)
-    cols = np.empty((size, 3), dtype=np.int64)
-    values = np.zeros((2, size, 3), dtype=np.complex128)
+    cols, weight = np.empty((size, 3), dtype=np.int64), np.empty(size)
+    h0 = np.empty((size, 3), dtype=np.complex128)
     # X + Y at (1 - r, i - 1) and (1 - r, i + 1), with J_x = (J_+ + J_-)/2 and
     # J_y = (J_+ - J_-)/2i, then Z on the diagonal
-    for slot, col, h0 in ((1 - r, other - 1, 2.0 * (0.0 + x * (down / 2) + y * (down / 2j))),
-                          (2 - r, other + 1, 2.0 * (0.0 + x * (up / 2) + y * (-up / 2j))),
-                          (2 * r, row, 2.0 * (0.0 + z * m) + 1.5)):
-        cols[row, slot] = col
-        values[0, row, slot] = h0
-    values[1, row, 2 * r] = PAULI_Z[r, r]
-    keep = np.flatnonzero(np.any(values != 0, axis=0))  # row * 3 + slot, ascending
-    weight = np.array([0.5, -0.5])[r] + m
-    return keep // 3, cols.ravel()[keep], values.reshape(2, -1).take(keep, axis=1), weight
+    for slot, col, value in ((1 - r, other - 1, 2.0 * (0.0 + x * (down / 2) + y * (down / 2j))),
+                             (2 - r, other + 1, 2.0 * (0.0 + x * (up / 2) + y * (-up / 2j))),
+                             (2 * r, row, 2.0 * (0.0 + z * m) + 1.5)):
+        cols[row, slot], h0[row, slot] = col, value
+    keep = h0 != 0
+    keep[row, 2 * r] = True  # S = sigma_3 (x) I fills the diagonal
+    keep = np.flatnonzero(keep)  # row * 3 + slot, ascending
+    values = np.zeros((2, len(keep)), dtype=np.complex128)
+    values[0] = h0.ravel()[keep]
+    values[1, np.searchsorted(keep, row * 3 + 2 * r)] = PAULI_Z[r, r]
+    weight[row] = (0.5 - r) + m
+    return keep // 3, cols.ravel()[keep], values, weight
 
 
 def sphere_level_matrix(k: int):
@@ -277,60 +280,67 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     The operator preserves the weight w = sigma_3/2 + J_3, so a basis vector
     of level k lies in slot w + (k + 1)/2: 0 the 1x1 minus end, k + 1 the
     plus end, p + 1 the 2x2 block (Pauli row up first) whose ascending pair
-    is the branch members (k, p, -1), (k, p, +1).  All blocks of all levels
-    are solved at every coupling by one batched LAPACK call.  Every row of
-    ``sphere.curve_table`` (k <= k_max; default grid 17 points on [-4, 4])
-    is compared with the member of its label, relative to 1 + |value|; a
-    member no row reaches fails too.  Raises ValueError if a level couples
-    two different weights.
+    is the branch members (k, p, -1), (k, p, +1).  The entries fill one
+    table of blocks, k (k_max + 2) + slot, each Hermitian in H0 and in S by
+    HermitianMatrix's rule, and the pair blocks of all couplings go to one
+    LAPACK call.  Each member of ``sphere.curve_table`` (k <= k_max; default
+    grid 17 points on [-4, 4]) reads its pair's eigenvalue or its end's
+    entry, each row is compared with it relative to 1 + |value|, and a
+    member no row reaches fails too (by coupling, k, slot, side).  Raises
+    ValueError if a level couples two weights or holds a non-Hermitian block.
     """
     if t_values is None:
         t_values = np.linspace(-4.0, 4.0, 17)
     ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
     rows, cols, values, weight = sphere_level_entries(k_max)
+    width = k_max + 2  # slots per level
     level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
-    slot = (weight + (level + 1) / 2).astype(np.int64)  # exact: weights are half-integers
+    block = (weight + level * (width + 0.5) + 0.5).astype(np.int64)  # k width + slot, exact
     # the split is exact only if every nonzero entry lies in an end or a pair
-    apart = slot[rows] != slot[cols]
+    apart = block[rows] != block[cols]
     if np.any(apart):
         raise ValueError(f"level {np.min(level[rows[apart]])} couples two different weights")
     pauli_row = np.arange(len(level)) // (level + 1) - level  # index k(k+1) + r(k+1) + i
-    blocks = np.zeros((2, k_max + 1, k_max + 2, 2, 2), dtype=np.complex128)
-    blocks[:, level[rows], slot[rows], pauli_row[rows], pauli_row[cols]] = values
-    kk, pp = np.tril_indices(k_max + 1, -1)  # branch pair p of level k: slot p + 1
-    pairs = blocks[:, kk, pp + 1]
-    branch = np.linalg.eigvalsh(pairs[0] + ts[:, None, None, None] * pairs[1])
-    ks = np.arange(k_max + 1)  # the ends: minus (row down) and plus (row up)
-    ends = np.stack([blocks[:, ks, 0, 1, 1], blocks[:, ks, ks + 1, 0, 0]], axis=-1).real
-
-    # the oracle value of member (family, k, p, sign) at coupling t sits at
-    # got[t, k, p + 1, (sign + 1) / 2]; the ends take p + 1 = 0 and sign -1
-    # (minus) or +1 (plus), and the slots p >= k hold no member
-    got = np.full((len(ts), k_max + 1, k_max + 2, 2), np.nan)
-    got[:, :, 0] = ends[0] + ts[:, None, None] * ends[1]
-    got[:, kk, pp + 1] = branch
-    # families index (plus, minus, branch); the ends carry p = -1, so slot 0
-    fam, k, p, sign = members
+    at = (4 * block + 2 * pauli_row)[rows] + pauli_row[cols]  # B00, B01, B10, B11 per block
+    tol = 1e-12 * (1.0 + np.max(np.abs(values), axis=1))[:, None]  # HermitianMatrix's rule
+    del rows, cols, weight, level, block, pauli_row
+    blocks = np.zeros((2, (k_max + 1) * width, 4), dtype=np.complex128)
+    blocks.reshape(2, -1)[:, at] = values
+    del values, at  # the entries, freed before the solve
+    off = np.abs(blocks[..., 1] - blocks[..., 2].conj()) <= tol  # |B - B^*| off the diagonal
+    on = 2 * np.abs(blocks[..., ::3].imag) <= tol[..., None]  # and on it
+    if not (np.all(off) and np.all(on)):
+        raise ValueError(f"level {np.argmin(np.all(off & np.all(on, axis=2), axis=0)) // width} "
+                         "holds a block that is not Hermitian")
+    # the ends, minus (row down) and plus (row up), and pair p of level k in slot p + 1
+    ends = blocks[:, np.arange(k_max + 1)[:, None] * [width, width + 1] + [0, 1], [3, 0]].real
+    pair = np.flatnonzero(np.arange(width) < np.arange(k_max + 1)[:, None]) + 1
+    branch = np.linalg.eigvalsh((blocks[0, pair] + ts[:, None, None] * blocks[1, pair])
+                                .reshape(len(ts), -1, 2, 2))
+    # per coupling: pair k(k - 1)/2 + p by side (-1, +1), then the ends (minus, plus) of
+    # each level; every member reads its column, so ``got`` is in member order
+    fam, k, p, sign = members  # families index (plus, minus, branch); the ends carry p = -1
     side = np.where(fam == 2, (sign + 1) // 2, fam == 0)
-    column = np.ravel_multi_index((k, p + 1, side), got.shape[1:])
-    at = i * got[0].size + column[j]
-    rel = np.abs(got.flat[at] - closed) / (1.0 + np.abs(closed))
+    column = np.where(fam == 2, k * (k - 1) + 2 * p, 2 * len(pair) + 2 * k) + side
+    got = np.concatenate([branch.reshape(len(ts), -1), (ends[0] + ts[:, None, None] * ends[1])
+                          .reshape(len(ts), -1)], axis=1)[:, column]
+    rel = np.abs(got[i, j] - closed) / (1.0 + np.abs(closed))
     reached = np.zeros(got.shape, dtype=bool)
-    reached[:, np.arange(k_max + 2) > np.arange(k_max + 1)[:, None]] = True
-    reached.flat[at] = True
-    keys = ("t", "family", "k", "p", "sign", "closed")
-    bad = np.flatnonzero(~(rel <= 1e-12))[:20]
-    failures = [{**dict(zip(keys, (ts[i[r]], *label, closed[r]))), "oracle": got.flat[at[r]]}
-                for r, label in zip(bad, member_labels(*(x[j[bad]] for x in members)))]
-    tm, km, pm, sm = np.unravel_index(np.flatnonzero(~reached)[:20], got.shape)  # unreached
-    failures += [{**dict(zip(keys, (ts[r], *label, None))), "oracle": got[r, kr, pr, sr]}
-                 for r, kr, pr, sr, label in zip(tm, km, pm, sm, member_labels(
-                     np.where(pm == 0, 1 - sm, 2), km, pm - 1, 2 * sm - 1))]
+    reached[i, j] = True
+    bad, miss, failures = np.flatnonzero(~(rel <= 1e-12))[:20], np.flatnonzero(~reached), []
+    if bad.size or miss.size:  # failing rows, then unreached members by coupling, k, slot, side
+        tm, mm = np.divmod(miss, got.shape[1])
+        first = np.lexsort((side[mm], p[mm], k[mm], tm))[:20 - len(bad)]
+        at = np.append(i[bad], tm[first]), np.append(j[bad], mm[first])
+        keys = ("t", "family", "k", "p", "sign", "closed")
+        failures = [{**dict(zip(keys, (ts[r], *label, c))), "oracle": got[r, m]}
+                    for r, m, c, label in zip(*at, [*closed[bad], *[None] * len(first)],
+                                              member_labels(*(x[at[1]] for x in members)))]
     return {
         "checks": len(closed),
         "max_residual": float(np.max(rel, initial=0.0)),
         "pass": not failures,
-        "failures": failures[:20],
+        "failures": failures,
     }
 
 

@@ -160,6 +160,56 @@ def test_verify_sphere_blocks_reports_members_no_row_reaches(monkeypatch):
     assert abs(miss["oracle"] - (0.5 - np.sqrt(sphere.f0(2, 1, 0.25)))) < 1e-12
 
 
+def test_verify_sphere_blocks_lists_unreached_members_by_block(monkeypatch):
+    # four members of level 2 dropped at the first of two couplings
+    gone = [("plus", 2, None, None), ("minus", 2, None, None),
+            ("branch", 2, 1, 1), ("branch", 2, 1, -1)]
+
+    def dropped(t_values, k_max):
+        ts, members, i, j, value = sphere.curve_table(t_values, k_max)
+        labels = sphere.member_labels(*members)
+        keep = (i != 0) | ~np.isin(j, [labels.index(x) for x in gone])
+        return ts, members, i[keep], j[keep], value[keep]
+
+    monkeypatch.setattr(oracle, "curve_table", dropped)
+    rep = oracle.verify_sphere_blocks(3, [0.25, -1.0])
+    assert rep["pass"] is False and rep["checks"] == 2 * 20 - 4
+    # by coupling, k, slot (the ends first) and side, minus before plus
+    assert [(f["family"], f["k"], f["p"], f["sign"]) for f in rep["failures"]] == [
+        gone[1], gone[0], gone[3], gone[2]]
+    assert all(f["t"] == 0.25 and f["closed"] is None for f in rep["failures"])
+    root = np.sqrt(sphere.f0(2, 1, 0.25))
+    assert np.allclose([f["oracle"] for f in rep["failures"]],
+                       [3.25, 3.75, 0.5 - root, 0.5 + root], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("where", ["upper", "lower", "diagonal", "minus end"])
+@pytest.mark.parametrize("matrix", [0, 1])  # H0, S
+def test_verify_sphere_blocks_reads_every_block_entry(monkeypatch, where, matrix):
+    # one entry of level 2 (rows 6..11) moved by 1e-6: off the diagonal, or by
+    # an imaginary part at the minus end (row 9), the block is no longer
+    # Hermitian and is refused; on the diagonal the pair's eigenvalues move
+    real = oracle.sphere_level_entries
+
+    def moved(k_max):
+        rows, cols, values, weight = real(k_max)
+        side = {"upper": rows < cols, "lower": rows > cols, "diagonal": rows == cols,
+                "minus end": (rows == 9) & (cols == 9)}[where]
+        e = np.flatnonzero(side & (rows >= 6) & (rows < 12))[0]
+        values = values.copy()
+        shift = 1e-6j if where == "minus end" else 1e-6
+        values[matrix, e] = values[matrix, e] * (1 + 1e-6) + shift
+        return rows, cols, values, weight
+
+    monkeypatch.setattr(oracle, "sphere_level_entries", moved)
+    if where == "diagonal":
+        rep = oracle.verify_sphere_blocks(3, [0.25, -1.0])
+        assert rep["pass"] is False and rep["max_residual"] > 1e-8
+    else:
+        with pytest.raises(ValueError, match="level 2 holds a block that is not Hermitian"):
+            oracle.verify_sphere_blocks(3, [0.25, -1.0])
+
+
 def test_verify_sphere_blocks_counts_and_duplicate_couplings():
     assert oracle.verify_sphere_blocks(k_max=3, t_values=[-1.0, 0.0, 1.0])["checks"] == 60
     rep = oracle.verify_sphere_blocks(k_max=2, t_values=[0.5, 0.5])
@@ -544,6 +594,13 @@ def _peak_bytes(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_verify_sphere_blocks_frees_the_entries_before_the_solve():
+    # 452 B per basis row while the entries lived next to the padded tables
+    k_max = 200
+    peak = _peak_bytes(lambda: oracle.verify_sphere_blocks(k_max, [0.5]))
+    assert peak <= 400 * (k_max + 1) * (k_max + 2)
 
 
 def _gauge_case(n):
