@@ -118,6 +118,11 @@ def _pairs(a, b):
     return np.repeat(ar, count), bc[pick], np.repeat(av, count) * bv[pick]
 
 
+def _defects(stack) -> np.ndarray:
+    """|B - B^*| entry by entry, for each square matrix B of a stack (..., d, d)."""
+    return np.abs(stack - stack.conj().swapaxes(-1, -2))
+
+
 def _scatter(index, values, shape) -> np.ndarray:
     """Complex array of ``shape`` with ``values`` at ``index``, 0 elsewhere."""
     out = np.zeros(shape, dtype=np.complex128)
@@ -245,8 +250,7 @@ def sphere_level_entries(k_max: int):
     other = row + (1 - 2 * r) * (level + 1)  # (1 - r, i)
     x, y, z = (scale * pauli for scale, pauli in zip(_ROUND_FRAME, (PAULI_X, PAULI_Y, PAULI_Z)))
     x, y, z = x[r, 1 - r], y[r, 1 - r], z[r, r]  # the Pauli entry of each term in row r
-    cols, weight = np.empty((size, 3), dtype=np.int64), np.empty(size)
-    h0 = np.empty((size, 3), dtype=np.complex128)
+    cols, h0, weight = np.empty((size, 3), np.int64), np.empty((size, 3), complex), np.empty(size)
     # X + Y at (1 - r, i - 1) and (1 - r, i + 1), with J_x = (J_+ + J_-)/2 and
     # J_y = (J_+ - J_-)/2i, then Z on the diagonal
     for slot, col, value in ((1 - r, other - 1, 2.0 * (0.0 + x * (down / 2) + y * (down / 2j))),
@@ -280,62 +284,59 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     The operator preserves the weight w = sigma_3/2 + J_3, so a basis vector
     of level k lies in slot w + (k + 1)/2: 0 the 1x1 minus end, k + 1 the
     plus end, p + 1 the 2x2 block (Pauli row up first) whose ascending pair
-    is the branch members (k, p, -1), (k, p, +1).  The entries fill one
-    table of blocks, k (k_max + 2) + slot, each Hermitian in H0 and in S by
-    HermitianMatrix's rule, and the pair blocks of all couplings go to one
-    LAPACK call.  Each member of ``sphere.curve_table`` (k <= k_max; default
-    grid 17 points on [-4, 4]) reads its pair's eigenvalue or its end's
-    entry, each row is compared with it relative to 1 + |value|, and a
-    member no row reaches fails too (by coupling, k, slot, side).  Raises
+    is the branch members (k, p, -1), (k, p, +1).  Block k(k + 3)/2 + slot
+    holds each, Hermitian in H0 and S by HermitianMatrix's rule, and all
+    pairs go to one LAPACK call.  Each row of ``sphere.curve_table`` (k <=
+    k_max; default grid 17 points on [-4, 4]) is compared with its label's
+    slot, relative to 1 + |value|; a slot no row reaches fails.  Raises
     ValueError if a level couples two weights or holds a non-Hermitian block.
     """
     if t_values is None:
         t_values = np.linspace(-4.0, 4.0, 17)
     ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
-    rows, cols, values, weight = sphere_level_entries(k_max)
-    width = k_max + 2  # slots per level
-    level = np.repeat(np.arange(k_max + 1), 2 * np.arange(k_max + 1) + 2)
-    block = (weight + level * (width + 0.5) + 0.5).astype(np.int64)  # k width + slot, exact
+    (rows, cols, values, weight), ks = sphere_level_entries(k_max), np.arange(k_max + 1)
+    first, level = ks * (ks + 3) // 2, np.repeat(ks, 2 * ks + 2)  # level k has k + 2 slots
+    block = (weight + (first + (ks + 1) / 2)[level]).astype(np.int64)  # first + slot, exact
     # the split is exact only if every nonzero entry lies in an end or a pair
     apart = block[rows] != block[cols]
     if np.any(apart):
         raise ValueError(f"level {np.min(level[rows[apart]])} couples two different weights")
     pauli_row = np.arange(len(level)) // (level + 1) - level  # index k(k+1) + r(k+1) + i
-    at = (4 * block + 2 * pauli_row)[rows] + pauli_row[cols]  # B00, B01, B10, B11 per block
-    tol = 1e-12 * (1.0 + np.max(np.abs(values), axis=1))[:, None]  # HermitianMatrix's rule
-    del rows, cols, weight, level, block, pauli_row
-    blocks = np.zeros((2, (k_max + 1) * width, 4), dtype=np.complex128)
+    at = (2 * block + pauli_row)[rows] * 2 + pauli_row[cols]  # flat: rows and cols can go
+    tol = 1e-12 * (1.0 + np.max(np.abs(values), axis=1))  # HermitianMatrix's rule, H0 and S
+    del rows, cols, weight, block, pauli_row
+    blocks = np.zeros((2, first[-1] + k_max + 2, 2, 2), dtype=np.complex128)
     blocks.reshape(2, -1)[:, at] = values
     del values, at  # the entries, freed before the solve
-    off = np.abs(blocks[..., 1] - blocks[..., 2].conj()) <= tol  # |B - B^*| off the diagonal
-    on = 2 * np.abs(blocks[..., ::3].imag) <= tol[..., None]  # and on it
-    if not (np.all(off) and np.all(on)):
-        raise ValueError(f"level {np.argmin(np.all(off & np.all(on, axis=2), axis=0)) // width} "
+    ok = _defects(blocks) <= tol[:, None, None, None]
+    if not np.all(ok):
+        raise ValueError(f"level {np.repeat(ks, ks + 2)[np.argmin(ok.all(axis=(0, 2, 3)))]} "
                          "holds a block that is not Hermitian")
-    # the ends, minus (row down) and plus (row up), and pair p of level k in slot p + 1
-    ends = blocks[:, np.arange(k_max + 1)[:, None] * [width, width + 1] + [0, 1], [3, 0]].real
-    pair = np.flatnonzero(np.arange(width) < np.arange(k_max + 1)[:, None]) + 1
-    branch = np.linalg.eigvalsh((blocks[0, pair] + ts[:, None, None] * blocks[1, pair])
-                                .reshape(len(ts), -1, 2, 2))
-    # per coupling: pair k(k - 1)/2 + p by side (-1, +1), then the ends (minus, plus) of
-    # each level; every member reads its column, so ``got`` is in member order
+    # per coupling: pair k(k - 1)/2 + p by side (-1, +1), the ends (minus, plus), NaN
+    (kk, pp), tt = np.nonzero(ks < ks[:, None]), ts[:, None, None]
+    pair, nan = first[kk] + pp + 1, np.full((len(ts), 1, 2), np.nan)
+    ends = blocks[:, first[:, None] + (ks[:, None] + 1) * [0, 1], [1, 0], [1, 0]].real
+    got = np.concatenate([np.linalg.eigvalsh(blocks[0, pair] + tt[..., None] * blocks[1, pair]),
+                          ends[0] + tt * ends[1], nan], axis=1).reshape(len(ts), -1)
     fam, k, p, sign = members  # families index (plus, minus, branch); the ends carry p = -1
     side = np.where(fam == 2, (sign + 1) // 2, fam == 0)
-    column = np.where(fam == 2, k * (k - 1) + 2 * p, 2 * len(pair) + 2 * k) + side
-    got = np.concatenate([branch.reshape(len(ts), -1), (ends[0] + ts[:, None, None] * ends[1])
-                          .reshape(len(ts), -1)], axis=1)[:, column]
-    rel = np.abs(got[i, j] - closed) / (1.0 + np.abs(closed))
+    column = np.where(p >= 0, k * (k - 1) + 2 * p, 2 * (len(kk) + k)) + side
+    column = np.where((-1 <= p) & (p < k), column, -2)[j]  # a label no slot holds reads NaN
+    rel = np.abs(got[i, column] - closed) / (1.0 + np.abs(closed))
     reached = np.zeros(got.shape, dtype=bool)
-    reached[i, j] = True
-    bad, miss, failures = np.flatnonzero(~(rel <= 1e-12))[:20], np.flatnonzero(~reached), []
-    if bad.size or miss.size:  # failing rows, then unreached members by coupling, k, slot, side
-        tm, mm = np.divmod(miss, got.shape[1])
-        first = np.lexsort((side[mm], p[mm], k[mm], tm))[:20 - len(bad)]
-        at = np.append(i[bad], tm[first]), np.append(j[bad], mm[first])
+    reached[:, -2:] = reached[i, column] = True
+    bad, failures = np.flatnonzero(~(rel <= 1e-12))[:20], []
+    if bad.size or not np.all(reached):  # failing rows, then unreached slots
         keys = ("t", "family", "k", "p", "sign", "closed")
-        failures = [{**dict(zip(keys, (ts[r], *label, c))), "oracle": got[r, m]}
-                    for r, m, c, label in zip(*at, [*closed[bad], *[None] * len(first)],
-                                              member_labels(*(x[at[1]] for x in members)))]
+        failures = [{**dict(zip(keys, (ts[i[r]], *label, closed[r]))), "oracle": got[i[r], c]}
+                    for r, c, label in zip(bad, column[bad], member_labels(
+                        *(x[j[bad]] for x in members)))]
+        tm, cm = np.divmod(np.flatnonzero(~reached), got.shape[1])  # by coupling, k, p, side
+        km, pm, sm = np.r_[kk, ks].repeat(2)[cm], np.r_[pp, 0 * ks - 1].repeat(2)[cm], cm % 2
+        r = np.lexsort((sm, pm, km, tm))[:20 - len(bad)]
+        failures += [{**dict(zip(keys, (ts[t], *label, None))), "oracle": got[t, c]}
+                     for t, c, label in zip(tm[r], cm[r], member_labels(
+                         np.where(pm[r] < 0, 1 - sm[r], 2), km[r], pm[r], 2 * sm[r] - 1))]
     return {
         "checks": len(closed),
         "max_residual": float(np.max(rel, initial=0.0)),
@@ -397,9 +398,8 @@ def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
         tp = (np.linalg.inv(bases[block]).swapaxes(1, 2) @ x[..., None])[..., 0]
         tp = tp + A[block] / (4.0 * np.pi)
         stack = 2j * np.pi * vector_action(tp, gens)
-        scale = np.max(np.abs(stack), axis=(1, 2))  # np.max propagates NaN
-        defect = np.max(np.abs(stack - stack.conj().swapaxes(1, 2)), axis=(1, 2))
-        if not np.all(np.isfinite(scale)) or np.any(defect > 1e-12 * (1.0 + scale)):
+        scale = np.max(np.abs(stack), axis=(1, 2), keepdims=True)  # np.max propagates NaN
+        if not np.all(np.isfinite(scale)) or np.any(_defects(stack) > 1e-12 * (1.0 + scale)):
             raise ValueError("a mode matrix is not finite and Hermitian")
         got = np.linalg.eigvalsh(stack)
         values, mults = torus.mode_values(tp)

@@ -183,6 +183,44 @@ def test_verify_sphere_blocks_lists_unreached_members_by_block(monkeypatch):
                        [3.25, 3.75, 0.5 - root, 0.5 + root], rtol=1e-12, atol=0)
 
 
+def _relabelled(sign_of_lo, p_of_lo):
+    # member (2, 1, -1) relabelled; its rows carry the closed values of (2, 1, +1)
+    def table(t_values, k_max):
+        ts, (fam, k, p, sign), i, j, value = sphere.curve_table(t_values, k_max)
+        labels = sphere.member_labels(fam, k, p, sign)
+        lo, hi = labels.index(("branch", 2, 1, -1)), labels.index(("branch", 2, 1, 1))
+        p, sign, value = p.copy(), sign.copy(), value.copy()
+        p[lo], sign[lo] = p_of_lo, sign_of_lo
+        for t in range(len(ts)):
+            value[(i == t) & (j == lo)] = value[(i == t) & (j == hi)]
+        return ts, (fam, k, p, sign), i, j, value
+    return table
+
+
+def test_verify_sphere_blocks_reports_the_slot_a_duplicated_label_leaves(monkeypatch):
+    # the table lists (2, 1, +1) twice and (2, 1, -1) never: every row matches
+    # its label's slot, and slot (2, 1, -1), which no row reaches, fails
+    monkeypatch.setattr(oracle, "curve_table", _relabelled(1, 1))
+    rep = oracle.verify_sphere_blocks(3, [0.25, -1.0])
+    assert rep["pass"] is False and rep["checks"] == 2 * 20 and rep["max_residual"] < 1e-12
+    assert [(f["t"], f["family"], f["k"], f["p"], f["sign"], f["closed"])
+            for f in rep["failures"]] == [(t, "branch", 2, 1, -1, None) for t in (0.25, -1.0)]
+    assert np.allclose([f["oracle"] for f in rep["failures"]],
+                       [0.5 - np.sqrt(sphere.f0(2, 1, t)) for t in (0.25, -1.0)],
+                       rtol=1e-12, atol=0)
+
+
+def test_verify_sphere_blocks_fails_a_label_past_its_level(monkeypatch):
+    # (2, 2, +1) names no slot of level 2: its rows read NaN, and slot
+    # (2, 1, -1) is left unreached
+    monkeypatch.setattr(oracle, "curve_table", _relabelled(1, 2))
+    rep = oracle.verify_sphere_blocks(3, [0.25])
+    assert rep["pass"] is False and np.isnan(rep["max_residual"])
+    assert [(f["family"], f["k"], f["p"], f["sign"], f["closed"] is None, np.isnan(f["oracle"]))
+            for f in rep["failures"]] == [("branch", 2, 2, 1, False, True),
+                                          ("branch", 2, 1, -1, True, False)]
+
+
 @pytest.mark.parametrize("where", ["upper", "lower", "diagonal", "minus end"])
 @pytest.mark.parametrize("matrix", [0, 1])  # H0, S
 def test_verify_sphere_blocks_reads_every_block_entry(monkeypatch, where, matrix):
