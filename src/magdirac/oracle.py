@@ -448,23 +448,17 @@ class FourierPotential:
                 raise ValueError(f"duplicate frequency {nu}")
             coeff = np.asarray(coeff, dtype=np.complex128)
             if coeff.shape != (lattice.n,):
-                raise ValueError(
-                    f"coefficient for {nu} has shape {coeff.shape}, "
-                    f"expected ({lattice.n},)"
-                )
+                raise ValueError(f"coefficient for {nu} has shape {coeff.shape}, "
+                                 f"expected ({lattice.n},)")
             if not np.isfinite(coeff).all():
                 raise ValueError(f"coefficient for {nu} is not finite")
             table[nu] = coeff
         for nu, coeff in table.items():
             mirror = tuple(-c for c in nu)
             if mirror not in table:
-                raise ValueError(
-                    f"realness requires a term at {mirror} conjugate to {nu}"
-                )
+                raise ValueError(f"realness requires a term at {mirror} conjugate to {nu}")
             if np.max(np.abs(table[mirror] - np.conj(coeff))) > 1e-12:
-                raise ValueError(
-                    f"coefficients at {nu} and {mirror} are not conjugate"
-                )
+                raise ValueError(f"coefficients at {nu} and {mirror} are not conjugate")
         self.table = table
 
     @classmethod
@@ -484,8 +478,8 @@ class FourierPotential:
             mirror = tuple(-c for c in nu)
             if mirror not in coeffs:
                 coeffs[mirror] = np.conj(coeffs[nu])
-        terms = [(nu, 2j * np.pi * c * _nu_hat(lattice, nu))
-                 for nu, c in coeffs.items()]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            terms = [(nu, 2j * np.pi * c * _nu_hat(lattice, nu)) for nu, c in coeffs.items()]
         return cls(lattice, terms)
 
     def bandwidth(self) -> int:
@@ -516,35 +510,41 @@ def _operator_window(data: SpinCData, cutoff: int) -> np.ndarray:
     side = 2 * int(cutoff) + 1
     dim = side ** data.n * data.spinor_dim
     if dim > MAX_OPERATOR_DIM:
-        raise ValueError(
-            f"operator dimension {dim} exceeds the cap {MAX_OPERATOR_DIM}; "
-            "reduce the cutoff"
-        )
+        raise ValueError(f"operator dimension {dim} exceeds the cap {MAX_OPERATOR_DIM}; "
+                         "reduce the cutoff")
     return np.indices((side,) * data.n).reshape(data.n, -1).T - int(cutoff)
 
 
 def _assemble(modes, terms):
     """Nonzero entries (rows, cols, values) of a convolution over shifts on
-    the window ``modes``.
+    the window ``modes``, by shift, source mode and block entry.
 
-    ``terms`` maps a shift nu to the blocks placed at (m + nu, m) for every
-    mode m whose image stays in the window: one (N, N) block for all modes,
-    or a (len(modes), N, N) stack with one block per source mode.  Each
+    ``modes`` must be the full row-major box of ``_operator_window``, side
+    2c + 1, so m + nu lies nu . strides rows after m (stride (2c + 1)^(n-1-i)
+    on axis i).  ``terms`` maps a shift nu to the blocks placed at
+    (m + nu, m) for every mode m whose image stays in the window: one
+    (N, N) block for all modes, or a (len(modes), N, N) stack with one per
+    source mode.  All (shift, mode) pairs are placed at once, each inside
+    pair taking the nonzeros of its block from one pool of all blocks.  Each
     position occurs once: distinct shifts move a mode to distinct targets.
     """
-    K, n = modes.shape
-    cutoff = int(np.max(np.abs(modes)))
-    N = next(iter(terms.values())).shape[-1]
-    parts = []
-    for nu, blocks in terms.items():
-        target = modes + np.asarray(nu, dtype=np.int64)
-        inside = np.max(np.abs(target), axis=1) <= cutoff
-        dest = np.ravel_multi_index((target[inside] + cutoff).T,
-                                    (2 * cutoff + 1,) * n)
-        blocks = np.broadcast_to(blocks, (K, N, N))[inside]
-        k, a, b = np.nonzero(blocks)
-        parts.append((N * dest[k] + a, N * np.flatnonzero(inside)[k] + b, blocks[k, a, b]))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    n = modes.shape[1]
+    side = 2 * int(np.max(np.abs(modes))) + 1
+    pool = [np.reshape(b, (-1, *np.shape(b)[-2:])) for b in terms.values()]
+    size = np.array([len(b) for b in pool])  # 1 for a block shared by all modes
+    # a shift past the window leaves it also when clipped to side, and the sum cannot overflow
+    nu = np.clip(np.array(list(terms), dtype=np.int64).reshape(-1, n), -side, side)
+    target = modes + nu[:, None]
+    s, k = np.nonzero(np.max(np.abs(target, out=target), axis=2) <= side // 2)
+    pool = np.concatenate(pool)
+    N, (p, a, b) = pool.shape[-1], np.nonzero(pool)  # the pool's entries, block by block
+    per, pool = np.bincount(p, minlength=len(pool)), pool[p, a, b]
+    q = np.cumsum(size)[s] - size[s] + (size[s] > 1) * k  # the block of each inside pair
+    count = per[q]
+    # each pair's entries: the run of its block's entries, which ends at cumsum(per)[q]
+    pick = np.repeat(np.cumsum(per)[q] - np.cumsum(count), count) + np.arange(np.sum(count))
+    dest = N * (k + (nu @ side ** np.arange(n - 1, -1, -1))[s])
+    return np.repeat(dest, count) + a[pick], np.repeat(N * k, count) + b[pick], pool[pick]
 
 
 def _mode_blocks(data: SpinCData, modes) -> np.ndarray:
@@ -583,8 +583,9 @@ def torus_fourier_operator(
         if np.count_nonzero(gamma - np.diag(np.diag(gamma))):
             raise AssertionError("the volume element is not diagonal")
         grading = np.tile(np.diag(gamma).real, len(modes))
-    return HermitianMatrix.from_entries(len(modes) * data.spinor_dim, *_assemble(modes, terms),
-                                        grading), modes
+    entries = _assemble(modes, terms)
+    del terms  # the blocks go before the entries are checked, where the peak falls
+    return HermitianMatrix.from_entries(len(modes) * data.spinor_dim, *entries, grading), modes
 
 
 def _identity_terms(data: SpinCData, potential: FourierPotential | None, tm):
@@ -644,16 +645,14 @@ def identity_checks(
     n, N = data.n, data.spinor_dim
     bw = potential.bandwidth() if potential is not None else 0
     margin = int(cutoff) - 2 * bw
-    interior = np.flatnonzero(np.max(np.abs(modes), axis=1) <= margin)
-    if not interior.size:
-        raise ValueError(
-            f"cutoff {cutoff} leaves no interior rows at bandwidth {bw}; "
-            "increase the cutoff"
-        )
-    rows = (N * interior[:, None] + np.arange(N)).ravel()
+    interior = np.max(np.abs(modes), axis=1) <= margin  # by mode, then by row
+    if not np.any(interior):
+        raise ValueError(f"cutoff {cutoff} leaves no interior rows at bandwidth {bw}; "
+                         "increase the cutoff")
+    rows = np.repeat(interior, N)
 
-    def restrict(entries, keep):  # the entries in rows ``keep``
-        mine = np.isin(entries[0], keep)
+    def restrict(entries, keep):  # the entries in the rows that the mask ``keep`` picks
+        mine = keep[entries[0]]
         return tuple(x[mine] for x in entries)
 
     def joined(*parts):  # the entries of several parts, one after the other
@@ -713,13 +712,10 @@ def identity_checks(
         ) / (1.0 + big.scale)
 
     structural = ("hermitian", "covariant_skew", "volume_anticommute")
-    passed = all(
-        r <= (1e-12 if name in structural else 1e-10)
-        for name, r in checks.items()
-    )
+    passed = all(r <= (1e-12 if name in structural else 1e-10) for name, r in checks.items())
     return {
         "checks": checks,
-        "interior_rows": len(interior),
+        "interior_rows": int(np.count_nonzero(interior)),
         "max_residual": max(checks.values()),
         "pass": passed,
     }
@@ -762,8 +758,8 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
     invariance, so the residual must decrease as the window grows and fall
     below 1e-6 at the last cutoff.  Refused (ValueError), before any window
     is assembled, unless there is at least one cutoff, the cutoffs are >= 1,
-    strictly increasing and within ``MAX_OPERATOR_DIM``, and df has a
-    nonzero coefficient.
+    strictly increasing and within ``MAX_OPERATOR_DIM``, df has a nonzero
+    coefficient, and no frequency is past twice the largest cutoff.
 
     ``hermitian_eigs`` solves the operator with df per connected component:
     when the frequencies of df span a proper sublattice L', one block per
@@ -775,10 +771,14 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
         raise ValueError(f"gauge check needs one or more cutoffs >= 1, got {list(cutoffs)}")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"gauge check needs strictly increasing cutoffs, got {list(cutoffs)}")
-    _operator_window(data, cutoffs[-1])  # the largest window: refused if past the cap
     pot = FourierPotential.from_gradient(data.lattice, f_terms)
     if not any(np.any(a) for a in pot.table.values()):
         raise ValueError("gauge check needs a potential df with a nonzero coefficient")
+    for nu in pot.table:
+        if max(map(abs, nu)) > 2 * cutoffs[-1]:
+            raise ValueError(f"gauge check: the f-term at frequency {list(nu)} couples no two "
+                             f"modes of any window; it needs |nu| <= 2 * {cutoffs[-1]}")
+    _operator_window(data, cutoffs[-1])  # the largest window: refused if past the cap
     residuals = []
     for cutoff in cutoffs:
         with_f, modes = torus_fourier_operator(data, pot, cutoff)

@@ -333,6 +333,20 @@ def test_invalid_inputs_exit_one(capsys):
     (("verify", "gauge", "--basis", "[[1]]", "--f-terms", "[[[1],0,NaN]]"),
      "--f-terms coefficient [0, NaN] is not finite"),
     (("verify", "torus-modes", "--seed", "-1"), "torus-modes check needs --seed >= 0, got -1"),
+    # a frequency past twice the largest cutoff couples no two modes of any
+    # window: the request would check nothing, even at 2**63 - 1
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[100,0],0.1,0]]",
+      "--cutoffs", "2,3"), "gauge check: the f-term at frequency [100, 0] couples no two modes"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms",
+      "[[[9223372036854775807,0],0.1,0]]", "--cutoffs", "2,3"),
+     "gauge check: the f-term at frequency [9223372036854775807, 0] couples no two modes"),
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms",
+      "[[[1,0],0.1,0],[[0,-7],0.1,0]]", "--cutoffs", "2,3"),
+     "gauge check: the f-term at frequency [0, -7] couples no two modes of any window; "
+     "it needs |nu| <= 2 * 3"),
+    # 2 pi i c nu_hat overflows: refused with no numpy warning
+    (("verify", "gauge", "--basis", "[[1,0],[0,1]]", "--f-terms", "[[[1,0],1e308,0]]"),
+     "coefficient for (1, 0) is not finite"),
 ])
 def test_refusals(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -350,6 +364,10 @@ def test_gauge_refusal_comes_before_any_window(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "gauge", "--basis", "[[1,0],[0,1]]",
                          "--f-terms", "[[[1,0],0.2,0.1]]", "--cutoffs", "4,8,12,40")
     assert code == 1 and out == "" and "operator dimension 13122 exceeds the cap" in err
+    monkeypatch.setattr(oracle, "_operator_window", refused)
+    code, out, err = run(capsys, "verify", "gauge", "--basis", "[[1,0],[0,1]]",
+                         "--f-terms", "[[[1,0],0.2,0.1],[[0,9],0.1,0]]", "--cutoffs", "2,4")
+    assert code == 1 and out == "" and "frequency [0, 9] couples no two modes" in err
 
 
 def test_oversized_requests_exit_one(capsys, monkeypatch):
@@ -1079,6 +1097,18 @@ VERIFY_STDOUT_SHA256 = {
         "8945b1cf61577897ee8ea97b18a97e667508f46c7fa57bad78b15921e7601b92",
     "verify torus-modes --n 6 --seed 7":
         "cbb872e2d94b5656fbf48af05e153953ee960b0677855f9ab496f7ff91246bcd",
+    # gauge, recorded before the shifts were assembled in one pass: a 2D
+    # operator of one component, a 2D one that splits into the cosets of
+    # (1, 1), and a 3D one (no grading: eigvalsh) that splits.  Windows stay
+    # small enough that LAPACK gives the same bits at 1 and 2 BLAS threads.
+    "verify gauge --basis [[1,0.2],[0,0.9]] --f-terms [[[1,0],0.02,0.01],[[0,1],0.01,-0.005]] "
+    "--cutoffs 1,2,3":
+        "a1aec34dcfd79bfe946656a4dba03764f46f08036a2e9e048a16f5fa89e62a52",
+    "verify gauge --basis [[1,0],[0,1]] --f-terms [[[1,1],0.2,0.1]] --cutoffs 4,8,12":
+        "ea5a089fdc12c29140c1cf65dc032a744f3ad00e61f0a2a2f0aca6779d4ce43d",
+    "verify gauge --basis [[1,0.2,0],[0,1,0.1],[0,0,1.1]] "
+    "--f-terms [[[1,0,0],0.02,0.01],[[0,1,-1],0.01,0]] --cutoffs 1,2,3":
+        "c33291b104b71ec6c357fa7a5d5f9f4cc363eeea3b47f461977f1d319d3c39b8",
 }
 
 
