@@ -751,13 +751,14 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
     """Isospectrality of the operator under adding an exact form df.
 
     Assembles the truncated operator with the gradient potential at each
-    cutoff and solves it; the window spectrum without it comes from the
-    per-mode blocks (the operator is block-diagonal there), also by LAPACK.
-    Pairs the ``GAUGE_PAIRS`` eigenvalues closest to zero and reports the
-    largest pairwise distance per cutoff.  Truncation breaks exact gauge
-    invariance, so the residual must decrease as the window grows and fall
-    below 1e-6 at the last cutoff.  Refused (ValueError), before any window
-    is assembled, unless there is at least one cutoff, the cutoffs are >= 1,
+    cutoff and solves it.  Without it the operator is block-diagonal by
+    mode, a mode's block the same in every window, so one LAPACK solve of
+    the largest window's blocks gives every window's spectrum.  Pairs the
+    ``GAUGE_PAIRS`` eigenvalues closest to zero and reports the largest
+    pairwise distance per cutoff.  Truncation breaks exact gauge invariance,
+    so the residual must decrease as the window grows and fall below 1e-6
+    at the last cutoff.  Refused (ValueError), before any window is
+    assembled, unless there is at least one cutoff, the cutoffs are >= 1,
     strictly increasing and within ``MAX_OPERATOR_DIM``, df has a nonzero
     coefficient, and no frequency is past twice the largest cutoff.
 
@@ -778,20 +779,19 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
         if max(map(abs, nu)) > 2 * cutoffs[-1]:
             raise ValueError(f"gauge check: the f-term at frequency {list(nu)} couples no two "
                              f"modes of any window; it needs |nu| <= 2 * {cutoffs[-1]}")
-    _operator_window(data, cutoffs[-1])  # the largest window: refused if past the cap
-    residuals = []
+    modes = _operator_window(data, cutoffs[-1])  # the largest window: refused if past the cap
+    e0_modes, reach = np.linalg.eigvalsh(_mode_blocks(data, modes)), np.max(np.abs(modes), axis=1)
+    low = []  # per cutoff: the pair count and the eigenvalues closest to zero without df
     for cutoff in cutoffs:
-        with_f, modes = torus_fourier_operator(data, pot, cutoff)
-        ef_all = hermitian_eigs(with_f)
-        # without the potential the operator is block-diagonal by mode
-        e0_all = np.sort(np.linalg.eigvalsh(_mode_blocks(data, modes)), axis=None)
+        e0_all = np.sort(e0_modes[reach <= cutoff], axis=None)  # the modes of this window
         j = _stable_low_count(e0_all, GAUGE_PAIRS)
-        ef = _lowest_by_abs(ef_all, j)
-        e0 = _lowest_by_abs(e0_all, j)
+        low.append((j, _lowest_by_abs(e0_all, j)))
+    del modes, e0_modes, reach, e0_all  # freed before the operators with df are solved
+    residuals = []
+    for cutoff, (j, e0) in zip(cutoffs, low):
+        ef = _lowest_by_abs(hermitian_eigs(torus_fourier_operator(data, pot, cutoff)[0]), j)
         residuals.append(float(np.max(np.abs(ef - e0))))
-    monotone = all(
-        residuals[i + 1] <= residuals[i] + 1e-12 for i in range(len(residuals) - 1)
-    )
+    monotone = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     passed = bool(residuals[-1] <= GAUGE_TOL and monotone)
     return {
         "checks": len(residuals) * GAUGE_PAIRS,
