@@ -1,11 +1,11 @@
 """Shared container for exact point spectra with multiplicities.
 
-Eigenvalues arrive from the model modules as a structured array of
-(value, multiplicity, label) triples, each label a row of integers (see
-``triples``); the container sorts them and chain-merges values closer than
-the merge tolerance, adding multiplicities and concatenating labels.  The
-default tolerance 1e-9 can be overridden through the MAGDIRAC_TOLERANCE
-environment variable.
+Eigenvalues arrive from the model modules as three arrays of equal length:
+values, multiplicities and labels, each label a row of integers.  The
+container sorts them stably and chain-merges values closer than the merge
+tolerance, adding multiplicities and concatenating labels.  The default
+tolerance 1e-9 can be overridden through the MAGDIRAC_TOLERANCE environment
+variable.
 """
 
 import os
@@ -28,15 +28,6 @@ def check_size(estimate: float, what: str, hint: str) -> None:
             f"about {estimate:.3g} {what} exceed the cap {MAX_SPECTRUM_SIZE}; "
             f"reduce {hint}"
         )
-
-
-def triples(value, mult, label) -> np.ndarray:
-    """Structured array of (value, mult, label) triples, the input of
-    ``Spectrum.from_triples``; ``label`` holds one integer row per triple."""
-    label = np.asarray(label, dtype=np.int64)
-    out = np.empty(len(label), [("value", "f8"), ("mult", "i8"), ("label", "i8", label.shape[1:])])
-    out["value"], out["mult"], out["label"] = value, mult, label
-    return out
 
 
 def merge_tolerance() -> float:
@@ -79,22 +70,29 @@ class Spectrum:
         self._offsets = np.asarray(offsets, dtype=np.int64)
 
     @classmethod
-    def from_triples(cls, triples, tolerance: float | None = None) -> "Spectrum":
-        """Build from the structured array of ``triples``, merging values
-        that form a chain with consecutive gaps <= tolerance.  A merged
-        value is the multiplicity-weighted mean, summed left to right in
-        value order."""
+    def from_triples(cls, value, mult, label, tolerance: float | None = None) -> "Spectrum":
+        """Build from three arrays of equal length, the values, multiplicities
+        (or one scalar) and integer label rows, merging values that form a
+        chain with consecutive gaps <= tolerance.  A merged value is the
+        multiplicity-weighted mean, summed left to right in value order."""
         tol = merge_tolerance() if tolerance is None else float(tolerance)
-        order = np.argsort(triples["value"], kind="stable")
-        values, mults = triples["value"][order], triples["mult"][order]
+        value, mult, label = (np.asarray(value, np.float64), np.asarray(mult, np.int64),
+                              np.asarray(label, np.int64))
+        if len(label) != len(value) or (mult.ndim and len(mult) != len(value)):
+            raise ValueError(f"value, mult and label differ in length: "
+                             f"{len(value)}, {mult.size}, {len(label)}")
+        order = np.argsort(value, kind="stable")
+        values = value.take(order)
+        mults = mult.take(order) if mult.ndim else np.full(len(order), mult)
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > tol)
         sizes = np.diff(starts, append=len(values))
-        weighted, sums, live = values * mults, np.zeros(len(starts)), np.arange(len(starts))
-        for j in range(int(sizes.max(initial=0))):  # np.add.reduceat would sum pairwise
+        weighted = values * mults
+        sums, live = weighted.take(starts) + 0.0, np.flatnonzero(sizes > 1)  # a sum from 0.0
+        for j in range(1, int(sizes.max(initial=0))):  # np.add.reduceat would sum pairwise
             live = live[sizes[live] > j]
             sums[live] += weighted[starts[live] + j]
         mults = np.add.reduceat(mults, starts) if len(starts) else mults
-        return cls(sums / mults, mults, triples["label"][order], np.append(starts, len(values)))
+        return cls(sums / mults, mults, label.take(order, axis=0), np.append(starts, len(values)))
 
     @cached_property
     def entries(self) -> list:

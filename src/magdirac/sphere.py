@@ -26,7 +26,7 @@ branch modes with k = 2p + 1, where f0 collapses to t^2 + 4(p + 1)^2.
 
 import numpy as np
 
-from .spectrum import Spectrum, check_size, triples
+from .spectrum import Spectrum, check_size
 
 
 def f0(k, p, t):
@@ -83,7 +83,7 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     value, *members = _levels(_top_level(t, cutoff, "--cutoff or |t|"), t)
     keep = np.flatnonzero(np.abs(value) <= cutoff + 1e-12)
     label = np.stack([x[keep] for x in members], axis=1)
-    return Spectrum.from_triples(triples(value[keep], label[:, 1] + 1, label), tolerance=merge_tol)
+    return Spectrum.from_triples(value[keep], label[:, 1] + 1, label, tolerance=merge_tol)
 
 
 def _top_level(t: float, cutoff: float, hint: str) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, check_centre
-from .spectrum import Spectrum, check_size, triples
+from .spectrum import Spectrum, check_size
 
 ZERO_MODE_TOL = 1e-10
 
@@ -131,7 +131,7 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
     """All eigenvalues with |value| <= cutoff, merged across modes.
 
     The triples come from ``mode_values`` of the modes' ``theta_prime``,
-    masked to the cutoff before the mode labels are attached.
+    masked to the cutoff and sorted before the mode labels are attached.
     Labels are the integer mode coordinates; a merged entry lists every
     contributing mode.  Refused (ValueError) before any work when the mode
     count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
@@ -143,10 +143,21 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
     radius = cutoff / (2.0 * np.pi)
     modes = data.lattice.dual().enumerate_shifted(data.base_shift(), radius)
     values, mults = mode_values(data.theta_prime(modes))
-    keep = (mults > 0) & (np.abs(values) <= cutoff + 1e-12)
-    out = triples(values[keep], mults[keep], modes.take(np.nonzero(keep)[0], axis=0))
-    del modes, values, mults, keep
-    return Spectrum.from_triples(out, tolerance=merge_tol)
+    kept = np.flatnonzero((mults > 0) & (np.abs(values) <= cutoff + 1e-12))
+    width, values, mults = values.shape[1], values.take(kept), mults.take(kept)
+    order = np.argsort(values)  # then runs of equal values in input order: the stable order
+    tie = np.diff(values.take(order)) == 0  # finite values differ by 0 only if equal
+    if tie.any():  # the keys run * len + index are unique, so any sort is stable
+        run = np.concatenate(([0], np.cumsum(~tie))) * len(order)
+        run += order
+        order = order.take(np.argsort(run))
+        del run
+    del tie
+    labels = modes.take(kept.take(order) // width, axis=0)
+    del modes, kept
+    values, mults = values.take(order), mults.take(order)
+    del order
+    return Spectrum.from_triples(values, mults, labels, tolerance=merge_tol)
 
 
 def zero_mode(data: SpinCData) -> np.ndarray | None:

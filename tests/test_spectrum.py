@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from magdirac.spectrum import Spectrum, merge_tolerance, triples
+from magdirac.spectrum import Spectrum, merge_tolerance
 
 
 def _records(pairs):
-    """Structured triples of (value, mult) pairs; the label of pair i is (i,)."""
+    """The (value, mult, label) arrays of (value, mult) pairs; the label of
+    pair i is (i,)."""
     values, mults = zip(*pairs)
-    return triples(values, mults, np.arange(len(pairs))[:, None])
+    return values, mults, np.arange(len(pairs))[:, None]
 
 
 def test_merge_combines_close_values_with_weighted_mean():
     spec = Spectrum.from_triples(
-        _records([(1.0, 2), (1.0 + 5e-10, 3), (2.0, 1)]),
+        *_records([(1.0, 2), (1.0 + 5e-10, 3), (2.0, 1)]),
         tolerance=1e-9,
     )
     assert len(spec) == 2
@@ -28,7 +29,7 @@ def test_merge_combines_close_values_with_weighted_mean():
 def test_merge_is_chained_across_consecutive_gaps():
     # values 0, 0.8e-9, 1.6e-9: pairwise gaps below tolerance chain together
     spec = Spectrum.from_triples(
-        _records([(0.0, 1), (0.8e-9, 1), (1.6e-9, 1)]),
+        *_records([(0.0, 1), (0.8e-9, 1), (1.6e-9, 1)]),
         tolerance=1e-9,
     )
     assert len(spec) == 1
@@ -37,37 +38,37 @@ def test_merge_is_chained_across_consecutive_gaps():
 
 def test_gap_equal_to_tolerance_chains():
     spec = Spectrum.from_triples(
-        _records([(0.5, 1), (0.0, 1), (0.25, 1), (1.0, 1)]),
+        *_records([(0.5, 1), (0.0, 1), (0.25, 1), (1.0, 1)]),
         tolerance=0.25,
     )
     assert [(e.value, e.multiplicity) for e in spec] == [(0.25, 3), (1.0, 1)]
 
 
 def test_no_merge_beyond_tolerance():
-    spec = Spectrum.from_triples(_records([(0.0, 1), (1e-6, 1)]), tolerance=1e-9)
+    spec = Spectrum.from_triples(*_records([(0.0, 1), (1e-6, 1)]), tolerance=1e-9)
     assert len(spec) == 2
 
 
 def test_values_sorted_and_total_multiplicity():
-    spec = Spectrum.from_triples(_records([(3.0, 2), (-1.0, 4), (0.5, 1)]))
+    spec = Spectrum.from_triples(*_records([(3.0, 2), (-1.0, 4), (0.5, 1)]))
     assert np.all(np.diff(spec.values()) > 0)
     assert spec.total_multiplicity() == 7
     assert list(spec.multiplicities()) == [4, 1, 2]
 
 
 def test_min_abs_and_first_positive():
-    spec = Spectrum.from_triples(_records([(-0.25, 1), (0.5, 1), (2.0, 1)]))
+    spec = Spectrum.from_triples(*_records([(-0.25, 1), (0.5, 1), (2.0, 1)]))
     assert spec.min_abs() == 0.25
     assert spec.first_positive() == 0.5
     with pytest.raises(ValueError):
         Spectrum([]).min_abs()
-    neg = Spectrum.from_triples(_records([(-1.0, 1)]))
+    neg = Spectrum.from_triples(*_records([(-1.0, 1)]))
     with pytest.raises(ValueError):
         neg.first_positive()
 
 
 def test_in_window_and_multiplicity_at():
-    spec = Spectrum.from_triples(_records([(-2.0, 1), (0.0, 3), (1.5, 2)]))
+    spec = Spectrum.from_triples(*_records([(-2.0, 1), (0.0, 3), (1.5, 2)]))
     win = spec.in_window(-0.5, 1.5)
     assert [e.value for e in win] == [0.0, 1.5]
     assert spec.multiplicity_at(0.0) == 3
@@ -78,7 +79,7 @@ def test_in_window_and_multiplicity_at():
 def test_tolerance_environment_override(monkeypatch):
     monkeypatch.setenv("MAGDIRAC_TOLERANCE", "1e-3")
     assert merge_tolerance() == 1e-3
-    spec = Spectrum.from_triples(_records([(0.0, 1), (5e-4, 1)]))
+    spec = Spectrum.from_triples(*_records([(0.0, 1), (5e-4, 1)]))
     assert len(spec) == 1
     monkeypatch.setenv("MAGDIRAC_TOLERANCE", "not-a-number")
     with pytest.raises(ValueError):
@@ -122,12 +123,6 @@ def _random_triples(rng, tol):
     ]
 
 
-def _structured(items):
-    """The (value, mult, label) tuples as a structured array."""
-    values, mults, labels = zip(*items)
-    return triples(values, mults, labels)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_array_merge_equals_left_to_right_reference(seed):
     rng = np.random.default_rng(seed)
@@ -137,20 +132,51 @@ def test_array_merge_equals_left_to_right_reference(seed):
     value_of = {lbl: v for v, _, lbl in triples}
     spans = [max(value_of[l] for l in g) - min(value_of[l] for l in g) for *_, g in expected]
     assert max(spans) > tol  # some chain merges values further apart than tol
-    spec = Spectrum.from_triples(_structured(triples), tolerance=tol)
+    spec = Spectrum.from_triples(*zip(*triples), tolerance=tol)
     got = [(e.value, e.multiplicity, e.labels) for e in spec]
     assert got == expected
     assert all(np.copysign(1.0, a) == np.copysign(1.0, b)
                for (a, *_), (b, *_) in zip(got, expected))
 
 
+@pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0, 1.0], [1.0, -0.0, 0.0]])
+def test_a_chain_sum_starts_from_positive_zero(values):
+    # a chain of -0.0 alone sums to 0.0, as in the left-to-right reference
+    items = [(v, i + 1, (i,)) for i, v in enumerate(values)]
+    spec = Spectrum.from_triples(*zip(*items), tolerance=1e-9)
+    got = [(e.value, e.multiplicity, e.labels) for e in spec]
+    assert got == _reference_merge(items, 1e-9)
+    assert np.copysign(1.0, spec.values()).tolist() == [1.0] * len(spec)
+
+
 @pytest.mark.parametrize("window", [(-20.0, 20.0), (-1e3, 1e3), (3.0, 3.0), (5.0, -5.0),
                                     (60.0, 70.0)])
 def test_in_window_slices_the_member_labels(window):
     rng = np.random.default_rng(11)
-    spec = Spectrum.from_triples(_structured(_random_triples(rng, 1e-6)), 1e-6)
+    spec = Spectrum.from_triples(*zip(*_random_triples(rng, 1e-6)), 1e-6)
     lo, hi = window
     win = spec.in_window(lo, hi)
     assert win.entries == [e for e in spec.entries if lo <= e.value <= hi]
     labels, offsets = win.members()
     assert len(labels) == offsets[-1] == sum(len(e.labels) for e in win)
+
+
+@pytest.mark.parametrize("value, mult, label", [
+    ([1.0, 2.0], [1, 1, 1], [[0], [1]]),
+    ([1.0, 2.0], [1], [[0], [1]]),
+    ([1.0, 2.0], 1, [[0], [1], [2]]),
+    ([1.0, 2.0, 3.0], 1, [[0], [1]]),
+    ([], [1], np.empty((0, 2))),
+])
+def test_refusals(value, mult, label):
+    # three arrays can differ in length where the structured triples could
+    # not; a gather by the sort order would drop the extra labels silently
+    with pytest.raises(ValueError, match="value, mult and label differ in length"):
+        Spectrum.from_triples(value, mult, label)
+
+
+def test_a_scalar_multiplicity_applies_to_every_value():
+    spec = Spectrum.from_triples([2.0, -1.0, 2.0], 3, [[0], [1], [2]])
+    assert spec.values().tolist() == [-1.0, 2.0]
+    assert spec.multiplicities().tolist() == [3, 6]
+    assert spec.members()[0].tolist() == [[1], [0], [2]]

@@ -348,16 +348,16 @@ def test_collision_arrays_reject_any_parallel_or_invalid_pair():
 def test_spectrum_merges_exactly_the_curve_rows_in_the_window(monkeypatch, t, cutoff):
     merged = []
     monkeypatch.setattr(sphere.Spectrum, "from_triples",
-                        lambda triples, tolerance=None: merged.append(triples))
+                        lambda *arrays, tolerance=None: merged.append(arrays))
     sphere.spectrum(t, cutoff)
     _, members, _, j, value = sphere.curve_table([t], int(cutoff + abs(t)) + 3,
                                                  window=(-cutoff, cutoff))
-    (got,) = merged
+    ((got_value, got_mult, got_label),) = merged
     labels = np.stack(members, axis=1)[j]  # integer rows, in member order
-    assert got["value"].tolist() == value.tolist()
-    assert got["mult"].tolist() == (labels[:, 1] + 1).tolist()
-    assert got["label"].tolist() == labels.tolist()
-    assert len(got) > 0
+    assert got_value.tolist() == value.tolist()
+    assert got_mult.tolist() == (labels[:, 1] + 1).tolist()
+    assert got_label.tolist() == labels.tolist()
+    assert len(got_value) > 0
 
 
 @pytest.mark.parametrize("call, message", [

@@ -208,11 +208,16 @@ def test_spectrum_refuses_past_the_size_cap_before_enumerating(monkeypatch):
     assert torus.spectrum(data, 20.0).total_multiplicity() > 0
 
 
-def test_spectrum_frees_the_enumeration_before_merging():
+@pytest.mark.parametrize("delta, theta, A", [
+    ([1, 0], [0.3, 0.1], [0.2, -0.7]),
+    ([0, 0], [0.0, 0.0], [0.0, 0.0]),  # runs of equal values: the tie pass allocates
+])
+def test_spectrum_frees_the_enumeration_before_merging(delta, theta, A):
     # values and multiplicities are masked before the labels are attached,
-    # and the modes are freed before the merge: about 128 B per member,
-    # against 152 B when every (mode, value) pair was labelled and copied
-    data = SpinCData(square(2), [1, 0], [0.3, 0.1], [0.2, -0.7])
+    # and the modes are freed before the merge: about 120 B per member
+    # (76 B on the tie-heavy window), against 152 B when every (mode, value)
+    # pair was labelled and copied
+    data = SpinCData(square(2), delta, theta, A)
     tracemalloc.start()
     try:
         spec = torus.spectrum(data, 600.0)
@@ -222,6 +227,45 @@ def test_spectrum_frees_the_enumeration_before_merging():
     members = len(spec.members()[0])
     assert 55_000 < members < 60_000
     assert peak <= 140 * members
+
+
+def _zero_mode_data(lat, delta, theta, m):
+    """Spin-c data on lat whose potential makes mode m a zero mode."""
+    data = SpinCData(lat, delta, theta, np.zeros(lat.n))
+    return SpinCData(lat, delta, theta, -4 * np.pi * data.theta_mode(m))
+
+
+_RNG = np.random.default_rng(73)
+EXACT_CASES = [
+    *[(f"square n={n}", SpinCData(square(n), [0] * n, [0.0] * n, np.zeros(n)), cutoff)
+      for n, cutoff in ((1, 60.0), (2, 90.0), (3, 30.0), (4, 18.0))],
+    *[(f"square spin n={n}", SpinCData(square(n), [1] * n, [0.0] * n, np.zeros(n)), cutoff)
+      for n, cutoff in ((2, 90.0), (3, 30.0), (4, 18.0))],
+    ("hexagonal", SpinCData(Lattice.from_rows([[1, 0], [0.5, 0.8660254037844386]]),
+                            [0, 0], [0.0, 0.0], np.zeros(2)), 90.0),
+    *[(f"random n={n}", SpinCData(Lattice.from_rows(np.eye(n) + 0.3 * _RNG.uniform(-1, 1, (n, n))),
+                                  [0] * n, [0.0] * n, np.zeros(n)), cutoff)
+      for n, cutoff in ((1, 60.0), (2, 90.0), (3, 30.0), (4, 18.0))],
+    ("Z3 zero mode", _zero_mode_data(square(3), [1, 0, 1], [0.2, 0.0, 0.5], [1, -2, 0]), 30.0),
+]
+
+
+@pytest.mark.parametrize("name, data, cutoff", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+def test_spectrum_is_the_stable_merge_of_the_enumerated_modes(name, data, cutoff):
+    # the torus sorts its values before the merge; merged in enumeration
+    # order instead, by the merge's own stable sort, every array is the same
+    modes = data.lattice.dual().enumerate_shifted(data.base_shift(), cutoff / (2 * np.pi))
+    values, mults = torus.mode_values(data.theta_prime(modes))
+    keep = (mults > 0) & (np.abs(values) <= cutoff + 1e-12)
+    want = spectrum_mod.Spectrum.from_triples(values[keep], mults[keep],
+                                              modes[np.nonzero(keep)[0]])
+    got = torus.spectrum(data, cutoff)
+    # for n >= 2 some entries merge several modes; on a circle none does
+    assert (len(got) < keep.sum()) == (data.n > 1)
+    assert np.array_equal(got.values(), want.values())
+    assert np.array_equal(got.multiplicities(), want.multiplicities())
+    for a, b in zip(got.members(), want.members()):
+        assert np.array_equal(a, b)
 
 
 def test_theta_reduction_keeps_the_spin_c_structure():
