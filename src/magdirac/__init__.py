@@ -7,8 +7,8 @@ import importlib
 # public name -> the submodule that defines it (a submodule, itself); each is
 # imported on first use (PEP 562), so `import magdirac` loads no submodule
 _HOMES = {"bounds": "bounds", "clifford": "clifford", "oracle": "oracle", "sphere": "sphere",
-          "torus": "torus", "Lattice": "lattice", "Spectrum": "spectrum",
-          "SpectrumEntry": "spectrum", "SpinCData": "torus", "merge_tolerance": "spectrum"}
+          "torus": "torus", "Lattice": "lattice", "Spectrum": "spectrum", "SpinCData": "torus",
+          "merge_tolerance": "spectrum"}
 
 __version__ = "0.1.0"
 

@@ -80,19 +80,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _json_default(obj):
-    """numpy values json cannot encode itself (np.float64 is a float)."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _print_json(payload):
-    print(json.dumps(payload, indent=2, default=_json_default))
+    print(json.dumps(payload, indent=2))
 
 
 # Tables are written from the arrays a block of rows at a time, so the text

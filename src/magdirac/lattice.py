@@ -138,10 +138,6 @@ class Lattice:
         dual.dual_basis = self.basis
         return dual
 
-    def point(self, m) -> np.ndarray:
-        """Standard coordinates of the lattice point with integer coords m."""
-        return self.basis @ np.asarray(m, dtype=np.float64)
-
     def enumerate_shifted(self, shift, radius: float) -> np.ndarray:
         """Integer vectors m with |basis @ m + shift| <= radius (+1e-9).
 

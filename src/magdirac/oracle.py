@@ -21,7 +21,7 @@ from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
                        vector_action, volume_element)
 from .lattice import Lattice
 from .spectrum import check_size
-from .sphere import curve_table, member_labels
+from .sphere import _check_level, curve_table, member_labels
 from .torus import SpinCData
 
 MAX_OPERATOR_DIM = 4096
@@ -78,13 +78,6 @@ class HermitianMatrix:
             a.setflags(write=False)
         self.dim, self.rows, self.cols, self.values = dim, rows, cols, values
         self.grading, self.scale, self.hermiticity_defect = grading, scale, defect
-
-    @property
-    def data(self) -> np.ndarray:
-        """The dense matrix, read-only, built anew on each access."""
-        data = _scatter((self.rows, self.cols), self.values, (self.dim, self.dim))
-        data.setflags(write=False)
-        return data
 
 
 def _partners(dim, rows, cols, values) -> np.ndarray:
@@ -235,9 +228,7 @@ def sphere_level_entries(k_max: int):
     ``values`` is (2, nnz), H0 and S at (rows, cols), and ``weight`` is
     sigma_3/2 + J_3 of each basis vector, which both matrices preserve.
     """
-    k_max = int(k_max)
-    if k_max < 0:
-        raise ValueError(f"level must be non-negative, got {k_max}")
+    k_max = _check_level(k_max)
     size = (k_max + 1) * (k_max + 2)
     level = np.repeat(np.arange(k_max + 1), np.arange(k_max + 1) + 1)  # one per (k, i)
     i = np.arange(size // 2) - level * (level + 1) // 2
@@ -278,7 +269,7 @@ def sphere_level_matrix(k: int):
     return H[0], H[1], weight[start:]
 
 
-def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
+def verify_sphere_blocks(k_max: int, t_values) -> dict:
     """Cross-check every closed-form sphere eigenvalue against the levels.
 
     The operator preserves the weight w = sigma_3/2 + J_3, so a basis vector
@@ -287,12 +278,10 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
     is the branch members (k, p, -1), (k, p, +1).  Block k(k + 3)/2 + slot
     holds each, Hermitian in H0 and S by HermitianMatrix's rule, and all
     pairs go to one LAPACK call.  Each row of ``sphere.curve_table`` (k <=
-    k_max; default grid 17 points on [-4, 4]) is compared with its label's
+    k_max, t on the grid ``t_values``) is compared with its label's
     slot, relative to 1 + |value|; a slot no row reaches fails.  Raises
     ValueError if a level couples two weights or holds a non-Hermitian block.
     """
-    if t_values is None:
-        t_values = np.linspace(-4.0, 4.0, 17)
     ts, members, i, j, closed = curve_table(t_values, k_max)  # validates, refuses oversized grids
     (rows, cols, values, weight), ks = sphere_level_entries(k_max), np.arange(k_max + 1)
     first, level = ks * (ks + 3) // 2, np.repeat(ks, 2 * ks + 2)  # level k has k + 2 slots
@@ -349,7 +338,7 @@ def verify_sphere_blocks(k_max: int = 30, t_values=None) -> dict:
 # flat-torus single modes
 
 
-def verify_torus_modes(n: int = 3, samples: int = 200, seed: int = 7) -> dict:
+def verify_torus_modes(n: int, samples: int, seed: int) -> dict:
     """Cross-check closed per-mode eigenvalues against Clifford matrices.
 
     Draws all bases at once, redrawing the rows not well conditioned
@@ -747,7 +736,7 @@ def _stable_low_count(values: np.ndarray, count: int) -> int:
     return j
 
 
-def verify_gauge(data: SpinCData, f_terms, cutoffs=(4, 8, 12)) -> dict:
+def verify_gauge(data: SpinCData, f_terms, cutoffs) -> dict:
     """Isospectrality of the operator under adding an exact form df.
 
     Assembles the truncated operator with the gradient potential at each

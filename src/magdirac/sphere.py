@@ -65,7 +65,7 @@ def _check_coupling(t) -> float:
     return t
 
 
-def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectrum:
+def spectrum(t: float, cutoff: float) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged with multiplicities.
 
     Labels are the integer (family, k, p, sign) rows of ``_levels``, each
@@ -83,7 +83,7 @@ def spectrum(t: float, cutoff: float, merge_tol: float | None = None) -> Spectru
     value, *members = _levels(_top_level(t, cutoff, "--cutoff or |t|"), t)
     keep = np.flatnonzero(np.abs(value) <= cutoff + 1e-12)
     label = np.stack([x[keep] for x in members], axis=1)
-    return Spectrum.from_triples(value[keep], label[:, 1] + 1, label, tolerance=merge_tol)
+    return Spectrum.from_triples(value[keep], label[:, 1] + 1, label)
 
 
 def _top_level(t: float, cutoff: float, hint: str) -> int:

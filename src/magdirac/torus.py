@@ -127,7 +127,7 @@ def mode_count_estimate(lattice: Lattice, cutoff: float) -> float:
     return ball * radius_n * abs(float(np.linalg.det(lattice.basis)))
 
 
-def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> Spectrum:
+def spectrum(data: SpinCData, cutoff: float) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged across modes.
 
     The triples come from ``mode_values`` of the modes' ``theta_prime``,
@@ -157,7 +157,7 @@ def spectrum(data: SpinCData, cutoff: float, merge_tol: float | None = None) -> 
     del modes, kept
     values, mults = values.take(order), mults.take(order)
     del order
-    return Spectrum.from_triples(values, mults, labels, tolerance=merge_tol)
+    return Spectrum.from_triples(values, mults, labels)
 
 
 def zero_mode(data: SpinCData) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 """Eigenvalue bound evaluators and soundness comparisons."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,31 @@ def test_hijazi_round_three_sphere():
         bv = bounds.hijazi(S3, t)
         assert bv.form == "absolute"
         assert bv.value == pytest.approx(1.5 - abs(t), abs=1e-9)
+
+
+def _round_sphere_data(n):
+    """Round unit S^n at t = 0: S = n(n - 1), and by Obata the Yamabe
+    invariant is that of the round metric, n(n - 1) vol^(2/n)."""
+    vol = 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+    return bounds.GeometricData(n=n, S=n * (n - 1.0), dEta_norm=0.0,
+                                yamabe=n * (n - 1.0) * vol ** (2.0 / n), vol=vol,
+                                eta_Ln=0.0, eta_Linf=0.0, oneill_b=0.0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_round_spheres_are_the_equality_cases(n):
+    # lambda_1 = n/2 on round S^n (Baer 1996; Camporesi-Higuchi 1996):
+    # Friedrich's lambda^2 >= n S / (4(n - 1)) is an equality for n >= 2,
+    # and Hijazi's |lambda| >= sqrt(n Y / (4(n - 1))) vol^(-1/n) for n >= 3
+    data, lam = _round_sphere_data(n), n / 2.0
+    checks = [(bounds.friedrich(data, 0.0), lam * lam)]
+    hijazi = bounds.hijazi(data, 0.0)
+    assert hijazi.vacuous == (n < 3)
+    checks += [(hijazi, lam)] if n >= 3 else []
+    for bound, reference in checks:
+        report = bounds.compare(bound, reference)
+        assert report.satisfied and report.equality, (n, report)
+        assert abs(report.margin) <= 4e-15 * reference, (n, report)
 
 
 def test_hijazi_vacuous_flags():

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import entries, tolerance
 from hypothesis import assume, example, given, settings, strategies as st
 
 from magdirac import cli, torus
@@ -867,15 +868,14 @@ S3_STDOUT_SHA256 = {**STDOUT_SHA256, **CURVE_STDOUT_SHA256, **EDGE_STDOUT_SHA256
 
 
 def test_s3_writers_build_no_label_tuples(capsys, monkeypatch):
-    # the S3 writers render from the integer label arrays: neither the
-    # named label tuples nor the spectrum's entry objects are built
-    from magdirac import sphere, spectrum
+    # the S3 writers render from the integer label arrays: the named label
+    # tuples are not built
+    from magdirac import sphere
 
     def no_tuples(*args, **kwargs):
         raise AssertionError("built a label tuple")
 
     monkeypatch.setattr(sphere, "member_labels", no_tuples)
-    monkeypatch.setattr(spectrum, "SpectrumEntry", no_tuples)
     for request_line, digest in S3_STDOUT_SHA256.items():
         code, out, _ = run(capsys, *request_line.split())
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, request_line
@@ -1256,15 +1256,16 @@ def test_torus_writer_equals_the_json_encoder_and_the_csv_loop(request):
     data = SpinCData(Lattice.from_rows(rows), delta, theta, A)
     spec, zm = torus.spectrum(data, cutoff), torus.zero_mode(data)
     payload = {
-        "eigenvalues": [{"value": e.value, "multiplicity": e.multiplicity,
-                         "modes": [list(m) for m in e.labels]} for e in spec.entries],
+        "eigenvalues": [{"value": value, "multiplicity": mult,
+                         "modes": [list(m) for m in labels]}
+                        for value, mult, labels in entries(spec)],
         "zero_mode": None if zm is None else [int(c) for c in zm],
     }
     assert _torus_stdout(*request) == json.dumps(payload, indent=2) + "\n"
     lines = ["value,multiplicity,modes"]
-    for e in spec.entries:
-        modes = ";".join(" ".join(str(c) for c in m) for m in e.labels)
-        lines.append(f"{e.value!r},{e.multiplicity},{modes}")
+    for value, mult, labels in entries(spec):
+        modes = ";".join(" ".join(str(c) for c in m) for m in labels)
+        lines.append(f"{value!r},{mult},{modes}")
     assert _torus_stdout(*request, "--csv") == "".join(line + "\n" for line in lines)
 
 
@@ -1289,8 +1290,8 @@ def test_a_merged_value_that_is_not_its_mirror_prints_its_own_repr():
     # negative one is not the exact mirror of the positive one
     xs = [8.768610301298834, 8.768610301360322, 8.76861030141971]
     labels = [(s, i) for s in (-1, 1) for i in range(len(xs))]
-    spec = Spectrum.from_triples([s * xs[i] for s, i in labels], 1, labels,
-                                 tolerance=1e-9)
+    with tolerance(1e-9):
+        spec = Spectrum.from_triples([s * xs[i] for s, i in labels], 1, labels)
     assert spec.values().tolist() == [-8.768610301359622, 8.76861030135962]
     edges, render = cli._entry_blocks(spec, "%s,%d,%s\n",
                                       lambda labels: cli._Cells(["%s"], [list("abcdef")]), ";")

@@ -77,10 +77,12 @@ def test_dual_pairing_check_is_absolute(monkeypatch):
         Lattice(np.eye(2))
 
 
-def test_point_uses_integer_combinations_of_columns():
-    lat = Lattice.from_rows(np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
-    pt = lat.point([2, -1])
+def test_from_rows_puts_the_generators_in_columns():
+    rows = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+    lat = Lattice.from_rows(rows)
+    pt = lat.basis @ np.array([2.0, -1.0])
     assert np.allclose(pt, 2.0 * lat.basis[:, 0] - lat.basis[:, 1])
+    assert np.allclose(pt, 2.0 * rows[0] - rows[1])
 
 
 def test_degenerate_basis_rejected():
@@ -130,7 +132,7 @@ def test_enumeration_matches_brute_force():
         best = []
         for m in np.ndindex(*(2 * box + 1,) * n):
             mv = np.array(m) - box
-            if np.linalg.norm(lat.point(mv) + shift) <= radius + 1e-9:
+            if np.linalg.norm(lat.basis @ mv + shift) <= radius + 1e-9:
                 best.append(tuple(mv))
         assert sorted(best) == [tuple(row) for row in got]
         checked += 1

@@ -8,8 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import as_dense
 
-from magdirac import clifford, oracle, sphere, torus
+from magdirac import cli, clifford, oracle, sphere, torus
 from magdirac.lattice import Lattice
 from magdirac.oracle import FourierPotential, HermitianMatrix
 from magdirac.torus import SpinCData
@@ -118,6 +119,10 @@ def test_sphere_level_matrix_spectrum_is_the_closed_form():
             assert np.max(np.abs(got - closed)) <= 1e-12 * (1 + np.max(np.abs(closed)))
     with pytest.raises(ValueError):
         oracle.sphere_level_matrix(-1)
+    # the level rule of sphere.curve_table: 2.5 is not read as level 2
+    for level in (2.5, "3"):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            oracle.sphere_level_matrix(level)
 
 
 def test_verify_sphere_blocks_catches_a_wrong_discriminant(monkeypatch):
@@ -444,13 +449,13 @@ def test_graded_solve_matches_eigvalsh(n, cutoff):
     H, _ = oracle.torus_fourier_operator(data, pot, cutoff)
     chirality = np.diag(1j ** (n // 2) * clifford.volume_element(clifford.build_rep(n)))
     assert np.array_equal(H.grading, np.tile(chirality.real, H.dim // len(chirality)))
-    got, ref = oracle.hermitian_eigs(H), np.linalg.eigvalsh(H.data)
+    got, ref = oracle.hermitian_eigs(H), np.linalg.eigvalsh(as_dense(H))
     assert np.min(np.abs(ref)) < 1e-6  # the zero mode, moved only by truncation
     assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
     # one entry coupling two rows of equal chirality, kept Hermitian
     i, j = np.flatnonzero(H.grading == H.grading[0])[:2]
-    bad = H.data.copy()
+    bad = as_dense(H)
     bad[i, j] = bad[j, i] = 0.5
     with pytest.raises(ValueError, match="equal chirality"):
         oracle.hermitian_eigs(HermitianMatrix(bad, H.grading))
@@ -509,9 +514,9 @@ def test_hidden_blocks_match_the_dense_solve(graded, count):
 def _dense_route(H):
     """The solve without any split: eigvalsh, or the chiral block's SVD."""
     if H.grading is None:
-        return np.linalg.eigvalsh(H.data)
+        return np.linalg.eigvalsh(as_dense(H))
     plus, minus = H.grading > 0, H.grading < 0
-    s = np.linalg.svd(H.data[np.ix_(plus, minus)], compute_uv=False)
+    s = np.linalg.svd(as_dense(H)[np.ix_(plus, minus)], compute_uv=False)
     return np.sort(np.concatenate([-s, s, np.zeros(int(abs(H.grading.sum())))]))
 
 
@@ -531,7 +536,7 @@ def _full_rank_operator(n, cutoff):
 ], ids=["ungraded", "graded", "gauge-2d", "gauge-3d"])
 def test_one_component_takes_the_dense_route(make):
     H = make()
-    assert _component_count(H.data) == 1
+    assert _component_count(as_dense(H)) == 1
     assert np.array_equal(oracle.hermitian_eigs(H), _dense_route(H))
 
 
@@ -580,7 +585,7 @@ def test_entries_and_dense_array_give_the_same_matrix(graded, count):
         sparse = HermitianMatrix.from_entries(len(H), *_shuffled_entries(rng, H, 5), grading)
         assert dense.hermiticity_defect == sparse.hermiticity_defect
         assert (dense.hermiticity_defect > 0.0) == bool(trial % 2)
-        assert np.array_equal(sparse.data, H) and not sparse.data.flags.writeable
+        assert np.array_equal(as_dense(sparse), H) and not sparse.values.flags.writeable
         assert np.array_equal(oracle.hermitian_eigs(sparse), oracle.hermitian_eigs(dense))
         assert _component_count(H) == count
 
@@ -589,7 +594,7 @@ def test_an_entry_without_its_transpose_is_its_own_defect():
     v = 2e-13 - 1e-13j  # (2, 0) is a structural zero
     H = HermitianMatrix.from_entries(3, [0, 1, 1, 2], [2, 1, 2, 1], [v, 1.0, 0.5j, -0.5j])
     assert H.hermiticity_defect == abs(v) > 0.0
-    assert H.hermiticity_defect == np.max(np.abs(H.data - H.data.conj().T))
+    assert H.hermiticity_defect == np.max(np.abs(as_dense(H) - as_dense(H).conj().T))
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianMatrix.from_entries(3, [0, 1], [2, 1], [1e-6, 1.0])
 
@@ -677,9 +682,9 @@ def test_verify_gauge_splits_by_coset_and_matches_the_dense_solve(
     pot = FourierPotential.from_gradient(lat, f_terms)
     for cutoff in cutoffs:
         H, _ = oracle.torus_fourier_operator(data, pot, cutoff)
-        assert _component_count(H.data) > 1
+        assert _component_count(as_dense(H)) > 1
     split = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
-    monkeypatch.setattr(oracle, "hermitian_eigs", lambda H: np.linalg.eigvalsh(H.data))
+    monkeypatch.setattr(oracle, "hermitian_eigs", lambda H: np.linalg.eigvalsh(as_dense(H)))
     dense = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
     assert split["pass"]
     assert (split["pass"], split["monotone"]) == (dense["pass"], dense["monotone"])
@@ -732,7 +737,7 @@ def test_fourier_operator_matches_brute_force_loop(n, cutoff):
                     ref[j * N:(j + 1) * N, i * N:(i + 1) * N] += 0.5j * sum(
                         aj * g for aj, g in zip(a, gens)
                     )
-        assert np.max(np.abs(H.data - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
+        assert np.max(np.abs(as_dense(H) - ref)) <= 1e-14 * (1.0 + np.max(np.abs(ref)))
 
 
 def _assemble_by_mode(modes, terms):
@@ -790,7 +795,7 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
     rng = np.random.default_rng(90 + n)
     data = _random_spinc(rng, n)
     H, modes = oracle.torus_fourier_operator(data, None, cutoff)
-    dense = np.linalg.eigvalsh(H.data)
+    dense = np.linalg.eigvalsh(as_dense(H))
     blocks = np.sort(np.concatenate([
         np.linalg.eigvalsh(oracle._mode_blocks(data, m)) for m in modes
     ]))
@@ -811,7 +816,8 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
     (lambda: FourierPotential(Lattice(np.eye(2)), [((1, 0), np.array([np.inf, 0.0]))]),
      "not finite"),
     (lambda: oracle.verify_gauge(SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2)),
-                                 [((1, 0), 0.0)]), "gauge check needs a potential df"),
+                                 [((1, 0), 0.0)], cutoffs=(4, 8, 12)),
+     "gauge check needs a potential df"),
     (lambda: oracle.verify_gauge(SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2)),
                                  [((1, 0), 0.1)], cutoffs=(5, 3)), "strictly increasing cutoffs"),
 ])
@@ -857,9 +863,10 @@ def test_verify_sphere_blocks_refuses_a_level_that_couples_two_weights(monkeypat
         oracle.verify_sphere_blocks(3, [0.5])
 
 
-def test_verify_sphere_blocks_default_grid():
-    # 17 couplings x levels 0..2 with 2k + 2 members each
-    assert oracle.verify_sphere_blocks(k_max=2)["checks"] == 17 * (2 + 4 + 6)
+def test_verify_sphere_blocks_default_grid(capsys):
+    # 17 couplings (the CLI's default --t-grid) x levels 0..2 with 2k + 2 members each
+    assert cli.main(["verify", "sphere-blocks", "--k-max", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == 17 * (2 + 4 + 6)
 
 
 def test_verify_sphere_blocks_checks_the_members_the_spectrum_merges(monkeypatch):
@@ -895,7 +902,7 @@ def _shifted_mode_values(monkeypatch, recorded=None):
 def test_verify_torus_modes_reports_each_failing_mode(monkeypatch):
     closed = []
     _shifted_mode_values(monkeypatch, closed)
-    rep = oracle.verify_torus_modes(n=2, samples=45)
+    rep = oracle.verify_torus_modes(n=2, samples=45, seed=7)
     assert rep["pass"] is False and rep["checks"] == 45 and len(closed) == 45
     # the first 20 failures, in sample order
     assert [f["closed"] for f in rep["failures"]] == [c.tolist() for c in closed[:20]]
@@ -982,7 +989,7 @@ def test_verify_torus_modes_refuses_a_stack_that_is_not_finite_and_hermitian(
 
     monkeypatch.setattr(oracle, "vector_action", tampered)
     with pytest.raises(ValueError, match="not finite and Hermitian"):
-        oracle.verify_torus_modes(n=2, samples=5)
+        oracle.verify_torus_modes(n=2, samples=5, seed=7)
 
 
 def _volume_residual_per_block(H, K, N, vol):
@@ -1036,7 +1043,7 @@ def _add_chirality_preserving_term(monkeypatch):
 
     def broken(data, potential, cutoff):  # + 0.1 I keeps the grading's rows apart
         H, modes = real(data, potential, cutoff)
-        return HermitianMatrix(H.data + 0.1 * np.eye(H.dim)), modes
+        return HermitianMatrix(as_dense(H) + 0.1 * np.eye(H.dim)), modes
 
     monkeypatch.setattr(oracle, "torus_fourier_operator", broken)
 
@@ -1051,7 +1058,7 @@ def test_volume_check_catches_a_chirality_preserving_term(monkeypatch, n):
     # bit for bit the residual of the per-block products
     H, modes = oracle.torus_fourier_operator(data, pot, cutoff)
     vol = clifford.volume_element(clifford.build_rep(n))
-    expected = _volume_residual_per_block(H.data, len(modes), data.spinor_dim, vol)
+    expected = _volume_residual_per_block(as_dense(H), len(modes), data.spinor_dim, vol)
     assert rep["checks"]["volume_anticommute"] == expected
 
 
@@ -1065,7 +1072,7 @@ def _dense_identity_checks(data, potential, cutoff):
     interior = np.flatnonzero(np.max(np.abs(modes), axis=1) <= cutoff - 2 * bw)
     rows = (N * interior[:, None] + np.arange(N)).ravel()
     big, _ = oracle.torus_fourier_operator(data, potential, cutoff)
-    H = big.data
+    H = as_dense(big)
     lhs = H[rows] @ H
     scale = 1.0 + float(np.max(np.abs(lhs)))
     tm = data.theta_mode(modes)
@@ -1142,10 +1149,10 @@ def test_products_over_entries_match_the_dense_products(n, closed):
 def test_identity_checks_reads_no_dense_operator(monkeypatch):
     reports = [oracle.identity_checks(*_identity_case(n)) for n in (2, 4)]
 
-    def refuse(self):
-        raise AssertionError("identity_checks read the dense operator")
+    def refuse(*args):
+        raise AssertionError("identity_checks built a dense operator")
 
-    monkeypatch.setattr(HermitianMatrix, "data", property(refuse))
+    monkeypatch.setattr(oracle, "_scatter", refuse)
     assert [oracle.identity_checks(*_identity_case(n)) for n in (2, 4)] == reports
 
 

@@ -20,7 +20,6 @@ DIRECT = {
     "torus": ("magdirac.torus", None),
     "Lattice": ("magdirac.lattice", "Lattice"),
     "Spectrum": ("magdirac.spectrum", "Spectrum"),
-    "SpectrumEntry": ("magdirac.spectrum", "SpectrumEntry"),
     "SpinCData": ("magdirac.torus", "SpinCData"),
     "merge_tolerance": ("magdirac.spectrum", "merge_tolerance"),
 }

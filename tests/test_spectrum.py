@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import entries, multiplicity_at, tolerance
 
 from magdirac.spectrum import Spectrum, merge_tolerance
 
@@ -14,66 +15,61 @@ def _records(pairs):
 
 
 def test_merge_combines_close_values_with_weighted_mean():
-    spec = Spectrum.from_triples(
-        *_records([(1.0, 2), (1.0 + 5e-10, 3), (2.0, 1)]),
-        tolerance=1e-9,
-    )
+    with tolerance(1e-9):
+        spec = Spectrum.from_triples(*_records([(1.0, 2), (1.0 + 5e-10, 3), (2.0, 1)]))
     assert len(spec) == 2
-    first = spec.entries[0]
-    assert first.multiplicity == 5
-    assert abs(first.value - (2 * 1.0 + 3 * (1.0 + 5e-10)) / 5) < 1e-15
-    assert first.labels == ((0,), (1,))
-    assert spec.entries[1].multiplicity == 1
+    (value, multiplicity, labels), (_, second_multiplicity, _) = entries(spec)
+    assert multiplicity == 5
+    assert abs(value - (2 * 1.0 + 3 * (1.0 + 5e-10)) / 5) < 1e-15
+    assert labels == ((0,), (1,))
+    assert second_multiplicity == 1
 
 
 def test_merge_is_chained_across_consecutive_gaps():
     # values 0, 0.8e-9, 1.6e-9: pairwise gaps below tolerance chain together
-    spec = Spectrum.from_triples(
-        *_records([(0.0, 1), (0.8e-9, 1), (1.6e-9, 1)]),
-        tolerance=1e-9,
-    )
+    with tolerance(1e-9):
+        spec = Spectrum.from_triples(*_records([(0.0, 1), (0.8e-9, 1), (1.6e-9, 1)]))
     assert len(spec) == 1
-    assert spec.entries[0].multiplicity == 3
+    assert spec.multiplicities()[0] == 3
 
 
 def test_gap_equal_to_tolerance_chains():
-    spec = Spectrum.from_triples(
-        *_records([(0.5, 1), (0.0, 1), (0.25, 1), (1.0, 1)]),
-        tolerance=0.25,
-    )
-    assert [(e.value, e.multiplicity) for e in spec] == [(0.25, 3), (1.0, 1)]
+    with tolerance(0.25):
+        spec = Spectrum.from_triples(*_records([(0.5, 1), (0.0, 1), (0.25, 1), (1.0, 1)]))
+    assert [(value, mult) for value, mult, _ in entries(spec)] == [(0.25, 3), (1.0, 1)]
 
 
 def test_no_merge_beyond_tolerance():
-    spec = Spectrum.from_triples(*_records([(0.0, 1), (1e-6, 1)]), tolerance=1e-9)
+    with tolerance(1e-9):
+        spec = Spectrum.from_triples(*_records([(0.0, 1), (1e-6, 1)]))
     assert len(spec) == 2
 
 
 def test_values_sorted_and_total_multiplicity():
     spec = Spectrum.from_triples(*_records([(3.0, 2), (-1.0, 4), (0.5, 1)]))
     assert np.all(np.diff(spec.values()) > 0)
-    assert spec.total_multiplicity() == 7
+    assert spec.multiplicities().sum() == 7
     assert list(spec.multiplicities()) == [4, 1, 2]
 
 
 def test_min_abs_and_first_positive():
     spec = Spectrum.from_triples(*_records([(-0.25, 1), (0.5, 1), (2.0, 1)]))
     assert spec.min_abs() == 0.25
-    assert spec.first_positive() == 0.5
+    assert spec.values()[spec.values() > 0.0].min() == 0.5
     with pytest.raises(ValueError):
-        Spectrum([]).min_abs()
+        Spectrum([], [], [], [0]).min_abs()
     neg = Spectrum.from_triples(*_records([(-1.0, 1)]))
-    with pytest.raises(ValueError):
-        neg.first_positive()
+    assert not np.any(neg.values() > 0.0)
 
 
-def test_in_window_and_multiplicity_at():
+def test_window_and_multiplicity_queries_on_the_arrays():
     spec = Spectrum.from_triples(*_records([(-2.0, 1), (0.0, 3), (1.5, 2)]))
-    win = spec.in_window(-0.5, 1.5)
-    assert [e.value for e in win] == [0.0, 1.5]
-    assert spec.multiplicity_at(0.0) == 3
-    assert spec.multiplicity_at(1.5 + 1e-12, 1e-9) == 2
-    assert spec.multiplicity_at(0.7) == 0
+    values = spec.values()
+    assert values[(-0.5 <= values) & (values <= 1.5)].tolist() == [0.0, 1.5]
+    assert multiplicity_at(spec, 0.0) == 3
+    with tolerance(1e-9):
+        assert multiplicity_at(spec, 1.5 + 1e-12) == 2
+    assert multiplicity_at(spec, 0.7) == 0
 
 
 def test_tolerance_environment_override(monkeypatch):
@@ -132,8 +128,9 @@ def test_array_merge_equals_left_to_right_reference(seed):
     value_of = {lbl: v for v, _, lbl in triples}
     spans = [max(value_of[l] for l in g) - min(value_of[l] for l in g) for *_, g in expected]
     assert max(spans) > tol  # some chain merges values further apart than tol
-    spec = Spectrum.from_triples(*zip(*triples), tolerance=tol)
-    got = [(e.value, e.multiplicity, e.labels) for e in spec]
+    with tolerance(tol):
+        spec = Spectrum.from_triples(*zip(*triples))
+    got = entries(spec)
     assert got == expected
     assert all(np.copysign(1.0, a) == np.copysign(1.0, b)
                for (a, *_), (b, *_) in zip(got, expected))
@@ -143,22 +140,30 @@ def test_array_merge_equals_left_to_right_reference(seed):
 def test_a_chain_sum_starts_from_positive_zero(values):
     # a chain of -0.0 alone sums to 0.0, as in the left-to-right reference
     items = [(v, i + 1, (i,)) for i, v in enumerate(values)]
-    spec = Spectrum.from_triples(*zip(*items), tolerance=1e-9)
-    got = [(e.value, e.multiplicity, e.labels) for e in spec]
+    with tolerance(1e-9):
+        spec = Spectrum.from_triples(*zip(*items))
+    got = entries(spec)
     assert got == _reference_merge(items, 1e-9)
     assert np.copysign(1.0, spec.values()).tolist() == [1.0] * len(spec)
 
 
 @pytest.mark.parametrize("window", [(-20.0, 20.0), (-1e3, 1e3), (3.0, 3.0), (5.0, -5.0),
                                     (60.0, 70.0)])
-def test_in_window_slices_the_member_labels(window):
+def test_a_value_window_slices_the_member_labels(window):
     rng = np.random.default_rng(11)
-    spec = Spectrum.from_triples(*zip(*_random_triples(rng, 1e-6)), 1e-6)
+    with tolerance(1e-6):
+        spec = Spectrum.from_triples(*zip(*_random_triples(rng, 1e-6)))
     lo, hi = window
-    win = spec.in_window(lo, hi)
-    assert win.entries == [e for e in spec.entries if lo <= e.value <= hi]
-    labels, offsets = win.members()
-    assert len(labels) == offsets[-1] == sum(len(e.labels) for e in win)
+    # the entries lo <= value <= hi are a run i:j, their labels the run offsets[i]:offsets[j]
+    values, (labels, offsets) = spec.values(), spec.members()
+    i = np.searchsorted(values, lo)
+    j = max(i, np.searchsorted(values, hi, side="right"))
+    win = [(value, mult, rows) for value, mult, rows in entries(spec) if lo <= value <= hi]
+    assert entries(spec)[i:j] == win
+    assert len(labels[offsets[i]:offsets[j]]) == offsets[j] - offsets[i] == sum(
+        len(rows) for *_, rows in win)
+    assert list(map(tuple, labels[offsets[i]:offsets[j]].tolist())) == [
+        row for *_, rows in win for row in rows]
 
 
 @pytest.mark.parametrize("value, mult, label", [

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import entries, multiplicity_at
 from hypothesis import example, given, settings, strategies as st
 
 from magdirac import sphere
@@ -75,16 +76,16 @@ def test_f0_rejects_bad_indices():
 def test_spectrum_at_zero_coupling_merges_to_classical_multiplicities():
     spec = sphere.spectrum(0.0, 12.0)
     for k in range(11):
-        assert spec.multiplicity_at(1.5 + k) == (k + 2) * (k + 1), k
+        assert multiplicity_at(spec, 1.5 + k) == (k + 2) * (k + 1), k
         if 1.5 + k <= 12.0 and k >= 1:
-            assert spec.multiplicity_at(-(0.5 + k)) == k * (k + 1), k
+            assert multiplicity_at(spec, -(0.5 + k)) == k * (k + 1), k
     # no eigenvalues in the open gap (-3/2, 3/2)
-    assert len(spec.in_window(-1.4, 1.4)) == 0
+    assert not np.any(np.abs(spec.values()) <= 1.4)
 
 
 def test_spectrum_frozen_values_at_half():
     spec = sphere.spectrum(0.5, 3.0)
-    got = [(e.value, e.multiplicity) for e in spec]
+    got = [(value, mult) for value, mult, _ in entries(spec)]
     expected = [
         (0.5 - np.sqrt(10.25), 3),
         (0.5 - np.sqrt(8.25), 3),
@@ -107,13 +108,13 @@ def _named(labels) -> set:
 
 def test_spectrum_labels_carry_quantum_numbers():
     spec = sphere.spectrum(0.5, 3.0)
-    by_value = {round(e.value, 9): e for e in spec}
-    entry = by_value[round(0.5 + np.sqrt(4.25), 9)]
-    assert entry.labels == ((2, 1, 0, +1),)
-    assert _named(entry.labels) == {("branch", 1, 0, +1)}
-    entry = by_value[round(1.0, 9)]
-    assert entry.labels == ((1, 0, -1, -1),)
-    assert _named(entry.labels) == {("minus", 0, None, None)}
+    labels_at = {round(value, 9): labels for value, _, labels in entries(spec)}
+    labels = labels_at[round(0.5 + np.sqrt(4.25), 9)]
+    assert labels == ((2, 1, 0, +1),)
+    assert _named(labels) == {("branch", 1, 0, +1)}
+    labels = labels_at[round(1.0, 9)]
+    assert labels == ((1, 0, -1, -1),)
+    assert _named(labels) == {("minus", 0, None, None)}
 
 
 def test_spectrum_invariant_under_coupling_sign_flip():
@@ -129,9 +130,10 @@ def test_spectrum_invariant_under_coupling_sign_flip():
 def test_spectrum_is_complete_against_dense_cutoff_scan():
     # raising the cutoff must not add values inside the smaller window
     small = sphere.spectrum(1.3, 4.0)
-    large = sphere.spectrum(1.3, 9.0).in_window(-4.0, 4.0)
-    assert np.allclose(small.values(), large.values())
-    assert np.array_equal(small.multiplicities(), large.multiplicities())
+    large = sphere.spectrum(1.3, 9.0)
+    inside = np.abs(large.values()) <= 4.0
+    assert np.allclose(small.values(), large.values()[inside])
+    assert np.array_equal(small.multiplicities(), large.multiplicities()[inside])
 
 
 def test_lambda1_cases():
@@ -209,7 +211,8 @@ def test_triple_count_is_the_members_visited(monkeypatch, t, cutoff):
     real_f0 = sphere.f0
     monkeypatch.setattr(sphere, "f0",
                         lambda k, p, t: calls.append(np.asarray(k)) or real_f0(k, p, t))
-    kept = len(sphere.spectrum(t, cutoff, merge_tol=0.0).entries)
+    monkeypatch.setattr(spectrum_mod, "merge_tolerance", lambda: 0.0)
+    kept = len(sphere.spectrum(t, cutoff))
     k_max = max(int(k.max()) for k in calls)
     # one f0 input per member: the plus/minus ends and both branch signs
     assert sum(k.size for k in calls) == sphere.triple_count(k_max)
@@ -227,7 +230,7 @@ def test_spectrum_refuses_past_the_size_cap_before_any_level(monkeypatch):
         with pytest.raises(ValueError, match="cap 41"):
             sphere.spectrum(0.5, 3.0)
     monkeypatch.setattr(spectrum_mod, "MAX_SPECTRUM_SIZE", 42)
-    assert sphere.spectrum(0.5, 3.0).total_multiplicity() > 0
+    assert sphere.spectrum(0.5, 3.0).multiplicities().sum() > 0
 
 
 def test_curve_table_refuses_past_the_size_cap_before_any_row(monkeypatch):
@@ -284,16 +287,17 @@ def _brute_force_triples(t, cutoff):
     (0.37, 11.0), (-4.123, 6.3), (5.9, 2.0),              # generic t
 ])
 def test_tight_level_bound_matches_brute_force(t, cutoff):
-    got = [(e.value, e.multiplicity, _named(e.labels)) for e in sphere.spectrum(t, cutoff)]
+    got = [(value, mult, _named(labels))
+           for value, mult, labels in entries(sphere.spectrum(t, cutoff))]
     assert got == _merge_left_to_right(_brute_force_triples(t, cutoff))
 
 
 def test_value_on_the_cutoff_is_kept():
     # t = 1/2, cutoff 3: plus(k=1) sits exactly at 3/2 + 1/2 + 1 = 3
-    spec = sphere.spectrum(0.5, 3.0)
-    assert (0, 1, -1, 1) in spec.entries[-1].labels
-    assert ("plus", 1, None, None) in _named(spec.entries[-1].labels)
-    assert spec.entries[-1].value == 3.0
+    value, _, labels = entries(sphere.spectrum(0.5, 3.0))[-1]
+    assert (0, 1, -1, 1) in labels
+    assert ("plus", 1, None, None) in _named(labels)
+    assert value == 3.0
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -348,7 +352,7 @@ def test_collision_arrays_reject_any_parallel_or_invalid_pair():
 def test_spectrum_merges_exactly_the_curve_rows_in_the_window(monkeypatch, t, cutoff):
     merged = []
     monkeypatch.setattr(sphere.Spectrum, "from_triples",
-                        lambda *arrays, tolerance=None: merged.append(arrays))
+                        lambda *arrays: merged.append(arrays))
     sphere.spectrum(t, cutoff)
     _, members, _, j, value = sphere.curve_table([t], int(cutoff + abs(t)) + 3,
                                                  window=(-cutoff, cutoff))
