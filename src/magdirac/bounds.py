@@ -53,19 +53,6 @@ class BoundValue:
     reason: str = ""
 
 
-@dataclass
-class BoundReport:
-    """A bound checked against a reference eigenvalue."""
-
-    name: str
-    form: str
-    bound: float
-    reference: float
-    satisfied: bool
-    equality: bool
-    margin: float
-
-
 def friedrich(data: GeometricData, t: float) -> BoundValue:
     """Curvature lower bound on the squared eigenvalues.
 
@@ -136,33 +123,27 @@ def berger_q(S: float) -> tuple[float, float]:
     return 0.75 + S / 8.0, 1.5 + S / 4.0
 
 
-def compare(
-    bound: BoundValue, reference: float, tolerance: float = SOUNDNESS_TOL
-) -> BoundReport:
-    """Check a bound against a reference eigenvalue.
+def compare(bound: BoundValue, reference: float) -> dict:
+    """Check a bound against a reference eigenvalue, to ``SOUNDNESS_TOL``.
 
     ``reference`` is the relevant exact quantity: the squared eigenvalue
     for ``squared``/``upper_squared`` forms, |lambda| for ``absolute``,
-    the first positive basic eigenvalue for ``first_positive``.
+    the first positive basic eigenvalue for ``first_positive``.  Returns
+    the report ``magdirac bounds`` prints: name, form, bound, reference,
+    satisfied, equality and margin, in that order.
     """
     if bound.vacuous:
         raise ValueError(f"cannot compare vacuous bound {bound.name}: {bound.reason}")
     if bound.form in ("squared", "absolute", "first_positive"):
-        satisfied, margin = reference >= bound.value - tolerance, reference - bound.value
+        satisfied, margin = reference >= bound.value - SOUNDNESS_TOL, reference - bound.value
     elif bound.form == "upper_squared":
-        satisfied, margin = reference <= bound.value + tolerance, bound.value - reference
+        satisfied, margin = reference <= bound.value + SOUNDNESS_TOL, bound.value - reference
     else:
         raise ValueError(f"unknown bound form {bound.form!r}")
-    equality = abs(reference - bound.value) <= tolerance * (1.0 + abs(bound.value))
-    return BoundReport(
-        name=bound.name,
-        form=bound.form,
-        bound=float(bound.value),
-        reference=float(reference),
-        satisfied=bool(satisfied),
-        equality=bool(equality),
-        margin=float(margin),
-    )
+    equality = abs(reference - bound.value) <= SOUNDNESS_TOL * (1.0 + abs(bound.value))
+    return {"name": bound.name, "form": bound.form, "bound": float(bound.value),
+            "reference": float(reference), "satisfied": bool(satisfied),
+            "equality": bool(equality), "margin": float(margin)}
 
 
 def sphere3_data() -> GeometricData:

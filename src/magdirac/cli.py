@@ -437,15 +437,8 @@ _TORUS_REASONS = {
 }
 
 
-# bounds options that only the torus model reads
-_TORUS_OPTIONS = ("basis", "delta", "theta", "A", "flux", "cutoff")
-
-
 def _sphere_model(bounds, ns):
     from . import sphere
-    given = [f"--{o}" for o in _TORUS_OPTIONS if getattr(ns, o) is not None]
-    if given:
-        raise ValueError(f"bounds --model sphere takes no {', '.join(given)}")
     t = 0.0 if ns.t is None else ns.t
     lam1 = sphere.lambda1(t)
     reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
@@ -455,8 +448,6 @@ def _sphere_model(bounds, ns):
 
 def _torus_model(bounds, ns):
     from . import torus
-    if ns.t is not None:
-        raise ValueError("bounds --model torus takes no --t: its coupling is 1")
     ns.basis = "[[1]]" if ns.basis is None else ns.basis
     spinc = _spinc_from_args(ns)
     cutoff = 20.0 if ns.cutoff is None else ns.cutoff
@@ -467,9 +458,10 @@ def _torus_model(bounds, ns):
     return {"model": "torus"}, geo, 1.0, {"squared": spec.min_abs()**2}, _TORUS_REASONS
 
 
-# --model -> (bounds module, options) -> (report head, GeometricData, coupling, the exact
-# quantity each bound form is compared against (see compare), why a bound does not apply)
-_BOUND_MODELS = {"sphere": _sphere_model, "torus": _torus_model}
+# --model -> (the options it reads, (bounds module, options) -> (report head, GeometricData,
+# coupling, the exact quantity per bound form (see compare), why a bound does not apply))
+_BOUND_MODELS = {"sphere": (("t",), _sphere_model),
+                 "torus": (("basis", "delta", "theta", "A", "flux", "cutoff"), _torus_model)}
 
 
 def cmd_bounds(ns) -> int:
@@ -480,7 +472,12 @@ def cmd_bounds(ns) -> int:
     for w in which:
         if w not in _BOUNDS:
             raise ValueError(f"unknown bound {w!r}; choose from {', '.join(_BOUNDS)}")
-    head, data, coupling, reference, reasons = _BOUND_MODELS[ns.model](bounds, ns)
+    reads, model = _BOUND_MODELS[ns.model]
+    given = [f"--{o}" for o, v in vars(ns).items() if v is not None and o not in reads
+             and any(o in row[0] for row in _BOUND_MODELS.values())]  # in declaration order
+    if given:
+        raise ValueError(f"bounds --model {ns.model} takes no {', '.join(given)}")
+    head, data, coupling, reference, reasons = model(bounds, ns)
     entries = []
     for w in which:
         bv = None if w in reasons else _BOUNDS[w](bounds, data, coupling)
@@ -488,7 +485,7 @@ def cmd_bounds(ns) -> int:
             entries.append({"name": w, "applicable": False,
                             "reason": reasons[w] if bv is None else bv.reason})
         else:
-            entries.append(vars(bounds.compare(bv, reference[bv.form])))
+            entries.append(bounds.compare(bv, reference[bv.form]))
     _print_json({**head, "bounds": entries})
     return 0
 

@@ -15,6 +15,8 @@ import functools
 
 import numpy as np
 
+from .spectrum import check_int
+
 _MAX_DIM = 12
 
 _ID2 = np.eye(2, dtype=np.complex128)
@@ -39,9 +41,7 @@ def build_rep(n: int) -> tuple[np.ndarray, ...]:
     shared by every caller.  Raises ValueError for n < 1 or n > 12 (spinor
     dimension beyond 64 is past any use here).
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    n = int(n)
+    n = check_int(n, "dimension")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     if n > _MAX_DIM:

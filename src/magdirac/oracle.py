@@ -20,7 +20,7 @@ from . import torus
 from .clifford import (PAULI_X, PAULI_Y, PAULI_Z, build_rep, two_form_action,
                        vector_action, volume_element)
 from .lattice import Lattice
-from .spectrum import check_size
+from .spectrum import check_int, check_size
 from .sphere import _check_level, curve_table, member_labels
 from .torus import SpinCData
 
@@ -145,7 +145,7 @@ def _components(rows, cols, dim: int) -> np.ndarray:
         label = low
 
 
-def hermitian_eigs(H) -> np.ndarray:
+def hermitian_eigs(H: HermitianMatrix) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, by LAPACK.
 
     A graded matrix is [[0, B], [B^*, 0]] up to row order: its eigenvalues are
@@ -166,8 +166,6 @@ def hermitian_eigs(H) -> np.ndarray:
     first, in index order), so its eigenvalues are bit for bit those of the
     solve without the split.
     """
-    if not isinstance(H, HermitianMatrix):
-        H = HermitianMatrix(H)
     dim, rows, cols = H.dim, H.rows, H.cols
     if H.grading is not None and np.any(H.grading[rows] == H.grading[cols]):
         raise ValueError("graded matrix couples two rows of equal chirality")
@@ -348,10 +346,11 @@ def verify_torus_modes(n: int, samples: int, seed: int) -> dict:
     matrices 2 pi i c(theta') checked finite and Hermitian and solved by one
     batched LAPACK call, against the sorted closed list from
     ``torus.mode_values``; the report does not depend on the block size.
-    Refused (ValueError) before any draw unless
-    1 <= samples <= MAX_SPECTRUM_SIZE, seed >= 0, 1 <= n <= 12 and
+    Refused (ValueError) before any draw unless samples and seed are
+    integers, 1 <= samples <= MAX_SPECTRUM_SIZE, seed >= 0, 1 <= n <= 12 and
     samples * N^2 <= MAX_OPERATOR_DIM^2.
     """
+    samples, seed = check_int(samples, "samples"), check_int(seed, "seed")
     if samples < 1:
         raise ValueError(f"torus-modes check needs samples >= 1, got {samples}")
     if seed < 0:
@@ -418,17 +417,18 @@ def _nu_hat(lattice: Lattice, nu) -> np.ndarray:
 class FourierPotential:
     """Oscillating one-form sum_nu a_nu exp(2 pi i <nu_hat, x>) on a torus.
 
-    Frequencies nu are nonzero integer vectors (dual coordinates,
-    nu_hat = dual_basis @ nu); coefficients are complex covectors in
-    standard coordinates.  Realness requires the -nu term to carry the
-    conjugate coefficient and is enforced at construction.
+    Frequencies nu are nonzero integer vectors (dual coordinates, nu_hat =
+    dual_basis @ nu; a float or bool entry is refused, not rounded);
+    coefficients are complex covectors in standard coordinates.  Realness
+    requires the -nu term to carry the conjugate coefficient and is enforced
+    at construction.  No terms make the potential without oscillating part.
     """
 
     def __init__(self, lattice: Lattice, terms):
         self.lattice = lattice
         table = {}
         for nu, coeff in terms:
-            nu = tuple(int(c) for c in nu)
+            nu = tuple(check_int(c, "frequency entry") for c in nu)
             if len(nu) != lattice.n:
                 raise ValueError(f"frequency {nu} has wrong length for n={lattice.n}")
             if all(c == 0 for c in nu):
@@ -454,12 +454,12 @@ class FourierPotential:
     def from_gradient(cls, lattice: Lattice, f_terms) -> "FourierPotential":
         """Exact one-form df of f = sum_nu c_nu exp(2 pi i <nu_hat, x>).
 
-        ``f_terms`` is an iterable of (nu, c_nu); missing mirror frequencies
-        are filled in with conjugate coefficients so f is real.
+        ``f_terms`` is an iterable of (nu, c_nu), nu as in the constructor;
+        missing mirror frequencies get conjugate coefficients so f is real.
         """
         coeffs = {}
         for nu, c in f_terms:
-            nu = tuple(int(x) for x in nu)
+            nu = tuple(check_int(x, "frequency entry") for x in nu)
             if len(nu) != lattice.n:
                 raise ValueError(f"frequency {nu} has wrong length for n={lattice.n}")
             coeffs[nu] = coeffs.get(nu, 0.0) + complex(c)
@@ -495,13 +495,14 @@ class FourierPotential:
 
 
 def _operator_window(data: SpinCData, cutoff: int) -> np.ndarray:
-    """Modes with sup-norm <= cutoff, in row-major order of m + cutoff."""
-    side = 2 * int(cutoff) + 1
+    """Modes with sup-norm <= cutoff, an integer, in row-major order of m + cutoff."""
+    cutoff = check_int(cutoff, "cutoff")
+    side = 2 * cutoff + 1
     dim = side ** data.n * data.spinor_dim
     if dim > MAX_OPERATOR_DIM:
         raise ValueError(f"operator dimension {dim} exceeds the cap {MAX_OPERATOR_DIM}; "
                          "reduce the cutoff")
-    return np.indices((side,) * data.n).reshape(data.n, -1).T - int(cutoff)
+    return np.indices((side,) * data.n).reshape(data.n, -1).T - cutoff
 
 
 def _assemble(modes, terms):
@@ -546,70 +547,67 @@ def _mode_blocks(data: SpinCData, modes) -> np.ndarray:
 
 
 def torus_fourier_operator(
-    data: SpinCData, potential: FourierPotential | None, cutoff: int
-) -> tuple[HermitianMatrix, np.ndarray]:
+    data: SpinCData, potential: FourierPotential, cutoff: int
+) -> HermitianMatrix:
     """Truncated matrix of the operator on modes with sup-norm <= cutoff.
 
     The harmonic part of the potential lives in ``data.A``; ``potential``
-    holds the oscillating part (may be None).  Returns the matrix and the
-    mode list in assembly order.  In even dimension the matrix carries the
-    chirality grading: the diagonal of i^(n/2) g_1...g_n, tiled over the
-    modes, which every block reverses.
+    holds the oscillating part (no terms for none).  Row N i + a of the
+    matrix is spinor component a of mode i of ``_operator_window(data,
+    cutoff)``, N = data.spinor_dim.  In even dimension the matrix carries
+    the chirality grading: the diagonal of i^(n/2) g_1...g_n, tiled over
+    the modes, which every block reverses.
     """
     modes = _operator_window(data, cutoff)
     terms = {(0,) * data.n: _mode_blocks(data, modes)}
-    if potential is not None:
-        if potential.lattice is not data.lattice and not np.allclose(
-            potential.lattice.basis, data.lattice.basis, rtol=0, atol=1e-12
-        ):
-            raise ValueError("potential and spin-c data use different lattices")
-        gens = build_rep(data.n)
-        for nu, coeff in potential.table.items():
-            terms[nu] = 0.5j * vector_action(coeff, gens)
+    if potential.lattice is not data.lattice and not np.allclose(
+        potential.lattice.basis, data.lattice.basis, rtol=0, atol=1e-12
+    ):
+        raise ValueError("potential and spin-c data use different lattices")
+    gens = build_rep(data.n)
+    for nu, coeff in potential.table.items():
+        terms[nu] = 0.5j * vector_action(coeff, gens)
     grading = None
     if data.n % 2 == 0:
-        gamma = 1j ** (data.n // 2) * volume_element(build_rep(data.n))
+        gamma = 1j ** (data.n // 2) * volume_element(gens)
         if np.count_nonzero(gamma - np.diag(np.diag(gamma))):
             raise AssertionError("the volume element is not diagonal")
         grading = np.tile(np.diag(gamma).real, len(modes))
     entries = _assemble(modes, terms)
     del terms  # the blocks go before the entries are checked, where the peak falls
-    return HermitianMatrix.from_entries(len(modes) * data.spinor_dim, *entries, grading), modes
+    return HermitianMatrix.from_entries(len(modes) * data.spinor_dim, *entries, grading)
 
 
-def _identity_terms(data: SpinCData, potential: FourierPotential | None, tm):
+def _identity_terms(data: SpinCData, potential: FourierPotential, tm):
     """Right-hand sides of ``identity_checks`` as convolution tables, per
     shift: the covariant components M_j = d_j + i eta_j (scalar, one column
     per j), the div, grad and |eta|^2 terms of the square (scalar), and
-    i d(eta) (N x N blocks).  ``tm`` holds the shifted dual points of the
-    window without A."""
+    i d(eta) (N x N blocks), of the oscillating part ``potential`` (no terms
+    for none).  ``tm`` holds the shifted dual points of the window without A."""
     h, zero = data.A, (0,) * data.n
     cov = {zero: 2j * np.pi * tm + 0.5j * h}
     scal = {zero: 2.0 * np.pi * (tm @ h) + (h @ h) / 4.0}
     curl = {zero: np.zeros((data.spinor_dim,) * 2)}  # no zero-shift part; fixes N if a is 0
-    terms = potential.table if potential is not None else {}
     gens = build_rep(data.n)
-    for nu, a in terms.items():
+    for nu, a in potential.table.items():
         nh = _nu_hat(data.lattice, nu)
         cov[nu] = 0.5j * a
         scal[nu] = (scal.get(nu, 0.0) + np.pi * (nh @ a + 2.0 * (tm @ a))
                     + (h @ a) / 2.0)
         omega = 1j * np.pi * (np.outer(nh, a) - np.outer(a, nh))
         curl[nu] = 1j * two_form_action(omega, gens)
-        for nu2, a2 in terms.items():
+        for nu2, a2 in potential.table.items():
             rho = tuple(x + y for x, y in zip(nu, nu2))
             scal[rho] = scal.get(rho, 0.0) + (a @ a2) / 4.0
     return cov, scal, curl
 
 
-def identity_checks(
-    data: SpinCData, potential: FourierPotential | None, cutoff: int
-) -> dict:
+def identity_checks(data: SpinCData, potential: FourierPotential, cutoff: int) -> dict:
     """Structural and curvature identities of the truncated operator.
 
-    With eta = (h + a)/2 (h = data.A, a the oscillating part), checks on
-    interior rows (sup-norm <= cutoff - 2 * bandwidth, so no truncation
-    error enters the products):
+    With eta = (h + a)/2 (h = data.A, a the oscillating part ``potential``,
+    no terms for none), checks on interior rows (sup-norm <= cutoff - 2 *
+    bandwidth, so no truncation error enters the products):
 
     * hermitian          -- assembled matrix equals its conjugate transpose;
     * covariant_skew     -- each covariant component M_j = d_j + i eta_j is
@@ -632,8 +630,8 @@ def identity_checks(
     """
     modes = _operator_window(data, cutoff)
     n, N = data.n, data.spinor_dim
-    bw = potential.bandwidth() if potential is not None else 0
-    margin = int(cutoff) - 2 * bw
+    bw = potential.bandwidth()
+    margin = cutoff - 2 * bw
     interior = np.max(np.abs(modes), axis=1) <= margin  # by mode, then by row
     if not np.any(interior):
         raise ValueError(f"cutoff {cutoff} leaves no interior rows at bandwidth {bw}; "
@@ -647,7 +645,7 @@ def identity_checks(
     def joined(*parts):  # the entries of several parts, one after the other
         return tuple(map(np.concatenate, zip(*parts)))
 
-    big, _ = torus_fourier_operator(data, potential, cutoff)
+    big = torus_fourier_operator(data, potential, cutoff)
     K, dim, gens = len(modes), big.dim, build_rep(n)
     H = (big.rows, big.cols, big.values)
     lhs = _summed(dim, *_pairs(restrict(H, rows), H))
@@ -747,9 +745,10 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs) -> dict:
     pairwise distance per cutoff.  Truncation breaks exact gauge invariance,
     so the residual must decrease as the window grows and fall below 1e-6
     at the last cutoff.  Refused (ValueError), before any window is
-    assembled, unless there is at least one cutoff, the cutoffs are >= 1,
-    strictly increasing and within ``MAX_OPERATOR_DIM``, df has a nonzero
-    coefficient, and no frequency is past twice the largest cutoff.
+    assembled, unless there is at least one cutoff, the cutoffs are
+    integers >= 1, strictly increasing and within ``MAX_OPERATOR_DIM``, the
+    frequencies of ``f_terms`` are integers, df has a nonzero coefficient,
+    and no frequency is past twice the largest cutoff.
 
     ``hermitian_eigs`` solves the operator with df per connected component:
     when the frequencies of df span a proper sublattice L', one block per
@@ -757,10 +756,11 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs) -> dict:
     residuals of such a request by at most 1e-12 (absolute) and never
     changes ``monotone`` or ``pass``.
     """
+    cutoffs = [check_int(c, "cutoff") for c in cutoffs]
     if len(cutoffs) == 0 or min(cutoffs) < 1:
-        raise ValueError(f"gauge check needs one or more cutoffs >= 1, got {list(cutoffs)}")
+        raise ValueError(f"gauge check needs one or more cutoffs >= 1, got {cutoffs}")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"gauge check needs strictly increasing cutoffs, got {list(cutoffs)}")
+        raise ValueError(f"gauge check needs strictly increasing cutoffs, got {cutoffs}")
     pot = FourierPotential.from_gradient(data.lattice, f_terms)
     if not any(np.any(a) for a in pot.table.values()):
         raise ValueError("gauge check needs a potential df with a nonzero coefficient")
@@ -778,13 +778,13 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs) -> dict:
     del modes, e0_modes, reach, e0_all  # freed before the operators with df are solved
     residuals = []
     for cutoff, (j, e0) in zip(cutoffs, low):
-        ef = _lowest_by_abs(hermitian_eigs(torus_fourier_operator(data, pot, cutoff)[0]), j)
+        ef = _lowest_by_abs(hermitian_eigs(torus_fourier_operator(data, pot, cutoff)), j)
         residuals.append(float(np.max(np.abs(ef - e0))))
     monotone = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     passed = bool(residuals[-1] <= GAUGE_TOL and monotone)
     return {
         "checks": len(residuals) * GAUGE_PAIRS,
-        "cutoffs": [int(c) for c in cutoffs],
+        "cutoffs": cutoffs,
         "residuals": residuals,
         "monotone": monotone,
         "max_residual": residuals[-1],

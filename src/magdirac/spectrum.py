@@ -27,6 +27,13 @@ def check_size(estimate: float, what: str, hint: str) -> None:
         )
 
 
+def check_int(x, what: str) -> int:
+    """``x`` as an int; ValueError unless it is an int or numpy integer, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 def merge_tolerance() -> float:
     """Active merge tolerance (MAGDIRAC_TOLERANCE override, else 1e-9)."""
     raw = os.environ.get("MAGDIRAC_TOLERANCE")
@@ -57,18 +64,18 @@ class Spectrum:
 
     @classmethod
     def from_triples(cls, value, mult, label) -> "Spectrum":
-        """Build from three arrays of equal length, the values, multiplicities
-        (or one scalar) and integer label rows, merging values that form a
-        chain with consecutive gaps <= ``merge_tolerance()``.  A merged value
-        is the multiplicity-weighted mean, summed left to right in value order."""
+        """Build from three arrays of equal length, the values, one
+        multiplicity per value and integer label rows, merging values that
+        form a chain with consecutive gaps <= ``merge_tolerance()``.  A merged
+        value is the multiplicity-weighted mean, summed left to right in value
+        order."""
         value, mult, label = (np.asarray(value, np.float64), np.asarray(mult, np.int64),
                               np.asarray(label, np.int64))
-        if len(label) != len(value) or (mult.ndim and len(mult) != len(value)):
+        if not len(value) == len(mult) == len(label):
             raise ValueError(f"value, mult and label differ in length: "
-                             f"{len(value)}, {mult.size}, {len(label)}")
+                             f"{len(value)}, {len(mult)}, {len(label)}")
         order = np.argsort(value, kind="stable")
-        values = value.take(order)
-        mults = mult.take(order) if mult.ndim else np.full(len(order), mult)
+        values, mults = value.take(order), mult.take(order)
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > merge_tolerance())
         sizes = np.diff(starts, append=len(values))
         weighted = values * mults

@@ -26,7 +26,7 @@ branch modes with k = 2p + 1, where f0 collapses to t^2 + 4(p + 1)^2.
 
 import numpy as np
 
-from .spectrum import Spectrum, check_size
+from .spectrum import Spectrum, check_int, check_size
 
 
 def f0(k, p, t):
@@ -50,9 +50,7 @@ def f0(k, p, t):
 
 
 def _check_level(k) -> int:
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"level must be an integer, got {k!r}")
-    k = int(k)
+    k = check_int(k, "level")
     if k < 0:
         raise ValueError(f"level must be non-negative, got {k}")
     return k

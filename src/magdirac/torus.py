@@ -41,7 +41,10 @@ class SpinCData:
 
     def __post_init__(self):
         n = self.lattice.n
-        delta = np.asarray(self.delta, dtype=np.int64)
+        delta = np.asarray(self.delta)
+        if not np.all((delta == 0) | (delta == 1)):  # before the cast, which would truncate
+            raise ValueError(f"delta entries must be 0 or 1, got {delta.tolist()}")
+        delta = delta.astype(np.int64)
         theta = np.asarray(self.theta, dtype=np.float64)
         A = np.asarray(self.A, dtype=np.float64)
         for name, arr in (("delta", delta), ("theta", theta), ("A", A)):
@@ -49,8 +52,6 @@ class SpinCData:
                 raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        if not np.all((delta == 0) | (delta == 1)):
-            raise ValueError(f"delta entries must be 0 or 1, got {delta.tolist()}")
         if np.any(theta < 0.0) or np.any(theta >= 1.0):
             warnings.warn(
                 "theta reduced into [0, 1); an odd integer part flips delta "

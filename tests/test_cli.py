@@ -354,6 +354,14 @@ def test_refusals(capsys, argv, message):
     assert code == 1 and out == "" and err.startswith(f"error: {message}")
 
 
+def test_bounds_refuses_every_other_model_option_in_one_message(capsys):
+    # the options in declaration order, whatever order they are given in
+    for argv, given in ((("torus", "--t", "0", "--basis", "[[1]]"), "--t"),
+                        (("sphere", "--cutoff", "1", "--basis", "[[2]]"), "--basis, --cutoff")):
+        assert run(capsys, "bounds", "--model", *argv) == (
+            1, "", f"error: bounds --model {argv[0]} takes no {given}\n")
+
+
 def test_gauge_refusal_comes_before_any_window(capsys, monkeypatch):
     from magdirac import oracle
 
@@ -1291,7 +1299,7 @@ def test_a_merged_value_that_is_not_its_mirror_prints_its_own_repr():
     xs = [8.768610301298834, 8.768610301360322, 8.76861030141971]
     labels = [(s, i) for s in (-1, 1) for i in range(len(xs))]
     with tolerance(1e-9):
-        spec = Spectrum.from_triples([s * xs[i] for s, i in labels], 1, labels)
+        spec = Spectrum.from_triples([s * xs[i] for s, i in labels], [1] * len(labels), labels)
     assert spec.values().tolist() == [-8.768610301359622, 8.76861030135962]
     edges, render = cli._entry_blocks(spec, "%s,%d,%s\n",
                                       lambda labels: cli._Cells(["%s"], [list("abcdef")]), ";")

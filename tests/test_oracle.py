@@ -114,7 +114,7 @@ def test_sphere_level_matrix_spectrum_is_the_closed_form():
         W = np.diag(weight)
         assert np.max(np.abs(W @ H0 - H0 @ W)) == 0.0
         for t in (-3.7, -1.0, 0.0, 0.45, 2.5):
-            got = oracle.hermitian_eigs(H0 + t * S)
+            got = oracle.hermitian_eigs(HermitianMatrix(H0 + t * S))
             closed = _closed_level(k, t)
             assert np.max(np.abs(got - closed)) <= 1e-12 * (1 + np.max(np.abs(closed)))
     with pytest.raises(ValueError):
@@ -280,7 +280,7 @@ def test_mode_blocks_match_closed_form():
         )
         for _ in range(10):
             m = rng.integers(-3, 4, size=n)
-            got = oracle.hermitian_eigs(oracle._mode_blocks(data, m))
+            got = oracle.hermitian_eigs(HermitianMatrix(oracle._mode_blocks(data, m)))
             values, mults = torus.mode_values(data.theta_prime(m[None]))
             closed = np.sort(np.repeat(values.ravel(), mults.ravel()))
             assert np.max(np.abs(got - closed)) < 1e-10 * (1 + np.max(np.abs(closed)))
@@ -353,10 +353,11 @@ def test_gradient_field_matches_finite_differences():
 def test_operator_assembly_shapes_and_caps():
     lat = Lattice.from_rows(np.eye(2))
     data = SpinCData(lat, [1, 0], [0.0, 0.0], np.array([0.1, 0.0]))
-    H, modes = oracle.torus_fourier_operator(data, None, 3)
+    empty = FourierPotential(lat, [])
+    H, modes = oracle.torus_fourier_operator(data, empty, 3), oracle._operator_window(data, 3)
     assert H.dim == len(modes) * 2 == 49 * 2
     with pytest.raises(ValueError):
-        oracle.torus_fourier_operator(data, None, 40)
+        oracle.torus_fourier_operator(data, empty, 40)
     other = Lattice.from_rows(2 * np.eye(2))
     pot = FourierPotential.from_gradient(other, [((1, 0), 0.1)])
     with pytest.raises(ValueError):
@@ -391,8 +392,28 @@ def test_identity_checks_closed_and_nonclosed():
     rep = oracle.identity_checks(data, nonclosed, cutoff=6)
     assert rep["pass"], rep
 
-    rep = oracle.identity_checks(data, None, cutoff=3)
+    rep = oracle.identity_checks(data, FourierPotential(lat, []), cutoff=3)
     assert rep["pass"] and "volume_anticommute" in rep["checks"]
+
+
+@pytest.mark.parametrize("rows, data_args, identity_sha, eigs_sha", [
+    ([[1.0, 0.1], [0.0, 0.9]], ([1, 0], [0.3, 0.0], [0.25, -0.4]),
+     "79d852ba55ddc5c87ad8d22a5c4392a8deb226a0edc5c9acedd536569bdb7b87",
+     "2233156e6f39fb546f8ecb868ad3a426449c066d1338f7d2585b2e70030c33cc"),
+    (np.eye(3), ([1, 0, 1], [0.0, 0.2, 0.0], [0.3, 0.0, -0.1]),
+     "893faab8a179ad8556a1de956e2acc2bd65e4f9a7296ef0f02770a534da40e3f",
+     "c3ac2523154b77b4dda34af4cc88b7450504f12b8815f11301e1d9c0e8ac6d6b"),
+], ids=["2d", "3d"])
+def test_the_empty_potential_gives_the_bytes_of_no_potential(rows, data_args, identity_sha,
+                                                               eigs_sha):
+    # digests recorded at cutoff 3 when "no oscillating part" was written None
+    # (the 2d case is the data of test_identity_checks_closed_and_nonclosed)
+    lat = Lattice.from_rows(np.array(rows))
+    data, empty = SpinCData(lat, *data_args), FourierPotential(lat, [])
+    rep = json.dumps(oracle.identity_checks(data, empty, 3))
+    assert hashlib.sha256(rep.encode()).hexdigest() == identity_sha
+    eigs = oracle.hermitian_eigs(oracle.torus_fourier_operator(data, empty, 3))
+    assert hashlib.sha256(eigs.tobytes()).hexdigest() == eigs_sha
 
 
 def test_identity_checks_dimension_three_has_no_volume_check():
@@ -424,7 +445,7 @@ def test_identity_checks_needs_interior_rows():
 def test_verify_gauge_passes_and_reports_decay(rows, data_args, f_terms, cutoffs):
     lat = Lattice.from_rows(np.array(rows))
     data = SpinCData(lat, *data_args)
-    H, _ = oracle.torus_fourier_operator(
+    H = oracle.torus_fourier_operator(
         data, FourierPotential.from_gradient(lat, f_terms), cutoffs[0])
     assert (H.grading is None) == (lat.n % 2 == 1)
     rep = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
@@ -446,7 +467,7 @@ def test_graded_solve_matches_eigvalsh(n, cutoff):
     nus = [tuple(int(c) for c in nu) for nu in np.eye(n, dtype=int)] + [(1,) * n]
     pot = FourierPotential.from_gradient(
         lat, [(nu, complex(*rng.uniform(-0.1, 0.1, size=2))) for nu in nus])
-    H, _ = oracle.torus_fourier_operator(data, pot, cutoff)
+    H = oracle.torus_fourier_operator(data, pot, cutoff)
     chirality = np.diag(1j ** (n // 2) * clifford.volume_element(clifford.build_rep(n)))
     assert np.array_equal(H.grading, np.tile(chirality.real, H.dim // len(chirality)))
     got, ref = oracle.hermitian_eigs(H), np.linalg.eigvalsh(as_dense(H))
@@ -525,7 +546,7 @@ def _full_rank_operator(n, cutoff):
     data = SpinCData(lat, [1] + [0] * (n - 1), [0.0] * n, np.full(n, 0.2))
     nus = [tuple(int(c) for c in nu) for nu in np.eye(n, dtype=int)]
     return oracle.torus_fourier_operator(
-        data, FourierPotential.from_gradient(lat, [(nu, 0.1 - 0.05j) for nu in nus]), cutoff)[0]
+        data, FourierPotential.from_gradient(lat, [(nu, 0.1 - 0.05j) for nu in nus]), cutoff)
 
 
 @pytest.mark.parametrize("make", [
@@ -681,7 +702,7 @@ def test_verify_gauge_splits_by_coset_and_matches_the_dense_solve(
     f_terms = [(nu, complex(amp, -amp / 2))]
     pot = FourierPotential.from_gradient(lat, f_terms)
     for cutoff in cutoffs:
-        H, _ = oracle.torus_fourier_operator(data, pot, cutoff)
+        H = oracle.torus_fourier_operator(data, pot, cutoff)
         assert _component_count(as_dense(H)) > 1
     split = oracle.verify_gauge(data, f_terms, cutoffs=cutoffs)
     monkeypatch.setattr(oracle, "hermitian_eigs", lambda H: np.linalg.eigvalsh(as_dense(H)))
@@ -724,13 +745,15 @@ def test_fourier_operator_matches_brute_force_loop(n, cutoff):
     pot = FourierPotential(data.lattice, terms)
 
     window = list(itertools.product(range(-cutoff, cutoff + 1), repeat=n))
-    for potential in (None, pot):
-        H, modes = oracle.torus_fourier_operator(data, potential, cutoff)
+    for potential in (FourierPotential(data.lattice, []), pot):
+        H = oracle.torus_fourier_operator(data, potential, cutoff)
+        # row N i + a is spinor component a of mode i of the window
+        modes = oracle._operator_window(data, cutoff)
         assert [tuple(m) for m in modes] == window
         ref = np.zeros((len(window) * N,) * 2, dtype=np.complex128)
         for i, m in enumerate(window):
             ref[i * N:(i + 1) * N, i * N:(i + 1) * N] = oracle._mode_blocks(data, m)
-            for nu, a in (potential.table.items() if potential else ()):
+            for nu, a in potential.table.items():
                 target = tuple(x + y for x, y in zip(m, nu))
                 if target in window:
                     j = window.index(target)
@@ -794,7 +817,8 @@ def test_assemble_matches_a_per_mode_loop(n, cutoff):
 def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
     rng = np.random.default_rng(90 + n)
     data = _random_spinc(rng, n)
-    H, modes = oracle.torus_fourier_operator(data, None, cutoff)
+    H = oracle.torus_fourier_operator(data, FourierPotential(data.lattice, []), cutoff)
+    modes = oracle._operator_window(data, cutoff)
     dense = np.linalg.eigvalsh(as_dense(H))
     blocks = np.sort(np.concatenate([
         np.linalg.eigvalsh(oracle._mode_blocks(data, m)) for m in modes
@@ -831,6 +855,39 @@ def test_an_overflowing_gradient_is_refused_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"coefficient for \(1, 0\) is not finite"):
             FourierPotential.from_gradient(Lattice(np.eye(2)), [((1, 0), 1e308)])
+
+
+_PLANE = Lattice(np.eye(2))
+_PLANE_DATA = SpinCData(_PLANE, [1, 0], [0.0, 0.0], np.zeros(2))
+
+
+# a float or bool is refused, never truncated to an integer (1.9 or True to 1)
+@pytest.mark.parametrize("call, message", [
+    (lambda: FourierPotential(_PLANE, [((1.9, 0), [0.1, 0.0]), ((-1.9, 0), [0.1, 0.0])]),
+     "frequency entry must be an integer, got 1.9"),
+    (lambda: FourierPotential.from_gradient(_PLANE, [((True, 0.7), 0.1)]),
+     "frequency entry must be an integer, got True"),
+    (lambda: oracle._operator_window(_PLANE_DATA, 2.7), "cutoff must be an integer, got 2.7"),
+    (lambda: oracle.identity_checks(_PLANE_DATA, FourierPotential(_PLANE, []), 3.9),
+     "cutoff must be an integer, got 3.9"),
+    (lambda: SpinCData(_PLANE, [0.7, 1.2], [0.0, 0.0], np.zeros(2)),
+     r"delta entries must be 0 or 1, got \[0.7, 1.2\]"),
+    (lambda: oracle.sphere_level_matrix(True), "level must be an integer, got True"),
+    (lambda: sphere.curve_table([0.0], True), "level must be an integer, got True"),
+    (lambda: clifford.build_rep(True), "dimension must be an integer, got True"),
+    (lambda: oracle.verify_torus_modes(2, 40.0, 11), "samples must be an integer, got 40.0"),
+    (lambda: oracle.verify_torus_modes(2, 40, 11.0), "seed must be an integer, got 11.0"),
+], ids=["frequency", "gradient-frequency", "window", "identity", "delta", "level-matrix",
+        "curve-table", "rep", "samples", "seed"])
+def test_integer_inputs_are_refused_not_truncated(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_verify_gauge_refuses_a_non_integer_cutoff_before_any_window(monkeypatch):
+    monkeypatch.setattr(oracle, "_operator_window", None)  # refused before any window
+    with pytest.raises(ValueError, match="cutoff must be an integer, got 2.5"):
+        oracle.verify_gauge(_PLANE_DATA, [((1, 0), 0.1)], cutoffs=(2.5, 3.5))
 
 
 @pytest.mark.parametrize("nu, refused", [((6, 0), False), ((0, -7), True),
@@ -1042,8 +1099,8 @@ def _add_chirality_preserving_term(monkeypatch):
     real = oracle.torus_fourier_operator
 
     def broken(data, potential, cutoff):  # + 0.1 I keeps the grading's rows apart
-        H, modes = real(data, potential, cutoff)
-        return HermitianMatrix(as_dense(H) + 0.1 * np.eye(H.dim)), modes
+        H = real(data, potential, cutoff)
+        return HermitianMatrix(as_dense(H) + 0.1 * np.eye(H.dim))
 
     monkeypatch.setattr(oracle, "torus_fourier_operator", broken)
 
@@ -1056,7 +1113,8 @@ def test_volume_check_catches_a_chirality_preserving_term(monkeypatch, n):
     assert rep["checks"]["volume_anticommute"] > 1e-12
     assert rep["pass"] is False
     # bit for bit the residual of the per-block products
-    H, modes = oracle.torus_fourier_operator(data, pot, cutoff)
+    H = oracle.torus_fourier_operator(data, pot, cutoff)
+    modes = oracle._operator_window(data, cutoff)
     vol = clifford.volume_element(clifford.build_rep(n))
     expected = _volume_residual_per_block(as_dense(H), len(modes), data.spinor_dim, vol)
     assert rep["checks"]["volume_anticommute"] == expected
@@ -1068,10 +1126,10 @@ def _dense_identity_checks(data, potential, cutoff):
     kron(S, eye(N)) added to the interior rows."""
     modes = oracle._operator_window(data, cutoff)
     n, N, K = data.n, data.spinor_dim, len(modes)
-    bw = potential.bandwidth() if potential is not None else 0
+    bw = potential.bandwidth()
     interior = np.flatnonzero(np.max(np.abs(modes), axis=1) <= cutoff - 2 * bw)
     rows = (N * interior[:, None] + np.arange(N)).ravel()
-    big, _ = oracle.torus_fourier_operator(data, potential, cutoff)
+    big = oracle.torus_fourier_operator(data, potential, cutoff)
     H = as_dense(big)
     lhs = H[rows] @ H
     scale = 1.0 + float(np.max(np.abs(lhs)))

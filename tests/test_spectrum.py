@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import entries, multiplicity_at, tolerance
 
-from magdirac.spectrum import Spectrum, merge_tolerance
+from magdirac.spectrum import Spectrum, check_int, merge_tolerance
 
 
 def _records(pairs):
@@ -169,8 +169,8 @@ def test_a_value_window_slices_the_member_labels(window):
 @pytest.mark.parametrize("value, mult, label", [
     ([1.0, 2.0], [1, 1, 1], [[0], [1]]),
     ([1.0, 2.0], [1], [[0], [1]]),
-    ([1.0, 2.0], 1, [[0], [1], [2]]),
-    ([1.0, 2.0, 3.0], 1, [[0], [1]]),
+    ([1.0, 2.0], [1, 1], [[0], [1], [2]]),
+    ([1.0, 2.0, 3.0], [1, 1, 1], [[0], [1]]),
     ([], [1], np.empty((0, 2))),
 ])
 def test_refusals(value, mult, label):
@@ -180,8 +180,12 @@ def test_refusals(value, mult, label):
         Spectrum.from_triples(value, mult, label)
 
 
-def test_a_scalar_multiplicity_applies_to_every_value():
-    spec = Spectrum.from_triples([2.0, -1.0, 2.0], 3, [[0], [1], [2]])
-    assert spec.values().tolist() == [-1.0, 2.0]
-    assert spec.multiplicities().tolist() == [3, 6]
-    assert spec.members()[0].tolist() == [[1], [0], [2]]
+@pytest.mark.parametrize("x, ok", [(3, True), (np.int64(-3), True), (np.uint8(3), True),
+                                   (True, False), (np.True_, False), (3.0, False),
+                                   (np.float64(3.0), False), ("3", False), (None, False)])
+def test_check_int_takes_ints_and_numpy_integers_only(x, ok):
+    if ok:
+        assert check_int(x, "count") == x and type(check_int(x, "count")) is int
+    else:
+        with pytest.raises(ValueError, match="count must be an integer, got "):
+            check_int(x, "count")
