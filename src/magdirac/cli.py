@@ -143,14 +143,15 @@ def _json_entry(key: str) -> str:
 
 
 def _value_strings(values: np.ndarray) -> list:
-    """repr of each of the ascending ``values``.  A negative value that is
-    exactly minus its mirror ``values[-1 - i]`` takes the mirror's string
-    behind a "-", since repr(-x) == "-" + repr(x) for every finite x > 0."""
-    mirrored = (values < 0.0) & (values == -values[::-1])
-    out = np.empty(len(values), dtype=object)
-    out[~mirrored] = list(map(repr, values[~mirrored].tolist()))
-    out[mirrored] = list(map("-".__add__, out[::-1][mirrored]))
-    return out.tolist()
+    """repr of each of the ascending ``values``.  If every negative value is
+    exactly minus its mirror ``values[-1 - i]``, the negatives take the top
+    values' strings by one slice behind a "-", since repr(-x) == "-" +
+    repr(x) for every finite x > 0; else each value gets its own repr."""
+    neg = int(np.searchsorted(values, 0.0))  # the negatives lead the ascending list
+    pos = list(map(repr, values[neg:].tolist()))
+    if np.array_equal(values[:neg], -values[::-1][:neg]):
+        return list(map("-".__add__, pos[::-1][:neg])) + pos
+    return list(map(repr, values[:neg].tolist())) + pos
 
 
 # a cell of a template: the text before a conversion (%s, %d or %r, with

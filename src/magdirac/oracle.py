@@ -495,8 +495,10 @@ class FourierPotential:
 
 
 def _operator_window(data: SpinCData, cutoff: int) -> np.ndarray:
-    """Modes with sup-norm <= cutoff, an integer, in row-major order of m + cutoff."""
+    """Modes with sup-norm <= cutoff, an integer >= 0, in row-major order of m + cutoff."""
     cutoff = check_int(cutoff, "cutoff")
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be 0 or more, got {cutoff}")
     side = 2 * cutoff + 1
     dim = side ** data.n * data.spinor_dim
     if dim > MAX_OPERATOR_DIM:

@@ -68,14 +68,19 @@ class Spectrum:
         multiplicity per value and integer label rows, merging values that
         form a chain with consecutive gaps <= ``merge_tolerance()``.  A merged
         value is the multiplicity-weighted mean, summed left to right in value
-        order."""
-        value, mult, label = (np.asarray(value, np.float64), np.asarray(mult, np.int64),
-                              np.asarray(label, np.int64))
-        if not len(value) == len(mult) == len(label):
+        order.  Values already in stable order (ascending, a NaN fails) are
+        not sorted, and their label array is kept as it is if read-only, else
+        copied, so the spectrum shares no writeable array with its caller."""
+        values, mults, label = (np.asarray(value, np.float64), np.asarray(mult, np.int64),
+                                np.asarray(label, np.int64))
+        if not len(values) == len(mults) == len(label):
             raise ValueError(f"value, mult and label differ in length: "
-                             f"{len(value)}, {len(mult)}, {len(label)}")
-        order = np.argsort(value, kind="stable")
-        values, mults = value.take(order), mult.take(order)
+                             f"{len(values)}, {len(mults)}, {len(label)}")
+        if not (values[1:] >= values[:-1]).all():
+            order = np.argsort(values, kind="stable")
+            values, mults, label = values.take(order), mults.take(order), label.take(order, axis=0)
+        elif label.flags.writeable:
+            label = label.copy()
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > merge_tolerance())
         sizes = np.diff(starts, append=len(values))
         weighted = values * mults
@@ -84,7 +89,7 @@ class Spectrum:
             live = live[sizes[live] > j]
             sums[live] += weighted[starts[live] + j]
         mults = np.add.reduceat(mults, starts) if len(starts) else mults
-        return cls(sums / mults, mults, label.take(order, axis=0), np.append(starts, len(values)))
+        return cls(sums / mults, mults, label, np.append(starts, len(values)))
 
     def __len__(self) -> int:
         return len(self._values)

@@ -132,10 +132,11 @@ def spectrum(data: SpinCData, cutoff: float) -> Spectrum:
     """All eigenvalues with |value| <= cutoff, merged across modes.
 
     The triples come from ``mode_values`` of the modes' ``theta_prime``,
-    masked to the cutoff and sorted before the mode labels are attached.
-    Labels are the integer mode coordinates; a merged entry lists every
-    contributing mode.  Refused (ValueError) before any work when the mode
-    count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
+    masked to the cutoff and put in stable order (ascending values are not
+    sorted) before the mode labels are attached; the merge keeps all three,
+    the labels read-only.  Labels are the integer mode coordinates; a merged
+    entry lists every contributing mode.  Refused (ValueError) before any
+    work when the mode count estimate exceeds ``spectrum.MAX_SPECTRUM_SIZE``.
     """
     cutoff = float(cutoff)
     if not np.isfinite(cutoff) or cutoff <= 0.0:
@@ -146,18 +147,21 @@ def spectrum(data: SpinCData, cutoff: float) -> Spectrum:
     values, mults = mode_values(data.theta_prime(modes))
     kept = np.flatnonzero((mults > 0) & (np.abs(values) <= cutoff + 1e-12))
     width, values, mults = values.shape[1], values.take(kept), mults.take(kept)
-    order = np.argsort(values)  # then runs of equal values in input order: the stable order
-    tie = np.diff(values.take(order)) == 0  # finite values differ by 0 only if equal
-    if tie.any():  # the keys run * len + index are unique, so any sort is stable
-        run = np.concatenate(([0], np.cumsum(~tie))) * len(order)
-        run += order
-        order = order.take(np.argsort(run))
-        del run
-    del tie
-    labels = modes.take(kept.take(order) // width, axis=0)
+    # ascending values (a circle with a positive generator) are in stable order already
+    if not (values[1:] >= values[:-1]).all():
+        order = np.argsort(values)  # then runs of equal values in input order: the stable order
+        tie = np.diff(values.take(order)) == 0  # finite values differ by 0 only if equal
+        if tie.any():  # the keys run * len + index are unique, so any sort is stable
+            run = np.concatenate(([0], np.cumsum(~tie))) * len(order)
+            run += order
+            order = order.take(np.argsort(run))
+            del run
+        del tie
+        kept, values, mults = kept.take(order), values.take(order), mults.take(order)
+        del order
+    labels = modes.take(kept // width, axis=0)
     del modes, kept
-    values, mults = values.take(order), mults.take(order)
-    del order
+    labels.setflags(write=False)  # so the merge keeps it as it is
     return Spectrum.from_triples(values, mults, labels)
 
 

@@ -1161,6 +1161,16 @@ TORUS_STDOUT_SHA256 = {
         "e11fb1c133b191e1813e39a23ad29cf99686afca7b3553906875426c2dee9540",
     "torus --basis [[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]] --cutoff 14 --csv":
         "2d92a72f05bd415c187270839a44ec5fb351a6c6e7dc7eebbb9c18cddb9cb88d",
+    # recorded before the merge kept sorted input as it is: circles whose
+    # values arrive descending (a negative generator) and ascending (delta 1)
+    "torus --basis [[-1.5]] --theta 0.3 --A 0.7 --cutoff 60":
+        "f3c1292f4a414576eb14ce3d1dbd14b5a0bece20991a724e7be48e43f07458be",
+    "torus --basis [[-1.5]] --theta 0.3 --A 0.7 --cutoff 60 --csv":
+        "5272e316a8895841549041bc93590b9fcf2ed7b382e44831c7e4ffda35fc44c0",
+    "torus --basis [[0.7]] --delta 1 --cutoff 200":
+        "45df35c08c1aa52d7802bd4ef2b41b8fccb9e1ac935f0b78eab6075ba2ffaacc",
+    "torus --basis [[0.7]] --delta 1 --cutoff 200 --csv":
+        "ac7b7b99a7d42c69d45f72f1339257f315ee641736b8a4a70c9ae745710cf655",
 }
 
 
@@ -1287,6 +1297,9 @@ def test_repr_of_a_negated_float_is_a_minus_before_its_repr(x):
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(xs=st.lists(st.floats(-1e3, 1e3), max_size=20), mirrored=st.integers(0, 20))
+@example(xs=[0.5, 2.0, 1e3], mirrored=3)  # every negative mirrored: the one-slice path
+@example(xs=[-0.0, 0.0, 0.5], mirrored=3)
+@example(xs=[-1.5, 0.5], mirrored=1)
 def test_value_strings_are_the_reprs_of_the_values(xs, mirrored):
     # some values with their exact mirrors, some without
     values = np.sort(np.concatenate([xs, -np.asarray(xs[:mirrored], dtype=np.float64)]))

@@ -77,6 +77,14 @@ def test_dual_pairing_check_is_absolute(monkeypatch):
         Lattice(np.eye(2))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_dual_pairing_check_refuses_nan_and_inf(monkeypatch, entry):
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.where(np.eye(len(a)) == 1, entry, inv(a)))
+    with pytest.raises(ValueError, match="dual pairing"), np.errstate(invalid="ignore"):
+        Lattice(np.eye(2))  # (0 * inf in the pairing product is NaN)
+
+
 def test_from_rows_puts_the_generators_in_columns():
     rows = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     lat = Lattice.from_rows(rows)

@@ -1238,3 +1238,17 @@ def test_square_check_catches_a_dropped_eta_square(monkeypatch):
     assert rep["checks"]["square_expansion"] > 1e-10
     assert rep["checks"]["lichnerowicz_flat"] <= 1e-10  # M_j does not see the change
     assert rep["pass"] is False
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, -1), (3, -2)])
+def test_a_negative_window_cutoff_is_refused_by_name(monkeypatch, n, cutoff):
+    # refused before the dimension cap (at n = 3, cutoff -2 passed it as -54
+    # rows) and before any array is built; cutoff 0, one mode, stays valid
+    data = SpinCData(Lattice(np.eye(n)), [1] + [0] * (n - 1), [0.0] * n, np.zeros(n))
+    empty = FourierPotential(data.lattice, [])
+    assert oracle._operator_window(data, 0).tolist() == [[0] * n]
+    monkeypatch.setattr(np, "indices", None)
+    for call in (oracle._operator_window, oracle.torus_fourier_operator, oracle.identity_checks):
+        args = (data, cutoff) if call is oracle._operator_window else (data, empty, cutoff)
+        with pytest.raises(ValueError, match=rf"^cutoff must be 0 or more, got {cutoff}$"):
+            call(*args)

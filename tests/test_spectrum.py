@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from helpers import entries, multiplicity_at, tolerance
+from hypothesis import given, settings, strategies as st
 
 from magdirac.spectrum import Spectrum, check_int, merge_tolerance
 
@@ -189,3 +190,71 @@ def test_check_int_takes_ints_and_numpy_integers_only(x, ok):
     else:
         with pytest.raises(ValueError, match="count must be an integer, got "):
             check_int(x, "count")
+
+
+def _through_the_sort(value, mult, label):
+    """The arrays with their runs of equal values in reverse run order, each
+    run in input order: ``np.argsort(kind="stable")`` sorts them back into
+    the ascending input exactly, and the merge must sort them."""
+    starts = np.flatnonzero(np.diff(value, prepend=np.nan) != 0)  # -0.0 and 0.0 are one run
+    perm = np.concatenate(np.split(np.arange(len(value)), starts[1:])[::-1])
+    assert (perm[np.argsort(value[perm], kind="stable")] == np.arange(len(value))).all()
+    return value[perm], mult[perm], label[perm]
+
+
+def _bits(spec):
+    labels, offsets = spec.members()
+    return (spec.values().view(np.int64).tolist(), spec.multiplicities().tolist(),
+            labels.tolist(), offsets.tolist())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(base=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0]) | st.floats(-5.0, 5.0),
+                     max_size=30),
+       chains=st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                 st.lists(st.floats(0.3, 0.999), min_size=1, max_size=6)),
+                       max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_sorted_input_merges_as_the_stable_sort_of_it(base, chains, seed):
+    # ascending values with exact ties, -0.0 beside 0.0 and chains of gaps
+    # within the tolerance: kept as they are, they merge bit for bit as the
+    # same input does when it has to pass the stable sort
+    tol = 1e-3
+    values = base + [start + tol * s for start, steps in chains for s in np.cumsum(steps)]
+    value = np.array(sorted(values), dtype=np.float64)  # stable: -0.0 and 0.0 keep their order
+    rng = np.random.default_rng(seed)
+    mult = rng.integers(1, 9, size=len(value))
+    label = np.stack([np.arange(len(value)), rng.integers(-5, 6, size=len(value))], axis=1)
+    with tolerance(tol):
+        kept = Spectrum.from_triples(value, mult, label)
+        sorted_ = Spectrum.from_triples(*_through_the_sort(value, mult, label))
+    assert _bits(kept) == _bits(sorted_)
+
+
+def test_sorted_input_makes_no_argsort(monkeypatch):
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    value = np.array([-1.0, -0.0, 0.0, 0.0, 2.0, 2.0 + 1e-10])
+    spec = Spectrum.from_triples(value, np.ones(6, np.int64), np.arange(6)[:, None])
+    assert calls == [] and spec.multiplicities().tolist() == [1, 3, 2]
+    Spectrum.from_triples(value[::-1], np.ones(6, np.int64), np.arange(6)[:, None])
+    assert calls == [1]  # descending values are sorted
+
+
+@pytest.mark.parametrize("value", [[1.0, 2.0, 2.0, 3.0], [3.0, 2.0, 2.0, 1.0]])
+def test_the_spectrum_shares_no_writeable_label_array(value):
+    # sorted input keeps a read-only label array as it is and copies a
+    # writeable one, so writing to the caller's array afterwards either
+    # raises or leaves the spectrum's labels unchanged
+    for writeable in (True, False):
+        label = np.arange(8).reshape(4, 2)
+        label.setflags(write=writeable)
+        spec = Spectrum.from_triples(value, [1, 1, 1, 1], label)
+        before = spec.members()[0].tolist()
+        if writeable:
+            label[:] = -1
+        else:
+            with pytest.raises(ValueError, match="read-only"):
+                label[:] = -1
+        assert spec.members()[0].tolist() == before

@@ -388,3 +388,43 @@ def test_zero_mode_refuses_a_centre_past_2_52(rows, A, centre):
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("basis, delta, argsorts", [([[0.7]], [1], 0), ([[-1.5]], [0], 1)])
+def test_an_ascending_circle_makes_no_argsort(monkeypatch, basis, delta, argsorts):
+    # a positive generator gives ascending values, which neither the torus
+    # nor the merge sorts; a negative one gives descending values, which the
+    # torus sorts once (no ties) and the merge then keeps
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    spec = torus.spectrum(SpinCData(Lattice(basis), delta, [0.3], [0.7]), 200.0)
+    assert len(calls) == argsorts
+    assert (np.diff(spec.values()) > 0).all() and len(spec) > 40
+
+
+def test_the_merge_keeps_the_sorted_torus_arrays(monkeypatch):
+    # the torus hands its values in stable order and its labels read-only, so
+    # the merge allocates no sort order and no copies: on this tie-heavy
+    # window 16 B per member on top of its inputs, against 44 B when it
+    # gathered them all again
+    peaks = []
+    merge = torus.Spectrum.from_triples
+
+    def traced(*triples):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        spec = merge(*triples)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return spec
+
+    monkeypatch.setattr(torus.Spectrum, "from_triples", traced)
+    tracemalloc.start()
+    try:
+        spec = torus.spectrum(SpinCData(square(2), [0, 0], [0.0, 0.0], [0.0, 0.0]), 600.0)
+    finally:
+        tracemalloc.stop()
+    labels = spec.members()[0]
+    with pytest.raises(ValueError, match="read-only"):
+        labels[0] = 0
+    assert peaks[0] <= 24 * len(labels)
