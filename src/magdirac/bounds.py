@@ -1,8 +1,9 @@
 """Eigenvalue bounds for magnetic Dirac operators D + i t eta.
 
-Each evaluator takes geometric data for the *unit* one-form eta and the
-coupling t, and returns a BoundValue recording the numeric bound together
-with what it bounds:
+``BOUNDS`` maps each bound name, in report order, to its evaluator.  An
+evaluator takes geometric data for the *unit* one-form eta and the coupling
+t, and returns a BoundValue recording the numeric bound together with what
+it bounds:
 
 * ``squared``       -- lower bound on (lambda)^2 for every eigenvalue;
 * ``absolute``      -- lower bound on |lambda| for every eigenvalue;
@@ -10,7 +11,7 @@ with what it bounds:
 
 A bound whose hypotheses fail (wrong dimension, negative scalar
 curvature, negative Yamabe invariant, ...) comes back flagged vacuous
-with the reason, never silently evaluated.
+with the reason, never silently evaluated.  No model module is imported.
 """
 
 from dataclasses import dataclass
@@ -117,10 +118,16 @@ def diamagnetic_upper(
     return BoundValue("diamagnetic", float(value), "upper_squared")
 
 
-def berger_q(S: float) -> tuple[float, float]:
-    """(lambda, q) = (3/4 + S/8, 3/2 + S/4) of the top quasi-Killing sector
-    on the squashed 3-sphere of scalar curvature S; the bottom one has -q."""
-    return 0.75 + S / 8.0, 1.5 + S / 4.0
+def diamagnetic(data: GeometricData, t: float) -> BoundValue:
+    """``diamagnetic_upper`` on the Berger 3-sphere of scalar curvature S with
+    the unit Hopf form.  Its quasi-Killing sectors have lambda = 3/4 + S/8 and
+    +-q, q = 3/2 + S/4; the one whose q has the sign of t gives the smaller
+    bound, lambda^2 - |t| q + t^2 |eta|^2, which is one call at |t|."""
+    return diamagnetic_upper(0.75 + data.S / 8.0, 1.5 + data.S / 4.0, data.eta_Linf, abs(t))
+
+
+# bound name -> evaluator (GeometricData, coupling t) -> BoundValue, in report order
+BOUNDS = {f.__name__: f for f in (friedrich, hijazi, basic, diamagnetic)}
 
 
 def compare(bound: BoundValue, reference: float) -> dict:

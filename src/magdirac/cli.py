@@ -135,13 +135,6 @@ def _json_list(items: list, indent: str) -> str:
     return "[\n" + ",\n".join(indent + "  " + c for c in items) + "\n" + indent + "]"
 
 
-def _json_entry(key: str) -> str:
-    """Template of one eigenvalue object (value, multiplicity, member list)
-    followed by a comma."""
-    return ('    {\n      "value": %s,\n      "multiplicity": %d,\n      "'
-            + key + '": [\n%s\n      ]\n    },\n')
-
-
 def _value_strings(values: np.ndarray) -> list:
     """repr of each of the ascending ``values``.  If every negative value is
     exactly minus its mirror ``values[-1 - i]``, the negatives take the top
@@ -232,6 +225,20 @@ def _entry_blocks(spec, template: str, members, join: str) -> tuple:
         return _join(np.concatenate([leads, entries.vocab, cells.vocab]), index) + tail
 
     return _entry_edges(offsets), render
+
+
+def _write_entries(fmt: str, spec, head: str, tail: str, key: str, members):
+    """Write ``spec`` between ``head`` and ``tail`` as a list of entries
+    (value, multiplicity, members; ``members(labels)`` the ``_Cells`` of a
+    block of labels) in output format "text", "csv" or "json", which sets the
+    entry template, the member join and the writer; json lists members under
+    ``key``."""
+    template, join, write = {
+        "text": ("%24s  %5d  %s\n", " ", _write_table),
+        "csv": ("%s,%d,%s\n", ";", _write_table),
+        "json": ('    {\n      "value": %s,\n      "multiplicity": %d,\n      "' + key
+                 + '": [\n%s\n      ]\n    },\n', ",\n", _write_json_list)}[fmt]
+    write(head, *_entry_blocks(spec, template, members, join), tail)
 
 
 def _parse_grid(text: str, option: str) -> np.ndarray:
@@ -339,28 +346,22 @@ def _family_templates(end: str, branch: str) -> list:
 
 def cmd_sphere(ns) -> int:
     from . import sphere
-    t = float(ns.t)
-    cutoff = float(ns.cutoff) if ns.cutoff is not None else 5.0 + abs(t)
-    spec = sphere.spectrum(t, cutoff)
+    cutoff = 5.0 + abs(ns.t) if ns.cutoff is None else ns.cutoff
+    spec = sphere.spectrum(ns.t, cutoff)
     if ns.json:
-        head = '{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": ' % (t, cutoff)
-        template, join = _json_entry("labels"), ",\n"
+        fmt, head = "json", '{\n  "t": %r,\n  "cutoff": %r,\n  "eigenvalues": ' % (ns.t, cutoff)
         end, branch = (" " * 8 + _json_list(['"{}"', "%d", *cells], " " * 8)
                        for cells in (["null", "null"], ["%d", "%d"]))
     elif ns.csv:
-        head, template, join = "value,multiplicity,labels\n", "%s,%d,%s\n", ";"
+        fmt, head = "csv", "value,multiplicity,labels\n"
         end, branch = "{}:k=%d", "{}:k=%d:p=%d:s=%+d"
     else:
-        head = (f"# spectrum at t = {t!r}, |value| <= {cutoff!r}\n"
+        fmt, end, branch = "text", "{}(k=%d)", "{}(k=%d,p=%d,%+d)"
+        head = (f"# spectrum at t = {ns.t!r}, |value| <= {cutoff!r}\n"
                 f"{'value':>24}  {'mult':>5}  families\n")
-        template, join, end, branch = "%24s  %5d  %s\n", " ", "{}(k=%d)", "{}(k=%d,p=%d,%+d)"
     families = _family_templates(end, branch)
-    edges, render = _entry_blocks(
-        spec, template, lambda labels: _Cells(families, labels[:, 1:].T, labels[:, 0]), join)
-    if ns.json:
-        _write_json_list(head, edges, render, "\n}\n")
-    else:
-        _write_table(head, edges, render, "")
+    _write_entries(fmt, spec, head, "\n}\n" if ns.json else "", "labels",
+                   lambda labels: _Cells(families, labels[:, 1:].T, labels[:, 0]))
     return 0
 
 
@@ -403,30 +404,17 @@ def cmd_collisions(ns) -> int:
 def cmd_torus(ns) -> int:
     from . import torus
     data = _spinc_from_args(ns)
-    spec = torus.spectrum(data, float(ns.cutoff))
-    mode = " ".join(["%d"] * data.n) if ns.csv else " " * 8 + _json_list(["%d"] * data.n, " " * 8)
-    edges, render = _entry_blocks(spec, "%s,%d,%s\n" if ns.csv else _json_entry("modes"),
-                                  lambda labels: _Cells([mode], labels.T),
-                                  ";" if ns.csv else ",\n")
+    spec = torus.spectrum(data, ns.cutoff)
     if ns.csv:
-        _write_table("value,multiplicity,modes\n", edges, render, "")
-        return 0
-    zm = torus.zero_mode(data)
-    zero = "null" if zm is None else _json_list(["%d"] * data.n, "  ") % tuple(zm.tolist())
-    _write_json_list('{\n  "eigenvalues": ', edges, render,
-                     ',\n  "zero_mode": %s\n}\n' % zero)
+        fmt, head, tail, mode = "csv", "value,multiplicity,modes\n", "", " ".join(["%d"] * data.n)
+    else:
+        zm = torus.zero_mode(data)
+        zero = "null" if zm is None else _json_list(["%d"] * data.n, "  ") % tuple(zm.tolist())
+        fmt, head, tail = "json", '{\n  "eigenvalues": ', ',\n  "zero_mode": %s\n}\n' % zero
+        mode = " " * 8 + _json_list(["%d"] * data.n, " " * 8)
+    _write_entries(fmt, spec, head, tail, "modes", lambda labels: _Cells([mode], labels.T))
     return 0
 
-
-def _sphere_diamagnetic(bounds, data, t):
-    """Diamagnetic bound on S^3 in the quasi-Killing sector whose q has the sign of t:
-    for q >= 0, min over +-q of lam^2 -+ t q + t^2 is lam^2 - |t| q + t^2 bit for bit."""
-    return bounds.diamagnetic_upper(*bounds.berger_q(data.S), data.eta_Linf, abs(t))
-
-
-# bound name -> evaluator (the bounds module, GeometricData, coupling) -> BoundValue
-_BOUNDS = {"friedrich": lambda b, *a: b.friedrich(*a), "hijazi": lambda b, *a: b.hijazi(*a),
-           "basic": lambda b, *a: b.basic(*a), "diamagnetic": _sphere_diamagnetic}
 
 # flat tori: bound name -> why it does not apply
 _TORUS_REASONS = {
@@ -467,12 +455,14 @@ _BOUND_MODELS = {"sphere": (("t",), _sphere_model),
 
 def cmd_bounds(ns) -> int:
     from . import bounds
-    which = [w.strip() for w in ns.which.split(",") if w.strip()]
+    names = ", ".join(bounds.BOUNDS)
+    which = list(bounds.BOUNDS) if ns.which is None else [
+        w.strip() for w in ns.which.split(",") if w.strip()]
     if not which:
-        raise ValueError(f"bounds request names no bound; choose from {', '.join(_BOUNDS)}")
+        raise ValueError(f"bounds request names no bound; choose from {names}")
     for w in which:
-        if w not in _BOUNDS:
-            raise ValueError(f"unknown bound {w!r}; choose from {', '.join(_BOUNDS)}")
+        if w not in bounds.BOUNDS:
+            raise ValueError(f"unknown bound {w!r}; choose from {names}")
     reads, model = _BOUND_MODELS[ns.model]
     given = [f"--{o}" for o, v in vars(ns).items() if v is not None and o not in reads
              and any(o in row[0] for row in _BOUND_MODELS.values())]  # in declaration order
@@ -481,7 +471,7 @@ def cmd_bounds(ns) -> int:
     head, data, coupling, reference, reasons = model(bounds, ns)
     entries = []
     for w in which:
-        bv = None if w in reasons else _BOUNDS[w](bounds, data, coupling)
+        bv = None if w in reasons else bounds.BOUNDS[w](data, coupling)
         if bv is None or bv.vacuous:
             entries.append({"name": w, "applicable": False,
                             "reason": reasons[w] if bv is None else bv.reason})
@@ -571,7 +561,7 @@ def build_parser() -> _Parser:
         p.add_argument("--model", choices=tuple(_BOUND_MODELS), required=True)
         p.add_argument("--t", type=float, default=None,
                        help="sphere model: coupling (default 0)")
-        p.add_argument("--which", default="friedrich,hijazi,basic,diamagnetic")
+        p.add_argument("--which", default=None)
         p.add_argument("--basis", default=None,
                        help="torus model: lattice rows (JSON; default [[1]])")
         p.add_argument("--delta", default=None)

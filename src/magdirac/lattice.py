@@ -80,6 +80,7 @@ class Lattice:
     n: int = field(init=False)
     gram: np.ndarray = field(init=False)
     dual_basis: np.ndarray = field(init=False)
+    factor: np.ndarray = field(init=False, repr=False)  # reversed-Gram Cholesky factor
 
     def __post_init__(self):
         basis = self._set_basis(self.basis)
@@ -98,9 +99,10 @@ class Lattice:
         self.dual_basis.setflags(write=False)
 
     def _set_basis(self, basis) -> np.ndarray:
-        """Set ``basis``, ``n`` and ``gram``, refusing (ValueError) a basis
-        that is not square, not finite, or whose Gram matrix overflows or
-        is not positive definite."""
+        """Set ``basis``, ``n``, ``gram`` and ``factor``, the upper Cholesky
+        factor of the coordinate-reversed Gram matrix that enumeration reads,
+        all read-only, refusing (ValueError) a basis that is not square, not
+        finite, or whose Gram matrix overflows or is not positive definite."""
         basis = np.array(basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
             raise ValueError(f"basis must be square, got shape {basis.shape}")
@@ -112,11 +114,11 @@ class Lattice:
         if not np.all(np.isfinite(self.gram)):
             raise ValueError("the Gram matrix overflows float64: the basis scale is out of range")
         try:
-            np.linalg.cholesky(self.gram)
+            self.factor = np.linalg.cholesky(self.gram[::-1, ::-1]).T.copy()
         except np.linalg.LinAlgError:
             raise ValueError("basis is singular (Gram matrix not positive definite)")
-        basis.setflags(write=False)
-        self.gram.setflags(write=False)
+        for array in (basis, self.gram, self.factor):
+            array.setflags(write=False)
         self.basis = basis
         return basis
 
@@ -156,5 +158,4 @@ class Lattice:
         center = check_centre(np.linalg.solve(self.basis, shift))
         if radius < 0.0:
             return np.empty((0, self.n), dtype=np.int64)
-        upper = np.linalg.cholesky(self.gram[::-1, ::-1]).T.copy()
-        return enumerate_core(upper, center[::-1], radius + 1e-9)[:, ::-1]
+        return enumerate_core(self.factor, center[::-1], radius + 1e-9)[:, ::-1]

@@ -69,8 +69,8 @@ class Spectrum:
         form a chain with consecutive gaps <= ``merge_tolerance()``.  A merged
         value is the multiplicity-weighted mean, summed left to right in value
         order.  Values already in stable order (ascending, a NaN fails) are
-        not sorted, and their label array is kept as it is if read-only, else
-        copied, so the spectrum shares no writeable array with its caller."""
+        not sorted, and their label array is kept if read-only, else copied;
+        the labels kept are read-only, so no caller can change them."""
         values, mults, label = (np.asarray(value, np.float64), np.asarray(mult, np.int64),
                                 np.asarray(label, np.int64))
         if not len(values) == len(mults) == len(label):
@@ -81,6 +81,7 @@ class Spectrum:
             values, mults, label = values.take(order), mults.take(order), label.take(order, axis=0)
         elif label.flags.writeable:
             label = label.copy()
+        label.setflags(write=False)
         starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > merge_tolerance())
         sizes = np.diff(starts, append=len(values))
         weighted = values * mults
@@ -101,7 +102,7 @@ class Spectrum:
         return self._mults.copy()
 
     def members(self) -> tuple:
-        """(labels in merged order, group offsets of length len + 1)."""
+        """(labels in merged order, read-only; group offsets of length len + 1)."""
         return self._labels, self._offsets.copy()
 
     def min_abs(self) -> float:

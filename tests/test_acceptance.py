@@ -272,7 +272,8 @@ def test_soundness_sweep_bounds_never_violated():
         assert bounds.compare(
             bounds.basic(s3, t), sphere.lambda1_basic(t)
         )["satisfied"], t
-        lam, q = bounds.berger_q(6.0)
+        assert bounds.compare(bounds.BOUNDS["diamagnetic"](s3, t), lam1**2)["satisfied"], t
+        lam, q = 1.5, 3.0  # the top sector at S = 6
         for sector, q_sector in (("top", q), ("bottom", -q)):
             up = bounds.diamagnetic_upper(lam, q_sector, 1.0, t)
             assert bounds.compare(up, lam1**2)["satisfied"], (t, sector)

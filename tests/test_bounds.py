@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from magdirac import bounds, cli, sphere
+from magdirac import bounds, sphere
 
 
 S3 = bounds.sphere3_data()
@@ -84,25 +84,32 @@ def test_basic_vacuous_for_negative_curvature():
 
 
 def test_diamagnetic_upper_sphere_values():
-    lam, q = bounds.berger_q(6.0)
+    lam, q = 1.5, 3.0  # the top sector of the round S^3 (test below)
     for t in np.linspace(-2, 2, 17):
         bv = bounds.diamagnetic_upper(lam, q, 1.0, t)
         assert bv.form == "upper_squared"
         assert bv.value == pytest.approx((1.5 - t) ** 2, abs=1e-12)
+        bv = bounds.BOUNDS["diamagnetic"](S3, t)
+        assert bv.form == "upper_squared"
+        assert bv.value == pytest.approx((1.5 - abs(t)) ** 2, abs=1e-12)
 
 
-def test_berger_q_agrees_with_round_case():
-    assert bounds.berger_q(6.0) == (1.5, 3.0)
-    assert bounds.berger_q(2.0) == (1.0, 2.0)
+def test_diamagnetic_sectors_agree_with_round_case(monkeypatch):
+    # the (lambda, q) the evaluator hands diamagnetic_upper, at S = 6 and 2
+    calls = []
+    monkeypatch.setattr(bounds, "diamagnetic_upper", lambda *args: calls.append(args[:2]))
+    for S in (6.0, 2.0):
+        bounds.BOUNDS["diamagnetic"](replace(S3, S=S), 0.5)
+    assert calls == [(1.5, 3.0), (1.0, 2.0)]
 
 
 def test_sphere_diamagnetic_takes_the_sector_of_the_sign_of_t():
     # one call with |t| equals, bit for bit, the smaller of the two sectors (lam, +-q)
-    lam, q = bounds.berger_q(6.0)
+    lam, q = 1.5, 3.0
     couplings = np.linspace(-8.0, 8.0, 3001).tolist()
     couplings += np.random.default_rng(23).uniform(-8.0, 8.0, 200).tolist()
     for t in couplings + [0.0, -0.0, 1.5, -1.5, 1e300, -1e300]:
-        got = cli._sphere_diamagnetic(bounds, S3, t)
+        got = bounds.BOUNDS["diamagnetic"](S3, t)
         want = min((bounds.diamagnetic_upper(lam, s, 1.0, t) for s in (q, -q)),
                    key=lambda b: b.value)
         assert got == want and got.value.hex() == want.value.hex(), t

@@ -18,7 +18,7 @@ import pytest
 from helpers import entries, tolerance
 from hypothesis import assume, example, given, settings, strategies as st
 
-from magdirac import cli, torus
+from magdirac import bounds, cli, torus
 from magdirac.lattice import Lattice
 from magdirac.spectrum import Spectrum
 from magdirac.torus import SpinCData
@@ -170,6 +170,28 @@ def test_bounds_selection_and_unknown(capsys):
         capsys, "bounds", "--model", "sphere", "--which", "magic"
     )
     assert code == 1 and "unknown bound" in err
+
+
+def test_bounds_without_which_reports_the_bound_table(capsys, monkeypatch):
+    # every bounds.BOUNDS name in table order, for both models; an entry
+    # added to the table is reported with no other change
+    for model in ("sphere", "torus"):
+        code, out, _ = run(capsys, "bounds", "--model", model)
+        assert code == 0 and [b["name"] for b in json.loads(out)["bounds"]] == list(bounds.BOUNDS)
+    demo = lambda data, t: bounds.BoundValue("demo", 0.0, "squared")
+    monkeypatch.setitem(bounds.BOUNDS, "demo", demo)
+    code, out, _ = run(capsys, "bounds", "--model", "sphere", "--t", "0.5")
+    assert code == 0 and [b["name"] for b in json.loads(out)["bounds"]] == list(bounds.BOUNDS)
+    assert json.loads(out)["bounds"][-1]["name"] == "demo"
+
+
+@pytest.mark.parametrize("which, message", [
+    ("magic", "unknown bound 'magic'"), ("basic,magic", "unknown bound 'magic'"),
+    (",", "bounds request names no bound")])
+def test_bound_refusals_list_the_bound_table(capsys, which, message):
+    code, out, err = run(capsys, "bounds", "--model", "sphere", "--which", which)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}; choose from {', '.join(bounds.BOUNDS)}\n"
 
 
 def test_bounds_torus_reports_inapplicable(capsys):

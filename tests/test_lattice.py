@@ -55,6 +55,18 @@ def test_dual_equals_the_lattice_of_the_dual_basis():
         assert dual.dual_basis is lat.basis
 
 
+def test_one_factorisation_per_lattice(monkeypatch):
+    # the factor that checks the basis is the one every enumeration reads
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    lat = Lattice.from_rows([[1.0, 0.3], [0.0, 1.2]])
+    for radius in (1.0, 3.0):
+        assert len(lat.enumerate_shifted(np.zeros(2), radius))
+    assert len(calls) == 1 and not lat.factor.flags.writeable
+    assert np.allclose(lat.factor.T @ lat.factor, lat.gram[::-1, ::-1], atol=1e-12)
+
+
 def test_moderately_conditioned_basis_is_accepted():
     # a unimodular image B U with cond 145: a Gram-determinant consistency
     # check at 1e-12 refused it from rounding alone

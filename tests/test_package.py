@@ -72,8 +72,10 @@ LOADS = {
     "sphere-curve --k-max 2 --t-range -1:1:3": _SPHERE,
     "collisions --k-max 3": _SPHERE,
     "bounds --model sphere --t 0.5": _SPHERE | {"magdirac.bounds"},
+    "bounds --model sphere --t 0.5 --which diamagnetic": _SPHERE | {"magdirac.bounds"},
     "torus --basis [[1,0],[0,1]] --cutoff 3": _TORUS,
     "bounds --model torus": _TORUS | {"magdirac.bounds"},
+    "bounds --model torus --which friedrich": _TORUS | {"magdirac.bounds"},
     "verify sphere-blocks --k-max 3 --t-grid -1:1:3": _ORACLE,
     "verify torus-modes --n 2 --samples 3": _ORACLE,
     "verify gauge --basis [[1,0],[0,1]] --f-terms [[[1,0],0.1,0]] --cutoffs 2,3": _ORACLE,

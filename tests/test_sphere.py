@@ -117,6 +117,15 @@ def test_spectrum_labels_carry_quantum_numbers():
     assert _named(labels) == {("minus", 0, None, None)}
 
 
+def test_spectrum_labels_are_read_only():
+    spec = sphere.spectrum(0.3, 6.0)
+    labels, _ = spec.members()
+    before = labels.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        labels[0] = 99
+    assert spec.members()[0].tolist() == before
+
+
 def test_spectrum_invariant_under_coupling_sign_flip():
     rng = np.random.default_rng(43)
     for _ in range(10):
