@@ -9,9 +9,9 @@ it bounds:
 * ``absolute``      -- lower bound on |lambda| for every eigenvalue;
 * ``upper_squared`` -- upper bound on the square of the smallest eigenvalue.
 
-A bound whose hypotheses fail (wrong dimension, negative scalar
-curvature, negative Yamabe invariant, ...) comes back flagged vacuous
-with the reason, never silently evaluated.  No model module is imported.
+Each evaluator alone decides from the data whether its bound applies: off its
+hypotheses (dimension, sign of S or Y, flat data for all but Friedrich) it
+returns the bound vacuous, with the reason.  No model module is imported.
 """
 
 from dataclasses import dataclass
@@ -75,9 +75,12 @@ def hijazi(data: GeometricData, t: float) -> BoundValue:
     """Conformal (Yamabe) lower bound on |lambda|.
 
     |lambda| Vol^(1/n) >= sqrt(n Y / (4(n-1))) - || t eta ||_{L^n},
-    for n >= 3 and Y >= 0.
+    for n >= 3 and Y >= 0; vacuous at Y = 0, in any n, where it is nonpositive.
     """
     n = data.n
+    if data.yamabe == 0.0:
+        return BoundValue("hijazi", None, "absolute", True, "flat tori have Yamabe invariant "
+                          "0, so the bound is nonpositive and carries no information")
     if n < 3:
         return BoundValue("hijazi", None, "absolute", True,
                           f"needs dimension >= 3, got n={n}")
@@ -93,7 +96,10 @@ def hijazi(data: GeometricData, t: float) -> BoundValue:
 def basic(data: GeometricData, t: float) -> BoundValue:
     """Lower bound on the first positive basic (flow-invariant) eigenvalue
     over a unit Killing field on a 3-manifold with S >= 0:
-    b/2 + sqrt(t^2 + (S + 2b^2)/2)."""
+    b/2 + sqrt(t^2 + (S + 2b^2)/2); vacuous at b = S = 0, in any n (it is |t|)."""
+    if data.oneill_b == 0.0 and data.S == 0.0:
+        return BoundValue("basic", None, "first_positive", True, "flat translations have "
+                          "vanishing O'Neill tensor; the basic bound degenerates to |t|")
     if data.n != 3:
         return BoundValue("basic", None, "first_positive", True,
                           f"needs dimension 3, got n={data.n}")
@@ -122,7 +128,15 @@ def diamagnetic(data: GeometricData, t: float) -> BoundValue:
     """``diamagnetic_upper`` on the Berger 3-sphere of scalar curvature S with
     the unit Hopf form.  Its quasi-Killing sectors have lambda = 3/4 + S/8 and
     +-q, q = 3/2 + S/4; the one whose q has the sign of t gives the smaller
-    bound, lambda^2 - |t| q + t^2 |eta|^2, which is one call at |t|."""
+    bound, lambda^2 - |t| q + t^2 |eta|^2, which is one call at |t|.  The data
+    shows only n = 3 and b > 0 (vacuous otherwise, and on flat data S = Y = 0);
+    the quoted (lambda, q) pair assumes more: a Berger metric, eta its Hopf form."""
+    if data.S == 0.0 and data.yamabe == 0.0:
+        return BoundValue("diamagnetic", None, "upper_squared", True,
+                          "its evaluation on flat tori is not implemented yet")
+    if data.n != 3 or data.oneill_b <= 0.0:
+        return BoundValue("diamagnetic", None, "upper_squared", True, "needs dimension 3 and "
+                          f"a positive O'Neill function b, got n={data.n}, b={data.oneill_b}")
     return diamagnetic_upper(0.75 + data.S / 8.0, 1.5 + data.S / 4.0, data.eta_Linf, abs(t))
 
 

@@ -367,7 +367,7 @@ def cmd_sphere(ns) -> int:
 
 def cmd_sphere_curve(ns) -> int:
     from . import sphere
-    window = None if ns.window is None or ns.window.lower() == "none" else ns.window.split(":")
+    window = None if ns.window.lower() == "none" else ns.window.split(":")
     t_values, members, i, j, value = sphere.curve_table(
         _parse_grid(ns.t_range, "--t-range"), ns.k_max, window)
     # the ,family,k,p,sign text of each member once
@@ -416,23 +416,13 @@ def cmd_torus(ns) -> int:
     return 0
 
 
-# flat tori: bound name -> why it does not apply
-_TORUS_REASONS = {
-    "hijazi": "flat tori have Yamabe invariant 0, so the bound is nonpositive and carries "
-              "no information",
-    "basic": "flat translations have vanishing O'Neill tensor; the basic bound degenerates "
-             "to |t|",
-    "diamagnetic": "its evaluation on flat tori is not implemented yet",
-}
-
-
 def _sphere_model(bounds, ns):
     from . import sphere
     t = 0.0 if ns.t is None else ns.t
     lam1 = sphere.lambda1(t)
     reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
                  "first_positive": sphere.lambda1_basic(t)}
-    return {"model": "sphere", "t": t}, bounds.sphere3_data(), t, reference, {}
+    return {"model": "sphere", "t": t}, bounds.sphere3_data(), t, reference
 
 
 def _torus_model(bounds, ns):
@@ -444,11 +434,11 @@ def _torus_model(bounds, ns):
     if not len(spec):
         raise ValueError(f"no eigenvalue has |value| <= the cutoff {cutoff!r}; raise --cutoff")
     geo = bounds.torus_data(spinc.lattice.basis, spinc.A / 2.0)
-    return {"model": "torus"}, geo, 1.0, {"squared": spec.min_abs()**2}, _TORUS_REASONS
+    return {"model": "torus"}, geo, 1.0, {"squared": spec.min_abs()**2}
 
 
 # --model -> (the options it reads, (bounds module, options) -> (report head, GeometricData,
-# coupling, the exact quantity per bound form (see compare), why a bound does not apply))
+# coupling, the exact quantity per bound form (see compare))); the evaluators say what applies
 _BOUND_MODELS = {"sphere": (("t",), _sphere_model),
                  "torus": (("basis", "delta", "theta", "A", "flux", "cutoff"), _torus_model)}
 
@@ -468,15 +458,10 @@ def cmd_bounds(ns) -> int:
              and any(o in row[0] for row in _BOUND_MODELS.values())]  # in declaration order
     if given:
         raise ValueError(f"bounds --model {ns.model} takes no {', '.join(given)}")
-    head, data, coupling, reference, reasons = model(bounds, ns)
-    entries = []
-    for w in which:
-        bv = None if w in reasons else bounds.BOUNDS[w](data, coupling)
-        if bv is None or bv.vacuous:
-            entries.append({"name": w, "applicable": False,
-                            "reason": reasons[w] if bv is None else bv.reason})
-        else:
-            entries.append(bounds.compare(bv, reference[bv.form]))
+    head, data, coupling, reference = model(bounds, ns)
+    entries = [{"name": bv.name, "applicable": False, "reason": bv.reason} if bv.vacuous
+               else bounds.compare(bv, reference[bv.form])
+               for bv in (bounds.BOUNDS[w](data, coupling) for w in which)]
     _print_json({**head, "bounds": entries})
     return 0
 

@@ -115,6 +115,18 @@ def test_sphere_diamagnetic_takes_the_sector_of_the_sign_of_t():
         assert got == want and got.value.hex() == want.value.hex(), t
 
 
+def test_diamagnetic_is_vacuous_off_its_hypotheses():
+    # flat data: the evaluation is missing (the bound itself would hold)
+    bv = bounds.BOUNDS["diamagnetic"](bounds.torus_data(np.eye(2), [0.5, 0]), 1.0)
+    assert bv.vacuous and bv.value is None and bv.form == "upper_squared"
+    assert bv.reason == "its evaluation on flat tori is not implemented yet"
+    # curved data outside n = 3, b > 0: the reason names both
+    for data, named in ((replace(S3, n=4), "n=4, b=1.0"), (replace(S3, oneill_b=0.0),
+                                                            "n=3, b=0.0")):
+        bv = bounds.BOUNDS["diamagnetic"](data, 1.0)
+        assert bv.vacuous and bv.value is None and named in bv.reason, bv.reason
+
+
 def test_compare_forms_and_equality():
     bv = bounds.BoundValue("demo", 2.0, "squared")
     rep = bounds.compare(bv, 2.5)

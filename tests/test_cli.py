@@ -218,6 +218,47 @@ def test_bounds_torus_reports_inapplicable(capsys):
     assert all(b["applicable"] is False and b["reason"] for b in by_name.values())
     assert by_name["friedrich"]["reason"] == "needs dimension >= 2, got n=1"
 
+    # each row is the library evaluator's, in every dimension: whether a bound
+    # applies, and why not, is decided in bounds.py alone
+    for n in range(1, 5):
+        A = [0.5 * (i + 1) for i in range(n)]
+        code, out, _ = run(capsys, "bounds", "--model", "torus", "--basis",
+                           json.dumps(np.eye(n).tolist()), "--A", ",".join(map(str, A)),
+                           "--cutoff", "4")
+        assert code == 0
+        rows = json.loads(out)["bounds"]
+        data = bounds.torus_data(np.eye(n), np.array(A) / 2.0)
+        for w, row in zip(bounds.BOUNDS, rows, strict=True):
+            bv = bounds.BOUNDS[w](data, 1.0)
+            assert row["name"] == bv.name == w
+            if bv.vacuous:
+                assert row == {"name": w, "applicable": False, "reason": bv.reason}, (n, w)
+            else:
+                assert "applicable" not in row and row["bound"] == bv.value, (n, w)
+
+
+def test_a_bounds_model_is_one_row(capsys, monkeypatch):
+    # round S^5 at t = 0 (lambda_1 = 5/2): a model that returns its head,
+    # data, coupling and reference, with no word on which bounds apply
+    vol = math.pi**3
+    data = bounds.GeometricData(n=5, S=20.0, dEta_norm=0.0, yamabe=20.0 * vol ** 0.4,
+                                vol=vol, eta_Ln=0.0, eta_Linf=0.0, oneill_b=0.0)
+    model = lambda bounds, ns: ({"model": "sphere5"}, data, 0.0,
+                                {"squared": 6.25, "absolute": 2.5})
+    monkeypatch.setitem(cli._BOUND_MODELS, "sphere5", ((), model))
+    code, out, err = run(capsys, "bounds", "--model", "sphere5")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["model"] == "sphere5"
+    rows = {b["name"]: b for b in payload["bounds"]}
+    # the round spheres are the equality cases of Friedrich and Hijazi
+    for name in ("friedrich", "hijazi"):
+        assert rows[name]["satisfied"] is True and rows[name]["equality"] is True, rows[name]
+    for name in ("basic", "diamagnetic"):
+        assert rows[name] == {"name": name, "applicable": False,
+                              "reason": bounds.BOUNDS[name](data, 0.0).reason}
+    assert "n=5" in rows["basic"]["reason"] and "n=5" in rows["diamagnetic"]["reason"]
+
 
 def test_verify_sphere_blocks_cli(capsys):
     code, out, _ = run(
