@@ -165,7 +165,7 @@ def _mode_matrix_eigs(data, modes):
     """Sorted LAPACK eigenvalues of the mode matrices 2 pi i c(theta')."""
     return np.sort(
         np.concatenate(
-            [np.linalg.eigvalsh(oracle._mode_blocks(data, m)) for m in modes]
+            [np.linalg.eigvalsh(oracle._mode_blocks(data.theta_prime(m))) for m in modes]
         )
     )
 

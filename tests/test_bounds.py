@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import odd_sphere_data
 
-from magdirac import bounds, sphere
+from magdirac import bounds, clifford, sphere
 
 
 S3 = bounds.sphere3_data()
@@ -58,6 +59,55 @@ def test_round_spheres_are_the_equality_cases(n):
         report = bounds.compare(bound, reference)
         assert report["satisfied"] and report["equality"], (n, report)
         assert abs(report["margin"]) <= 4e-15 * reference, (n, report)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_pure_killing_spinors_see_the_hopf_field_as_plus_minus_one(m):
+    # The constant spinors of R^(2m+2), restricted to S^(2m+1), are Killing
+    # spinors, eigenspinors of D with |lambda| = n/2 (Baer, CMP 154, 1993).
+    # On the pure ones phi_+- the Hopf term S = i c(Jx) c(x) acts as +-1 at
+    # every point x, so D + t S has the values n/2 +- t there, and the
+    # smallest, |n/2 - |t||, is the end value the odd-sphere bounds meet.
+    gens = clifford.build_rep(2 * m + 2)
+    # phi_+- are the eigenvectors of Omega = sum_k g_(2k-1) g_(2k) at +-i(m+1), each simple
+    values, vectors = np.linalg.eig(sum(gens[2 * k] @ gens[2 * k + 1] for k in range(m + 1)))
+    at = [np.flatnonzero(np.abs(values - s * 1j * (m + 1)) < 1e-12) for s in (1, -1)]
+    assert [len(a) for a in at] == [1, 1], values
+    rng = np.random.default_rng(500 + m)
+    x = rng.normal(size=(200, 2 * m + 2))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    jx = np.empty_like(x)
+    jx[:, 0::2], jx[:, 1::2] = -x[:, 1::2], x[:, 0::2]
+    S = 1j * clifford.vector_action(jx, gens) @ clifford.vector_action(x, gens)
+    for sign, (a,) in zip((1, -1), at):
+        phi = vectors[:, a]
+        assert np.max(np.abs(S @ phi - sign * phi)) <= 1e-14
+
+
+def test_odd_sphere_data_at_m_1_is_the_three_sphere():
+    assert odd_sphere_data(1) == S3
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_friedrich_is_sharp_to_first_order_on_odd_spheres(m):
+    # Friedrich reads n^2/4 - n|t| with floor(n/2) = m and |d eta| = 2 sqrt(m):
+    # the end value squared (n/2 - |t|)^2 less t^2.  The factor
+    # sqrt(floor(n/2)) is 1 at m = 1, so only m >= 2 pins it.
+    data = odd_sphere_data(m)
+    n = data.n
+    for t in np.linspace(-4.0, 4.0, 161):
+        bound, end = bounds.friedrich(data, t), (n / 2.0 - abs(t)) ** 2
+        assert bounds.compare(bound, end)["satisfied"], (m, t)
+        assert abs(bound.value + t * t - end) <= 1e-12 * (1.0 + n * n), (m, t)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_hijazi_is_an_equality_on_odd_spheres(m):
+    # |lambda_1| = n/2 - |t| for |t| <= n/2: equality cases with a field, n = 3..11
+    data = odd_sphere_data(m)
+    n = data.n
+    for t in np.linspace(-n / 2.0, n / 2.0, 81):
+        assert abs(bounds.hijazi(data, t).value - (n / 2.0 - abs(t))) <= 1e-12, (m, t)
 
 
 def test_hijazi_vacuous_flags():

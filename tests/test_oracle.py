@@ -280,7 +280,7 @@ def test_mode_blocks_match_closed_form():
         )
         for _ in range(10):
             m = rng.integers(-3, 4, size=n)
-            got = oracle.hermitian_eigs(HermitianMatrix(oracle._mode_blocks(data, m)))
+            got = oracle.hermitian_eigs(HermitianMatrix(oracle._mode_blocks(data.theta_prime(m))))
             values, mults = torus.mode_values(data.theta_prime(m[None]))
             closed = np.sort(np.repeat(values.ravel(), mults.ravel()))
             assert np.max(np.abs(got - closed)) < 1e-10 * (1 + np.max(np.abs(closed)))
@@ -752,7 +752,7 @@ def test_fourier_operator_matches_brute_force_loop(n, cutoff):
         assert [tuple(m) for m in modes] == window
         ref = np.zeros((len(window) * N,) * 2, dtype=np.complex128)
         for i, m in enumerate(window):
-            ref[i * N:(i + 1) * N, i * N:(i + 1) * N] = oracle._mode_blocks(data, m)
+            ref[i * N:(i + 1) * N, i * N:(i + 1) * N] = oracle._mode_blocks(data.theta_prime(m))
             for nu, a in potential.table.items():
                 target = tuple(x + y for x, y in zip(m, nu))
                 if target in window:
@@ -821,7 +821,7 @@ def test_potential_free_operator_is_block_diagonal_by_mode(n, cutoff):
     modes = oracle._operator_window(data, cutoff)
     dense = np.linalg.eigvalsh(as_dense(H))
     blocks = np.sort(np.concatenate([
-        np.linalg.eigvalsh(oracle._mode_blocks(data, m)) for m in modes
+        np.linalg.eigvalsh(oracle._mode_blocks(data.theta_prime(m))) for m in modes
     ]))
     assert np.max(np.abs(dense - blocks)) <= 1e-12
 
@@ -1100,7 +1100,7 @@ def _add_chirality_preserving_term(monkeypatch):
 
     def broken(data, potential, cutoff):  # + 0.1 I keeps the grading's rows apart
         H = real(data, potential, cutoff)
-        return HermitianMatrix(as_dense(H) + 0.1 * np.eye(H.dim))
+        return HermitianMatrix(as_dense(H) + 0.1 * np.eye(H.dim), H.grading)
 
     monkeypatch.setattr(oracle, "torus_fourier_operator", broken)
 
@@ -1118,6 +1118,36 @@ def test_volume_check_catches_a_chirality_preserving_term(monkeypatch, n):
     vol = clifford.volume_element(clifford.build_rep(n))
     expected = _volume_residual_per_block(as_dense(H), len(modes), data.spinor_dim, vol)
     assert rep["checks"]["volume_anticommute"] == expected
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_volume_check_reads_the_grading_the_solver_uses(monkeypatch, n):
+    real = oracle.torus_fourier_operator
+
+    def misgraded(data, potential, cutoff):  # the first mode's chirality flipped
+        H = real(data, potential, cutoff)
+        g = H.grading.copy()
+        g[:data.spinor_dim] *= -1.0
+        return HermitianMatrix.from_entries(H.dim, H.rows, H.cols, H.values, g)
+
+    monkeypatch.setattr(oracle, "torus_fourier_operator", misgraded)
+    data, pot, cutoff = _identity_case(n)
+    rep = oracle.identity_checks(data, pot, cutoff)
+    assert rep["checks"]["volume_anticommute"] > 1e-12
+    assert rep["pass"] is False
+    # the solver refuses the same operator
+    with pytest.raises(ValueError, match="couples two rows of equal chirality"):
+        oracle.hermitian_eigs(misgraded(data, pot, cutoff))
+
+
+def test_a_volume_element_that_is_not_diagonal_is_refused(monkeypatch):
+    # the grading, and with it the volume check, is its diagonal
+    real = oracle.volume_element
+    monkeypatch.setattr(oracle, "volume_element", lambda gens: real(gens) + gens[0])
+    data, pot, cutoff = _identity_case(2)
+    for call in (oracle.torus_fourier_operator, oracle.identity_checks):
+        with pytest.raises(AssertionError, match="^the volume element is not diagonal$"):
+            call(data, pot, cutoff)
 
 
 def _dense_identity_checks(data, potential, cutoff):
