@@ -31,51 +31,14 @@ class _Parser(argparse.ArgumentParser):
 
     Tokens that start with a minus and a digit (grids like ``-4:4:17``,
     comma lists like ``-0.3,0.1``) count as values, not option names.
-    Given ``options``, the parser is built, and ``options(parser)`` adds its
-    arguments, when it first parses or formats its usage or help; until then
-    it holds only its constructor arguments.  Unbuilt, it takes a first
-    token that names one of its ``commands`` as argparse would, without
-    building: the command's parser parses the other tokens and the name goes
-    to the dest.
     """
 
-    _pending = None  # (args, kwargs, options) of a parser not built yet
-    commands = {}  # command name -> (its parser, the dest that takes the name)
-
-    def __init__(self, *args, options=None, **kwargs):
-        if options is not None:
-            self._pending = args, kwargs, options
-            return
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
 
-    def _build(self):
-        if self._pending is not None:
-            init_args, kwargs, options = self._pending
-            self._pending = None
-            self.__init__(*init_args, **kwargs)
-            options(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else list(args)
-        if self._pending is not None and args and args[0] in self.commands:
-            parser, dest = self.commands[args[0]]
-            namespace, extras = parser.parse_known_args(args[1:], namespace)
-            setattr(namespace, dest, args[0])
-            return namespace, extras
-        self._build()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._build()
-        return super().format_usage()
-
-    def format_help(self):
-        self._build()
-        return super().format_help()
-
     def error(self, message):
-        self.print_usage(sys.stderr)  # builds the parser, so self.prog is set
+        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -419,10 +382,8 @@ def cmd_torus(ns) -> int:
 def _sphere_model(bounds, ns):
     from . import sphere
     t = 0.0 if ns.t is None else ns.t
-    lam1 = sphere.lambda1(t)
-    reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
-                 "first_positive": sphere.lambda1_basic(t)}
-    return {"model": "sphere", "t": t}, bounds.sphere3_data(), t, reference
+    return ({"model": "sphere", "t": t}, bounds.sphere3_data(), t, sphere.lambda1(t),
+            sphere.lambda1_basic(t))
 
 
 def _torus_model(bounds, ns):
@@ -434,11 +395,11 @@ def _torus_model(bounds, ns):
     if not len(spec):
         raise ValueError(f"no eigenvalue has |value| <= the cutoff {cutoff!r}; raise --cutoff")
     geo = bounds.torus_data(spinc.lattice.basis, spinc.A / 2.0)
-    return {"model": "torus"}, geo, 1.0, {"squared": spec.min_abs()**2}
+    return {"model": "torus"}, geo, 1.0, spec.min_abs(), None
 
 
 # --model -> (the options it reads, (bounds module, options) -> (report head, GeometricData,
-# coupling, the exact quantity per bound form (see compare))); the evaluators say what applies
+# coupling, lambda_1, first positive basic eigenvalue or None)); the evaluators say what applies
 _BOUND_MODELS = {"sphere": (("t",), _sphere_model),
                  "torus": (("basis", "delta", "theta", "A", "flux", "cutoff"), _torus_model)}
 
@@ -458,10 +419,15 @@ def cmd_bounds(ns) -> int:
              and any(o in row[0] for row in _BOUND_MODELS.values())]  # in declaration order
     if given:
         raise ValueError(f"bounds --model {ns.model} takes no {', '.join(given)}")
-    head, data, coupling, reference = model(bounds, ns)
+    head, data, coupling, lam1, basic = model(bounds, ns)
+    reference = {"squared": lam1**2, "upper_squared": lam1**2, "absolute": lam1,
+                 "first_positive": basic}  # what each bound form is checked against (compare)
+    evaluated = [bounds.BOUNDS[w](data, coupling) for w in which]
+    for bv in evaluated:
+        if not bv.vacuous and reference[bv.form] is None:
+            raise ValueError(f"bounds --model {ns.model} has no reference for {bv.name}")
     entries = [{"name": bv.name, "applicable": False, "reason": bv.reason} if bv.vacuous
-               else bounds.compare(bv, reference[bv.form])
-               for bv in (bounds.BOUNDS[w](data, coupling) for w in which)]
+               else bounds.compare(bv, reference[bv.form]) for bv in evaluated]
     _print_json({**head, "bounds": entries})
     return 0
 
@@ -491,23 +457,9 @@ def cmd_verify(ns) -> int:
     return 0 if report["pass"] else 2
 
 
-def _commands(prog: str, dest: str, rows) -> tuple:
-    """``options`` of parser ``prog`` whose ``dest`` names one of the (name,
-    add_parser keywords, options) ``rows``, and its ``_Parser.commands``."""
-
-    def options(p):
-        sub = p.add_subparsers(dest=dest, required=True, parser_class=_Parser)
-        for name, keywords, command_options in rows:
-            sub.add_parser(name, **keywords, options=command_options)
-
-    return options, {name: (_Parser(prog=f"{prog} {name}", options=command_options), dest)
-                     for name, _, command_options in rows}
-
-
-def build_parser() -> _Parser:
-    """The root parser, not built: a request that starts with a command
-    builds one parser, that command's or, for verify, the target's."""
-
+def _command_table() -> dict:
+    """command -> (its add_parser keywords, its options function); verify's
+    options are the same kind of table, of its targets."""
     def sphere_options(p):
         p.add_argument("--t", required=True, type=float, help="coupling strength")
         p.add_argument("--cutoff", type=float, default=None,
@@ -577,28 +529,63 @@ def build_parser() -> _Parser:
                        help="JSON list of [freq-list, re, im] for f")
         v.add_argument("--cutoffs", default="4,8,12")
 
-    verify_options, targets = _commands("magdirac verify", "target", (
-        ("sphere-blocks", {}, sphere_blocks_options),
-        ("torus-modes", {}, torus_modes_options),
-        ("gauge", {}, gauge_options)))
-    root_options, commands = _commands("magdirac", "command", [
-        (name, {"help": summary}, options) for name, summary, options in (
-            ("sphere", "exact 3-sphere spectrum at coupling t", sphere_options),
-            ("sphere-curve", "eigenvalue curves on a coupling grid (CSV)", sphere_curve_options),
-            ("collisions", "couplings where two branch curves cross", collisions_options),
-            ("torus", "exact flat-torus spectrum", torus_options),
-            ("bounds", "evaluate eigenvalue bounds", bounds_options),
-            ("verify", "matrix-oracle cross-checks", verify_options))])
-    commands["verify"][0].commands = targets
-    parser = _Parser(prog="magdirac", description=__doc__.splitlines()[0], options=root_options)
-    parser.commands = commands
+    targets = {"sphere-blocks": ({}, sphere_blocks_options),
+               "torus-modes": ({}, torus_modes_options), "gauge": ({}, gauge_options)}
+    return {name: ({"help": summary}, options) for name, summary, options in (
+        ("sphere", "exact 3-sphere spectrum at coupling t", sphere_options),
+        ("sphere-curve", "eigenvalue curves on a coupling grid (CSV)", sphere_curve_options),
+        ("collisions", "couplings where two branch curves cross", collisions_options),
+        ("torus", "exact flat-torus spectrum", torus_options),
+        ("bounds", "evaluate eigenvalue bounds", bounds_options),
+        ("verify", "matrix-oracle cross-checks", targets))}
+
+
+_COMMANDS = _command_table()
+
+
+def _add_commands(parser, dest, rows):
+    """Add to ``parser`` the parser of each of the ``rows`` of a ``_COMMANDS``
+    table, its name going to ``dest``, and under verify those of its targets."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
+    for name, (keywords, options) in rows.items():
+        child = sub.add_parser(name, **keywords)
+        if isinstance(options, dict):
+            _add_commands(child, "target", options)
+        else:
+            options(child)
+
+
+def build_parser() -> _Parser:
+    """The root parser with every parser of ``_COMMANDS`` built, for help, usage
+    errors and argv that does not start with a command (see ``_parse``)."""
+    parser = _Parser(prog="magdirac", description=__doc__.splitlines()[0])
+    _add_commands(parser, "command", _COMMANDS)
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of ``argv``: argv that names a command (and for verify a
+    target) builds that one parser, and argv that names none, or that it leaves
+    tokens of, goes to ``build_parser()``, which reports it as the tree does."""
+    ns, options = argparse.Namespace(), _COMMANDS
+    for depth, (dest, name) in enumerate(zip(("command", "target"), argv)):
+        if name not in options:
+            break
+        setattr(ns, dest, name)
+        options = options[name][1]
+        if not isinstance(options, dict):
+            parser = _Parser(prog=" ".join(["magdirac", *argv[:depth + 1]]))
+            options(parser)
+            ns, extras = parser.parse_known_args(argv[depth + 1:], ns)
+            if not extras:
+                return ns
+            break
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -243,8 +243,7 @@ def test_a_bounds_model_is_one_row(capsys, monkeypatch):
     vol = math.pi**3
     data = bounds.GeometricData(n=5, S=20.0, dEta_norm=0.0, yamabe=20.0 * vol ** 0.4,
                                 vol=vol, eta_Ln=0.0, eta_Linf=0.0, oneill_b=0.0)
-    model = lambda bounds, ns: ({"model": "sphere5"}, data, 0.0,
-                                {"squared": 6.25, "absolute": 2.5})
+    model = lambda bounds, ns: ({"model": "sphere5"}, data, 0.0, 2.5, None)
     monkeypatch.setitem(cli._BOUND_MODELS, "sphere5", ((), model))
     code, out, err = run(capsys, "bounds", "--model", "sphere5")
     assert (code, err) == (0, "")
@@ -258,6 +257,34 @@ def test_a_bounds_model_is_one_row(capsys, monkeypatch):
         assert rows[name] == {"name": name, "applicable": False,
                               "reason": bounds.BOUNDS[name](data, 0.0).reason}
     assert "n=5" in rows["basic"]["reason"] and "n=5" in rows["diamagnetic"]["reason"]
+
+
+def test_a_torus_bound_of_any_form_is_checked_against_its_reference(capsys, monkeypatch):
+    # lambda_1 of the torus model is the least |value|: an upper_squared
+    # bound takes its square, an absolute one takes it as it is
+    data = SpinCData(Lattice.from_rows(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2))
+    lam1 = torus.spectrum(data, 20.0).min_abs()
+    assert lam1 > 0.0
+    for evaluator, form, reference in (
+            (lambda data, t: bounds.diamagnetic_upper(3.0, 0.0, data.eta_Linf, t),
+             "upper_squared", lam1**2),
+            (lambda data, t: bounds.BoundValue("diamagnetic", 1.0, "absolute"), "absolute", lam1)):
+        monkeypatch.setitem(bounds.BOUNDS, "diamagnetic", evaluator)
+        code, out, err = run(capsys, "bounds", "--model", "torus", "--basis", "[[1,0],[0,1]]",
+                             "--delta", "1,0", "--which", "diamagnetic")
+        assert (code, err) == (0, "")
+        [row] = json.loads(out)["bounds"]
+        assert (row["form"], row["reference"]) == (form, reference)
+
+
+def test_a_bound_with_no_reference_is_refused(capsys, monkeypatch):
+    # the torus model has no basic spectrum, so a first_positive bound that
+    # applies there has nothing to be checked against
+    monkeypatch.setitem(bounds.BOUNDS, "basic",
+                        lambda data, t: bounds.BoundValue("basic", 1.0, "first_positive"))
+    code, out, err = run(capsys, "bounds", "--model", "torus", "--which", "basic")
+    assert (code, out) == (1, "")
+    assert err == "error: bounds --model torus has no reference for basic\n"
 
 
 def test_verify_sphere_blocks_cli(capsys):
@@ -577,8 +604,9 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_an_unbuilt_parser_formats_its_help_and_usage(capsys, monkeypatch):
-    # build_parser returns the root not built; formatting builds it first
+def test_the_root_parser_formats_the_help_and_usage_of_a_request(capsys, monkeypatch):
+    # build_parser returns the root with every parser built; its help and
+    # usage are the bytes a help request prints
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
     code, out, _ = run(capsys, "-h")
     assert code == 0 and cli.build_parser().format_help() == out
@@ -589,8 +617,8 @@ def test_an_unbuilt_parser_formats_its_help_and_usage(capsys, monkeypatch):
 
 # sha256 of repr((exit code, stdout, stderr)) of each help and usage-error
 # request at a terminal width of 80 (Python 3.11 argparse), recorded while
-# build_parser still added every option of every command up front; adding a
-# command's options on dispatch must not move a byte
+# every request built the whole parser tree; a request that names a command
+# builds that parser alone, the rest go to the whole tree, and no byte moves
 PARSER_SHA256 = {
     "":
         "eeee51e59f858a34f8375a4996343e483f974868ed09085712dad1a3160016cf",
@@ -643,9 +671,9 @@ PARSER_SHA256 = {
     "verify torus-modes -h":
         "6950a9fba55346bd1bc5a9c3fd0d8d7c6fae4ab8e053fb5f1f575249a02abd06",
 }
-# argv shapes that a parser not built yet hands back to argparse (a first
-# token that is no command name, extra tokens, "--"), recorded the same way
-# while every request still built the root parser
+# argv shapes that go to the whole tree (a first token that is no command
+# name, extra tokens, "--"), recorded the same way while every request still
+# built the root parser
 PARSER_SHA256.update({
     "-- sphere --t 1 --cutoff 2":
         "afb2aad7fb868c448751317c5c141a50cb2b7f386bcabf0eb6405fd00fe8b3c9",
@@ -669,17 +697,6 @@ def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, request_line):
     assert hashlib.sha256(record).hexdigest() == PARSER_SHA256[request_line]
 
 
-def _built(parser) -> list:
-    """prog of each parser under ``parser``, itself included, that is built.
-    A parser not built yet holds only its constructor arguments."""
-    progs = [] if parser._pending is not None else [parser.prog]
-    subs = [sub for sub, _ in parser.commands.values()]
-    for action in getattr(parser, "_actions", []):
-        if isinstance(action, argparse._SubParsersAction):
-            subs += action.choices.values()
-    return progs + [prog for sub in subs for prog in _built(sub)]
-
-
 # one request of each command and each verify target
 ONE_OF_EACH = [
     "sphere --t 1",
@@ -694,17 +711,6 @@ ONE_OF_EACH = [
 
 def _own_prog(argv) -> str:
     return "magdirac " + " ".join(argv[:2 if argv[0] == "verify" else 1])
-
-
-@pytest.mark.parametrize("request_line", ONE_OF_EACH)
-def test_a_request_builds_only_its_own_options(request_line):
-    # a request reads one command; the root, verify and the other commands'
-    # parsers are never built
-    argv = request_line.split()
-    parser = cli.build_parser()
-    assert _built(parser) == []
-    parser.parse_args(argv)
-    assert _built(parser) == [_own_prog(argv)]
 
 
 @contextlib.contextmanager
@@ -732,22 +738,39 @@ def test_a_request_builds_only_the_parsers_it_dispatches_to(capsys, monkeypatch,
     assert built == [_own_prog(argv)]
 
 
-@pytest.mark.parametrize("request_line, built_progs", [
-    ("-h", ["magdirac"]),
-    ("bogus", ["magdirac"]),
-    ("-- sphere --t 1", ["magdirac"]),
-    ("sphere --t 1 extra", ["magdirac sphere", "magdirac"]),
-    ("verify", ["magdirac verify"]),
-    ("verify -h", ["magdirac verify"]),
-    ("verify bogus", ["magdirac verify"]),
-    ("verify sphere-blocks extra", ["magdirac verify sphere-blocks", "magdirac"]),
+@pytest.mark.parametrize("request_line", ONE_OF_EACH)
+def test_a_request_builds_only_its_own_options(monkeypatch, request_line):
+    # _parse reads one command; the root, verify and the other commands'
+    # parsers are never constructed
+    argv = request_line.split()
+    with _constructed(monkeypatch) as built:
+        cli._parse(argv)
+    assert built == [_own_prog(argv)]
+
+
+# the progs build_parser() constructs: the root, each command, and verify's
+# targets after verify
+TREE = ["magdirac", "magdirac sphere", "magdirac sphere-curve", "magdirac collisions",
+        "magdirac torus", "magdirac bounds", "magdirac verify", "magdirac verify sphere-blocks",
+        "magdirac verify torus-modes", "magdirac verify gauge"]
+
+
+@pytest.mark.parametrize("request_line, own", [
+    ("-h", []),
+    ("bogus", []),
+    ("-- sphere --t 1", []),
+    ("sphere --t 1 extra", ["magdirac sphere"]),
+    ("verify", []),
+    ("verify -h", []),
+    ("verify bogus", []),
+    ("verify sphere-blocks extra", ["magdirac verify sphere-blocks"]),
 ])
-def test_help_and_usage_errors_build_the_parser_that_reports_them(
-        capsys, monkeypatch, request_line, built_progs):
-    # help and errors print the usage of the root or verify, so build it
+def test_help_and_usage_errors_build_the_root_once(capsys, monkeypatch, request_line, own):
+    # the parser the request was handed to, if any, then the whole tree once,
+    # which prints the help or the error under the usage of the root or verify
     with _constructed(monkeypatch) as built:
         assert run(capsys, *request_line.split())[0] in (0, 1)
-    assert built == built_progs
+    assert built == own + TREE
 
 
 # each command and verify target with its required options only, so every
@@ -776,21 +799,20 @@ def test_every_option_is_given_in_some_line():
         given.setdefault(path, set()).update(a for a in argv if a.startswith("--"))
     assert len(given) == 8
     for path, options in given.items():
-        parser = cli.build_parser()
+        rows = cli._COMMANDS
         for name in path:
-            parser = parser.commands[name][0]
-        parser._build()
+            rows = rows[name][1]
+        parser = cli._Parser()
+        rows(parser)
         assert options == {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
 
 
 @pytest.mark.parametrize("request_line", EVERY_OPTION)
 def test_a_command_parsed_directly_gives_the_namespace_of_argparse(request_line):
-    # the root forced to build first dispatches through argparse subparsers
+    # the whole tree dispatches through argparse subparsers
     argv = request_line.split()
-    forced = cli.build_parser()
-    forced._build()
-    expected = vars(forced.parse_args(argv))
-    assert vars(cli.build_parser().parse_args(argv)) == expected
+    expected = vars(cli.build_parser().parse_args(argv))
+    assert vars(cli._parse(argv)) == expected
     assert expected["command"] == argv[0] and "func" in expected
     assert expected.get("target") == (argv[1] if argv[0] == "verify" else None)
 
@@ -1251,7 +1273,8 @@ def test_readme_command_examples_parse():
                 if line.startswith("magdirac ")]
     assert len(examples) == 10
     for argv in examples:
-        cli.build_parser().parse_args(argv)
+        # main parses with _parse; the whole tree gives the same namespace
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
 
 def _python_m_magdirac(*argv):
