@@ -441,25 +441,20 @@ def _verify_gauge(oracle, ns) -> dict:
                                tuple(_parse_list(ns.cutoffs, "--cutoffs", int)))
 
 
-# verify target -> (the oracle module, options) -> the report
-_VERIFY = {
-    "sphere-blocks": lambda oracle, ns: oracle.verify_sphere_blocks(
-        ns.k_max, _parse_grid(ns.t_grid, "--t-grid")),
-    "torus-modes": lambda oracle, ns: oracle.verify_torus_modes(ns.n, ns.samples, ns.seed),
-    "gauge": _verify_gauge,
-}
-
-
-def cmd_verify(ns) -> int:
-    from . import oracle
-    report = _VERIFY[ns.target](oracle, ns)
-    _print_json(report)
-    return 0 if report["pass"] else 2
+def _checked(report):
+    """The run of a verify target: print report(oracle, ns) as JSON; exit 0 on a pass, else 2."""
+    def run(ns) -> int:
+        from . import oracle
+        result = report(oracle, ns)
+        _print_json(result)
+        return 0 if result["pass"] else 2
+    return run
 
 
 def _command_table() -> dict:
-    """command -> (its add_parser keywords, its options function); verify's
-    options are the same kind of table, of its targets."""
+    """command -> (its add_parser keywords, its options function, the function
+    that runs it).  An options function only adds arguments; verify's options
+    are the same kind of table, of its targets, and its run is None."""
     def sphere_options(p):
         p.add_argument("--t", required=True, type=float, help="coupling strength")
         p.add_argument("--cutoff", type=float, default=None,
@@ -467,7 +462,6 @@ def _command_table() -> dict:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true")
         fmt.add_argument("--csv", action="store_true")
-        p.set_defaults(func=cmd_sphere)
 
     def sphere_curve_options(p):
         p.add_argument("--t-range", default="-5:5:201",
@@ -475,12 +469,10 @@ def _command_table() -> dict:
         p.add_argument("--k-max", type=int, default=5)
         p.add_argument("--window", default="-5:5",
                        help="keep lo <= value <= hi, or 'none'")
-        p.set_defaults(func=cmd_sphere_curve)
 
     def collisions_options(p):
         p.add_argument("--k-max", type=int, required=True)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=cmd_collisions)
 
     def torus_options(p):
         p.add_argument("--basis", required=True,
@@ -492,7 +484,6 @@ def _command_table() -> dict:
                        help="holonomies of A over the generators (alternative to --A)")
         p.add_argument("--cutoff", required=True, type=float)
         p.add_argument("--csv", action="store_true")
-        p.set_defaults(func=cmd_torus)
 
     def bounds_options(p):
         p.add_argument("--model", choices=tuple(_BOUND_MODELS), required=True)
@@ -507,21 +498,17 @@ def _command_table() -> dict:
         p.add_argument("--flux", default=None)
         p.add_argument("--cutoff", type=float, default=None,
                        help="torus model: spectrum cutoff (default 20)")
-        p.set_defaults(func=cmd_bounds)
 
     def sphere_blocks_options(v):
-        v.set_defaults(func=cmd_verify)
         v.add_argument("--k-max", type=int, default=30)
         v.add_argument("--t-grid", default="-4:4:17")
 
     def torus_modes_options(v):
-        v.set_defaults(func=cmd_verify)
         v.add_argument("--n", type=int, default=3)
         v.add_argument("--samples", type=int, default=200)
         v.add_argument("--seed", type=int, default=7)
 
     def gauge_options(v):
-        v.set_defaults(func=cmd_verify)
         v.add_argument("--basis", required=True,
                        help="JSON matrix whose rows generate the lattice")
         v.add_argument("--delta", default=None)
@@ -529,30 +516,37 @@ def _command_table() -> dict:
                        help="JSON list of [freq-list, re, im] for f")
         v.add_argument("--cutoffs", default="4,8,12")
 
-    targets = {"sphere-blocks": ({}, sphere_blocks_options),
-               "torus-modes": ({}, torus_modes_options), "gauge": ({}, gauge_options)}
-    return {name: ({"help": summary}, options) for name, summary, options in (
-        ("sphere", "exact 3-sphere spectrum at coupling t", sphere_options),
-        ("sphere-curve", "eigenvalue curves on a coupling grid (CSV)", sphere_curve_options),
-        ("collisions", "couplings where two branch curves cross", collisions_options),
-        ("torus", "exact flat-torus spectrum", torus_options),
-        ("bounds", "evaluate eigenvalue bounds", bounds_options),
-        ("verify", "matrix-oracle cross-checks", targets))}
+    targets = {name: ({}, options, _checked(report)) for name, options, report in (
+        ("sphere-blocks", sphere_blocks_options, lambda oracle, ns: oracle.verify_sphere_blocks(
+            ns.k_max, _parse_grid(ns.t_grid, "--t-grid"))),
+        ("torus-modes", torus_modes_options,
+         lambda oracle, ns: oracle.verify_torus_modes(ns.n, ns.samples, ns.seed)),
+        ("gauge", gauge_options, _verify_gauge))}
+    return {name: ({"help": summary}, options, run) for name, summary, options, run in (
+        ("sphere", "exact 3-sphere spectrum at coupling t", sphere_options, cmd_sphere),
+        ("sphere-curve", "eigenvalue curves on a coupling grid (CSV)", sphere_curve_options,
+         cmd_sphere_curve),
+        ("collisions", "couplings where two branch curves cross", collisions_options,
+         cmd_collisions),
+        ("torus", "exact flat-torus spectrum", torus_options, cmd_torus),
+        ("bounds", "evaluate eigenvalue bounds", bounds_options, cmd_bounds),
+        ("verify", "matrix-oracle cross-checks", targets, None))}
 
 
 _COMMANDS = _command_table()
 
 
 def _add_commands(parser, dest, rows):
-    """Add to ``parser`` the parser of each of the ``rows`` of a ``_COMMANDS``
-    table, its name going to ``dest``, and under verify those of its targets."""
+    """Add to ``parser`` the parser of each row of a ``_COMMANDS`` table, its
+    name going to ``dest`` and its run to ``func``; under verify, its targets'."""
     sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
-    for name, (keywords, options) in rows.items():
+    for name, (keywords, options, run) in rows.items():
         child = sub.add_parser(name, **keywords)
-        if isinstance(options, dict):
+        if run is None:
             _add_commands(child, "target", options)
         else:
             options(child)
+            child.set_defaults(func=run)
 
 
 def build_parser() -> _Parser:
@@ -565,15 +559,15 @@ def build_parser() -> _Parser:
 
 def _parse(argv) -> argparse.Namespace:
     """The namespace of ``argv``: argv that names a command (and for verify a
-    target) builds that one parser, and argv that names none, or that it leaves
-    tokens of, goes to ``build_parser()``, which reports it as the tree does."""
+    target) builds that one parser, ``func`` its row's run; argv that names none,
+    or that it leaves tokens of, goes to ``build_parser()``, as the tree does."""
     ns, options = argparse.Namespace(), _COMMANDS
     for depth, (dest, name) in enumerate(zip(("command", "target"), argv)):
         if name not in options:
             break
         setattr(ns, dest, name)
-        options = options[name][1]
-        if not isinstance(options, dict):
+        _, options, ns.func = options[name]
+        if ns.func is not None:
             parser = _Parser(prog=" ".join(["magdirac", *argv[:depth + 1]]))
             options(parser)
             ns, extras = parser.parse_known_args(argv[depth + 1:], ns)
