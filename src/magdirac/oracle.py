@@ -740,11 +740,11 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs) -> dict:
     cutoff and solves it.  Without it the operator is block-diagonal by
     mode, a mode's block the same in every window, so one LAPACK solve of
     the largest window's blocks gives every window's spectrum.  Pairs the
-    ``GAUGE_PAIRS`` eigenvalues closest to zero and reports the largest
-    pairwise distance per cutoff.  Truncation breaks exact gauge invariance,
-    so the residual must decrease as the window grows and fall below 1e-6
-    at the last cutoff.  Refused (ValueError), before any window is
-    assembled, unless there is at least one cutoff, the cutoffs are
+    ``GAUGE_PAIRS`` eigenvalues closest to zero (``checks`` counts the pairs)
+    and reports the largest distance per cutoff.  Truncation breaks exact
+    gauge invariance, so the residual must decrease as the window grows and
+    fall below 1e-6 at the last cutoff.  Refused (ValueError), before any
+    window is assembled, unless there is at least one cutoff, the cutoffs are
     integers >= 1, strictly increasing and within ``MAX_OPERATOR_DIM``, the
     frequencies of ``f_terms`` are integers, df has a nonzero coefficient,
     and no frequency is past twice the largest cutoff.
@@ -783,7 +783,7 @@ def verify_gauge(data: SpinCData, f_terms, cutoffs) -> dict:
     monotone = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     passed = bool(residuals[-1] <= GAUGE_TOL and monotone)
     return {
-        "checks": len(residuals) * GAUGE_PAIRS,
+        "checks": sum(len(e0) for _, e0 in low),
         "cutoffs": cutoffs,
         "residuals": residuals,
         "monotone": monotone,

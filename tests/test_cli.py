@@ -322,6 +322,15 @@ def test_verify_gauge_cli_pass_and_fail(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_gauge_checks_count_the_pairs_compared(capsys):
+    # a 1-D window of cutoff c holds 2c + 1 eigenvalues: 3 and 5 at cutoffs 1
+    # and 2, fewer than GAUGE_PAIRS; at 40 the ten lowest end at a gap
+    code, out, _ = run(capsys, "verify", "gauge", "--basis", "[[1]]",
+                       "--f-terms", "[[[1],0.01,0]]", "--cutoffs", "1,2,40")
+    assert code == 0
+    assert json.loads(out)["checks"] == 3 + 5 + 10
+
+
 def test_invalid_inputs_exit_one(capsys):
     assert run(capsys, "sphere", "--t", "abc")[0] == 1
     assert run(capsys, "torus", "--basis", "not-json", "--cutoff", "3")[0] == 1
@@ -748,6 +757,31 @@ def test_a_request_builds_only_its_own_options(monkeypatch, request_line):
     assert built == [_own_prog(argv)]
 
 
+def test_a_command_is_one_row(capsys, monkeypatch):
+    # a row of _COMMANDS, or of verify's targets, is all a command needs:
+    # main runs it on the _parse path and build_parser() lists it
+    def options(p):
+        p.add_argument("--word", default="hi")
+
+    def echo(ns):
+        print(ns.word)
+        return 3
+
+    monkeypatch.setitem(cli._COMMANDS, "echo", ({"help": "print the word"}, options, echo))
+    monkeypatch.setitem(cli._COMMANDS["verify"][1], "word", ({}, options, cli._checked(
+        lambda oracle, ns: {"word": ns.word, "pass": ns.word == "hi"})))
+    with _constructed(monkeypatch) as built:
+        assert run(capsys, "echo", "--word", "yo") == (3, "yo\n", "")
+        assert run(capsys, "verify", "word") == (0, '{\n  "word": "hi",\n  "pass": true\n}\n', "")
+        assert run(capsys, "verify", "word", "--word", "no")[:2] == (
+            2, '{\n  "word": "no",\n  "pass": false\n}\n')
+    assert built == ["magdirac echo", "magdirac verify word", "magdirac verify word"]
+    code, out, _ = run(capsys, "-h")
+    assert code == 0 and "echo" in out and "print the word" in out
+    code, out, _ = run(capsys, "verify", "-h")
+    assert code == 0 and "{sphere-blocks,torus-modes,gauge,word}" in out
+
+
 # the progs build_parser() constructs: the root, each command, and verify's
 # targets after verify
 TREE = ["magdirac", "magdirac sphere", "magdirac sphere-curve", "magdirac collisions",
@@ -815,6 +849,8 @@ def test_a_command_parsed_directly_gives_the_namespace_of_argparse(request_line)
     assert vars(cli._parse(argv)) == expected
     assert expected["command"] == argv[0] and "func" in expected
     assert expected.get("target") == (argv[1] if argv[0] == "verify" else None)
+    row = cli._COMMANDS[argv[0]]
+    assert expected["func"] is (row[1][argv[1]] if argv[0] == "verify" else row)[2]
 
 
 # sha256 of the stdout of each request, recorded before the sphere level
@@ -1194,14 +1230,16 @@ VERIFY_STDOUT_SHA256 = {
     # operator of one component, a 2D one that splits into the cosets of
     # (1, 1), and a 3D one (no grading: eigvalsh) that splits.  Windows stay
     # small enough that LAPACK gives the same bits at 1 and 2 BLAS threads.
+    # Re-recorded when "checks" came to count the pairs compared (30 -> 36),
+    # the only line that changed.
     "verify gauge --basis [[1,0.2],[0,0.9]] --f-terms [[[1,0],0.02,0.01],[[0,1],0.01,-0.005]] "
     "--cutoffs 1,2,3":
-        "a1aec34dcfd79bfe946656a4dba03764f46f08036a2e9e048a16f5fa89e62a52",
+        "cc1bb0f903e9b5ad9c383791cd00372e2ccc799abd84a04e526ab6db36fc829a",
     "verify gauge --basis [[1,0],[0,1]] --f-terms [[[1,1],0.2,0.1]] --cutoffs 4,8,12":
-        "ea5a089fdc12c29140c1cf65dc032a744f3ad00e61f0a2a2f0aca6779d4ce43d",
+        "21927e4a4e47b7d19289d6aa282a08a3e0195fcebfedb5160751fbd1799edf2d",
     "verify gauge --basis [[1,0.2,0],[0,1,0.1],[0,0,1.1]] "
     "--f-terms [[[1,0,0],0.02,0.01],[[0,1,-1],0.01,0]] --cutoffs 1,2,3":
-        "c33291b104b71ec6c357fa7a5d5f9f4cc363eeea3b47f461977f1d319d3c39b8",
+        "d337ac5cedf76adbeb38931b0600542b2fb4c3bf0366ccf462b2935e23caa863",
 }
 
 

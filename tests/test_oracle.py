@@ -897,7 +897,7 @@ def test_verify_gauge_refuses_a_frequency_no_window_couples(monkeypatch, nu, ref
     data = SpinCData(Lattice(np.eye(2)), [1, 0], [0.0, 0.0], np.zeros(2))
     f_terms = [((1, 0), 0.1), (nu, 0.05j)]
     if not refused:
-        assert oracle.verify_gauge(data, f_terms, cutoffs=(2, 3))["checks"] == 20
+        assert oracle.verify_gauge(data, f_terms, cutoffs=(2, 3))["checks"] == 24
         return
     monkeypatch.setattr(oracle, "_operator_window", None)  # refused before any window
     with pytest.raises(ValueError, match=rf"frequency \[{nu[0]}, {nu[1]}\] couples no two modes"):

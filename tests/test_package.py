@@ -83,6 +83,8 @@ LOADS = {
     "-h": _CLI,
     "verify -h": _CLI,
     "bounds -h": _CLI,
+    "torus -h": _CLI,
+    "verify gauge -h": _CLI,
 }
 
 
