@@ -79,7 +79,8 @@ LOADS = {
     "verify sphere-blocks --k-max 3 --t-grid -1:1:3": _ORACLE,
     "verify torus-modes --n 2 --samples 3": _ORACLE,
     "verify gauge --basis [[1,0],[0,1]] --f-terms [[[1,0],0.1,0]] --cutoffs 2,3": _ORACLE,
-    # help builds every command's parser, and no options function loads a model
+    # help builds every command's parser, and no options function loads a model,
+    # nor does the table of runs that is built at import
     "-h": _CLI,
     "verify -h": _CLI,
     "bounds -h": _CLI,
