@@ -339,16 +339,15 @@ def verify_sphere_blocks(k_max: int, t_values) -> dict:
 def verify_torus_modes(n: int, samples: int, seed: int) -> dict:
     """Cross-check closed per-mode eigenvalues against Clifford matrices.
 
-    Draws all bases at once, redrawing the rows not well conditioned
-    (|det| > 0.2 and cond < 50) in rounds, then delta, theta, A and m with
-    one call each.  Then, in blocks of TORUS_MODE_BLOCK matrix entries:
-    theta' = inv(basis)^T @ (m + (delta + theta)/2) + A/(4 pi), the
-    matrices 2 pi i c(theta') checked finite and Hermitian and solved by one
-    batched LAPACK call, against the sorted closed list from
-    ``torus.mode_values``; the report does not depend on the block size.
-    Refused (ValueError) before any draw unless samples and seed are
-    integers, 1 <= samples <= MAX_SPECTRUM_SIZE, seed >= 0, 1 <= n <= 12 and
-    samples * N^2 <= MAX_OPERATOR_DIM^2.
+    Both sides read only theta', so theta' is drawn directly, N(0, 4^2) per
+    coordinate, with one call; no basis, delta, theta, A or mode is drawn.
+    Then, in blocks of TORUS_MODE_BLOCK matrix entries: the matrices
+    2 pi i c(theta') checked finite and Hermitian and solved by one batched
+    LAPACK call, against the sorted closed list from ``torus.mode_values``;
+    the report does not depend on the block size.  A failure reports its
+    theta', the whole input.  Refused (ValueError) before any draw unless
+    samples and seed are integers, 1 <= samples <= MAX_SPECTRUM_SIZE,
+    seed >= 0, 1 <= n <= 12 and samples * N^2 <= MAX_OPERATOR_DIM^2.
     """
     samples, seed = check_int(samples, "samples"), check_int(seed, "seed")
     if samples < 1:
@@ -361,30 +360,11 @@ def verify_torus_modes(n: int, samples: int, seed: int) -> dict:
         raise ValueError(f"torus-modes check of {samples} samples at n = {n} holds {entries} "
                          f"matrix entries, past the cap {MAX_OPERATOR_DIM ** 2}")
     check_size(samples, "torus-mode samples", "--samples")
-    rng = np.random.default_rng(seed)
+    thetas = np.random.default_rng(seed).normal(0.0, 4.0, size=(samples, n))
     step = max(1, TORUS_MODE_BLOCK // gens[0].size)
-    bases, redraw = np.empty((samples, n, n)), np.arange(samples)
-    while redraw.size:
-        bases[redraw] = drawn = np.eye(n) + 0.4 * rng.uniform(-1.0, 1.0, size=(redraw.size, n, n))
-        good = np.abs(np.linalg.det(drawn)) > 0.2
-        drawn[~good] = np.eye(n)  # bases holds the draw; a rejected one needs no inverse
-        # (|B|_F |B^-1|_F)^2 >= (cond + 1/cond)^2, so under 2500 it admits B with no SVD;
-        # inverted a block at a time, so no inverse of the whole draw is held
-        inv = map(np.linalg.inv, np.split(drawn, range(step, len(drawn), step)))
-        frob2 = np.einsum("kij,kij->k", drawn, drawn) * np.concatenate(
-            [np.einsum("kij,kij->k", b, b) for b in inv])
-        unsure = np.flatnonzero(good & (frob2 >= 2500.0))
-        if unsure.size:  # cond has a fixed cost even on an empty stack
-            good[unsure] = np.linalg.cond(drawn[unsure]) < 50.0
-        redraw = redraw[~good]
-    delta, theta = rng.integers(0, 2, size=(samples, n)), rng.uniform(0.0, 1.0, size=(samples, n))
-    A, modes = rng.normal(0.0, 3.0, size=(samples, n)), rng.integers(-6, 7, size=(samples, n))
     worst, failures = 0.0, []
     for a in range(0, samples, step):
-        block = slice(a, a + step)
-        x = modes[block] + (delta[block] + theta[block]) / 2.0
-        tp = (np.linalg.inv(bases[block]).swapaxes(1, 2) @ x[..., None])[..., 0]
-        tp = tp + A[block] / (4.0 * np.pi)
+        tp = thetas[a:a + step]
         stack = _mode_blocks(tp)
         scale = np.max(np.abs(stack), axis=(1, 2), keepdims=True)  # np.max propagates NaN
         if not np.all(np.isfinite(scale)) or np.any(_defects(stack) > 1e-12 * (1.0 + scale)):
@@ -394,8 +374,8 @@ def verify_torus_modes(n: int, samples: int, seed: int) -> dict:
         closed = np.sort(np.repeat(values.ravel(), mults.ravel()).reshape(len(tp), -1), axis=1)
         residuals = np.max(np.abs(got - closed), axis=1) / (1.0 + np.max(np.abs(closed), axis=1))
         worst = np.max(residuals, initial=worst)
-        failures += [{"mode": modes[a + i].tolist(), "theta_prime": tp[i].tolist(),
-                      "closed": closed[i].tolist(), "oracle": got[i].tolist()}
+        failures += [{"theta_prime": tp[i].tolist(), "closed": closed[i].tolist(),
+                      "oracle": got[i].tolist()}
                      for i in np.flatnonzero(residuals > 1e-12)[:20 - len(failures)]]
     return {
         "checks": samples,
@@ -417,11 +397,12 @@ def _nu_hat(lattice: Lattice, nu) -> np.ndarray:
 class FourierPotential:
     """Oscillating one-form sum_nu a_nu exp(2 pi i <nu_hat, x>) on a torus.
 
-    Frequencies nu are nonzero integer vectors (dual coordinates, nu_hat =
-    dual_basis @ nu; a float or bool entry is refused, not rounded);
-    coefficients are complex covectors in standard coordinates.  Realness
-    requires the -nu term to carry the conjugate coefficient and is enforced
-    at construction.  No terms make the potential without oscillating part.
+    Frequencies nu are nonzero integer vectors with entries below 2**63 in
+    size (dual coordinates, nu_hat = dual_basis @ nu; a float or bool entry
+    is refused, not rounded); coefficients are complex covectors in standard
+    coordinates.  Realness requires the -nu term to carry the conjugate
+    coefficient and is enforced at construction.  No terms make the
+    potential without oscillating part.
     """
 
     def __init__(self, lattice: Lattice, terms):
@@ -431,6 +412,8 @@ class FourierPotential:
             nu = tuple(check_int(c, "frequency entry") for c in nu)
             if len(nu) != lattice.n:
                 raise ValueError(f"frequency {nu} has wrong length for n={lattice.n}")
+            if max(map(abs, nu)) >= 2 ** 63:  # past int64, where the assembly indexes
+                raise ValueError(f"frequency {nu} has an entry of 2**63 or more in size")
             if all(c == 0 for c in nu):
                 raise ValueError("zero frequency belongs in the harmonic part")
             if nu in table:

@@ -1199,8 +1199,8 @@ def test_bounds_stdout_is_pinned(capsys, request_line):
 # recorded before the sphere levels were assembled from their nonzero
 # entries and the torus modes solved in one batch; torus-modes n = 1 before
 # the samples were drawn into arrays (its report does not depend on the
-# draws), n = 2..6 when all bases came to be drawn in rejection rounds and
-# delta, theta, A and m with one call each, which draws another sample set
+# draws), n = 2..6 when theta' came to be drawn directly, in place of bases,
+# delta, theta, A and m, which changed only "max_residual"
 VERIFY_STDOUT_SHA256 = {
     "verify sphere-blocks --k-max 0":
         "a4e396446b16f021e42641cb1debf65158d8adea88c68407d6257a2a4070af60",
@@ -1217,15 +1217,15 @@ VERIFY_STDOUT_SHA256 = {
     "verify torus-modes --n 1 --seed 7":
         "0b755654e16d23abfcf80380e3f52555a8e300080e626a8d644d8c18c402dc0b",
     "verify torus-modes --n 2 --seed 7":
-        "250954bb7374a7a8d9a8559334947daf59ead4a00d542adeb6f887b8af00eef4",
+        "865a4e3cfefe47a6348c3e122063e848ab63c1d1f974ef26b7f52a4827bd8ffe",
     "verify torus-modes --n 3 --seed 7":
-        "7660471c5108079440543ee02d7ae032e18801fde8927b5c6f03e4f29e801fe4",
+        "4660cdac82f86b8902ae577df73d6c64431fbe93dcb54c2fc7d5f7cc8d0373c7",
     "verify torus-modes --n 4 --seed 7":
-        "6096fa4fe36f130245479c2ef533432a50d9ba6f165c89a370f60cafd4163a31",
+        "a63b7a5a481b76b51b2be1cc14909ab5078620f2df390a21d342638d6be4d147",
     "verify torus-modes --n 5 --seed 7":
-        "8945b1cf61577897ee8ea97b18a97e667508f46c7fa57bad78b15921e7601b92",
+        "470e051dec9ce17fe0f7690ea9548f2b96ef00fda61b21ce1616c7984f1f8a04",
     "verify torus-modes --n 6 --seed 7":
-        "cbb872e2d94b5656fbf48af05e153953ee960b0677855f9ab496f7ff91246bcd",
+        "7750b36b0e7a81fb7797f6d5d4fa0721110db5ee0007c730259aea52304ebf6c",
     # gauge, recorded before the shifts were assembled in one pass: a 2D
     # operator of one component, a 2D one that splits into the cosets of
     # (1, 1), and a 3D one (no grading: eigvalsh) that splits.  Windows stay
