@@ -411,9 +411,10 @@ def cmd_bounds(ns) -> int:
         w.strip() for w in ns.which.split(",") if w.strip()]
     if not which:
         raise ValueError(f"bounds request names no bound; choose from {names}")
-    for w in which:
-        if w not in bounds.BOUNDS:
-            raise ValueError(f"unknown bound {w!r}; choose from {names}")
+    for i, w in enumerate(which):
+        if w not in bounds.BOUNDS or w in which[:i]:
+            what = "repeated" if w in bounds.BOUNDS else "unknown"
+            raise ValueError(f"{what} bound {w!r}; choose from {names}")
     reads, model = _BOUND_MODELS[ns.model]
     given = [f"--{o}" for o, v in vars(ns).items() if v is not None and o not in reads
              and any(o in row[0] for row in _BOUND_MODELS.values())]  # in declaration order
@@ -453,8 +454,10 @@ def _checked(report):
 
 def _command_table() -> dict:
     """command -> (its add_parser keywords, its options function, the function
-    that runs it).  An options function only adds arguments; verify's options
-    are the same kind of table, of its targets, and its run is None."""
+    that runs it).  An options function declares through add_argument and
+    add_mutually_exclusive_group alone, so that ``_read`` can record it with
+    ``_Options``; verify's options are the same kind of table, of its targets,
+    and its run is None."""
     def sphere_options(p):
         p.add_argument("--t", required=True, type=float, help="coupling strength")
         p.add_argument("--cutoff", type=float, default=None,
@@ -557,10 +560,62 @@ def build_parser() -> _Parser:
     return parser
 
 
+class _Options:
+    """For ``_read``: each ``--name`` option an options function declares, with
+    its keywords, in order; exclusive groups share them and note their ``names``.
+    A keyword the rows do not use raises TypeError, lest argparse read otherwise."""
+
+    def __init__(self, options=None):
+        self.options, self.names, self.groups = {} if options is None else options, [], []
+
+    def add_argument(self, name, **kw):
+        if name[:2] != "--" or kw.get("action", "store_true") != "store_true" or kw.keys() - {
+                "type", "default", "required", "choices", "help", "action"}:
+            raise TypeError(f"an options function declares {name} with {sorted(kw)}, "
+                            "which only argparse reads")
+        self.options[name] = kw
+        self.names.append(name)
+
+    def add_mutually_exclusive_group(self):
+        self.groups.append(_Options(self.options))
+        return self.groups[-1]
+
+
+def _read(options, args, ns):
+    """``ns`` with each option that ``options`` declares, in declaration order:
+    its value in ``args``, else False for a flag, else its default; or None if
+    args is not plain, for argparse to read (see README, "Command line")."""
+    declared, given, args = _Options(), {}, iter(args)
+    options(declared)
+    for name in args:
+        kw = declared.options.get(name)
+        if kw is None or name in given:
+            return None
+        value = True if "action" in kw else next(args, "-")
+        if value is not True:
+            if value[:1] == "-" and not value[1:2].isdecimal():  # none, or an option name
+                return None
+            try:
+                value = (kw.get("type") or str)(value)
+            except (TypeError, ValueError):
+                return None
+        if value not in kw.get("choices", [value]):
+            return None
+        given[name] = value
+    if any(kw.get("required") and name not in given for name, kw in declared.options.items()
+           ) or any(len(given.keys() & g.names) > 1 for g in declared.groups):
+        return None
+    for name, kw in declared.options.items():
+        setattr(ns, name[2:].replace("-", "_"),
+                given.get(name, False if "action" in kw else kw.get("default")))
+    return ns
+
+
 def _parse(argv) -> argparse.Namespace:
     """The namespace of ``argv``: argv that names a command (and for verify a
-    target) builds that one parser, ``func`` its row's run; argv that names none,
-    or that it leaves tokens of, goes to ``build_parser()``, as the tree does."""
+    target) and then gives only its declared options, plainly, is read from
+    its row (``_read``), ``func`` its run, with no parser built; any other argv
+    goes to ``build_parser()``, which prints every help text and error."""
     ns, options = argparse.Namespace(), _COMMANDS
     for depth, (dest, name) in enumerate(zip(("command", "target"), argv)):
         if name not in options:
@@ -568,12 +623,7 @@ def _parse(argv) -> argparse.Namespace:
         setattr(ns, dest, name)
         _, options, ns.func = options[name]
         if ns.func is not None:
-            parser = _Parser(prog=" ".join(["magdirac", *argv[:depth + 1]]))
-            options(parser)
-            ns, extras = parser.parse_known_args(argv[depth + 1:], ns)
-            if not extras:
-                return ns
-            break
+            return _read(options, argv[depth + 1:], ns) or build_parser().parse_args(argv)
     return build_parser().parse_args(argv)
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -187,7 +188,8 @@ def test_bounds_without_which_reports_the_bound_table(capsys, monkeypatch):
 
 @pytest.mark.parametrize("which, message", [
     ("magic", "unknown bound 'magic'"), ("basic,magic", "unknown bound 'magic'"),
-    (",", "bounds request names no bound")])
+    (",", "bounds request names no bound"),
+    ("friedrich,basic,friedrich", "repeated bound 'friedrich'")])
 def test_bound_refusals_list_the_bound_table(capsys, which, message):
     code, out, err = run(capsys, "bounds", "--model", "sphere", "--which", which)
     assert (code, out) == (1, "")
@@ -739,22 +741,39 @@ def _constructed(monkeypatch):
 
 @pytest.mark.parametrize("request_line", ONE_OF_EACH)
 def test_a_request_builds_only_the_parsers_it_dispatches_to(capsys, monkeypatch, request_line):
-    # the command's parser, or for verify the target's: no other parser
-    # object exists, so a new command costs other requests nothing
+    # a plain request is read from its row: no parser object exists, not
+    # even its own, so a new command costs other requests nothing
     argv = request_line.split()
     with _constructed(monkeypatch) as built:
         assert run(capsys, *argv)[0] == 0
-    assert built == [_own_prog(argv)]
+    assert built == []
+
+
+def _row(path) -> tuple:
+    """The row of ``_COMMANDS`` at ``path``: a command, and for verify a target."""
+    row = cli._COMMANDS[path[0]]
+    return row[1][path[1]] if path[0] == "verify" else row
+
+
+def _row_options(path) -> list:
+    """The option names that the options function of the row at ``path``
+    (command, and for verify the target) declares, in order."""
+    options = cli._Options()
+    _row(path)[1](options)
+    return list(options.options)
 
 
 @pytest.mark.parametrize("request_line", ONE_OF_EACH)
 def test_a_request_builds_only_its_own_options(monkeypatch, request_line):
-    # _parse reads one command; the root, verify and the other commands'
-    # parsers are never constructed
+    # _parse records one command's options, once; no parser is constructed,
+    # and the root, verify and the other commands' options are never declared
     argv = request_line.split()
+    own, declared, add = _row_options(_own_prog(argv).split()[1:]), [], cli._Options.add_argument
+    monkeypatch.setattr(cli._Options, "add_argument",
+                        lambda self, name, **kw: declared.append(name) or add(self, name, **kw))
     with _constructed(monkeypatch) as built:
         cli._parse(argv)
-    assert built == [_own_prog(argv)]
+    assert built == [] and declared == own
 
 
 def test_a_command_is_one_row(capsys, monkeypatch):
@@ -775,7 +794,7 @@ def test_a_command_is_one_row(capsys, monkeypatch):
         assert run(capsys, "verify", "word") == (0, '{\n  "word": "hi",\n  "pass": true\n}\n', "")
         assert run(capsys, "verify", "word", "--word", "no")[:2] == (
             2, '{\n  "word": "no",\n  "pass": false\n}\n')
-    assert built == ["magdirac echo", "magdirac verify word", "magdirac verify word"]
+    assert built == []
     code, out, _ = run(capsys, "-h")
     assert code == 0 and "echo" in out and "print the word" in out
     code, out, _ = run(capsys, "verify", "-h")
@@ -793,15 +812,16 @@ TREE = ["magdirac", "magdirac sphere", "magdirac sphere-curve", "magdirac collis
     ("-h", []),
     ("bogus", []),
     ("-- sphere --t 1", []),
-    ("sphere --t 1 extra", ["magdirac sphere"]),
+    ("sphere --t 1 extra", []),
     ("verify", []),
     ("verify -h", []),
     ("verify bogus", []),
-    ("verify sphere-blocks extra", ["magdirac verify sphere-blocks"]),
+    ("verify sphere-blocks extra", []),
 ])
 def test_help_and_usage_errors_build_the_root_once(capsys, monkeypatch, request_line, own):
-    # the parser the request was handed to, if any, then the whole tree once,
-    # which prints the help or the error under the usage of the root or verify
+    # the parsers built before the whole tree (own: none, since a command's
+    # options are read from its row), then the tree once, which prints the
+    # help or the error under the usage of the root, verify or the command
     with _constructed(monkeypatch) as built:
         assert run(capsys, *request_line.split())[0] in (0, 1)
     assert built == own + TREE
@@ -833,24 +853,116 @@ def test_every_option_is_given_in_some_line():
         given.setdefault(path, set()).update(a for a in argv if a.startswith("--"))
     assert len(given) == 8
     for path, options in given.items():
-        rows = cli._COMMANDS
-        for name in path:
-            rows = rows[name][1]
+        # what _read records is what argparse declares, in the same order
         parser = cli._Parser()
-        rows(parser)
-        assert options == {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        _row(path)[1](parser)
+        declared = [o for a in parser._actions for o in a.option_strings]
+        recorded = _row_options(path)
+        assert options == set(recorded) and declared == ["-h", "--help", *recorded]
+
+
+def test_options_that_only_argparse_reads_are_refused():
+    # a row that needs more of argparse fails at once instead of being misread
+    options = cli._Options()
+    for name, kw in (("--n", {"nargs": 2}), ("--v", {"action": "count"}), ("-x", {}),
+                     ("--c", {"action": "store_const", "const": 1})):
+        with pytest.raises(TypeError, match=name):
+            options.add_argument(name, **kw)
+    assert options.options == {}
+
+
+def _read_by_the_row_parser(argv) -> argparse.Namespace:
+    """``argv`` read by a ``_Parser`` built from its row, into a namespace
+    that already holds the command, func and target, in the order that
+    ``_parse`` sets them."""
+    ns, rows, depth = argparse.Namespace(), cli._COMMANDS, 2 if argv[0] == "verify" else 1
+    for dest, name in zip(("command", "target"), argv[:depth]):
+        setattr(ns, dest, name)
+        _, rows, ns.func = rows[name]
+    parser = cli._Parser()
+    rows(parser)
+    return parser.parse_args(argv[depth:], ns)
 
 
 @pytest.mark.parametrize("request_line", EVERY_OPTION)
 def test_a_command_parsed_directly_gives_the_namespace_of_argparse(request_line):
-    # the whole tree dispatches through argparse subparsers
+    # the whole tree dispatches through argparse subparsers; the row's parser
+    # gives the attribute order too, which cmd_bounds reads the options in
     argv = request_line.split()
     expected = vars(cli.build_parser().parse_args(argv))
     assert vars(cli._parse(argv)) == expected
+    assert list(vars(cli._parse(argv)).items()) == list(
+        vars(_read_by_the_row_parser(argv)).items())
     assert expected["command"] == argv[0] and "func" in expected
     assert expected.get("target") == (argv[1] if argv[0] == "verify" else None)
     row = cli._COMMANDS[argv[0]]
     assert expected["func"] is (row[1][argv[1]] if argv[0] == "verify" else row)[2]
+
+
+LEAVES = [(name,) for name, row in cli._COMMANDS.items() if row[2]] + [
+    ("verify", target) for target in cli._COMMANDS["verify"][1]]
+# values of each type that a plain reader takes (argparse takes "-" and a
+# decimal digit for a value), and odd ones: option-like tokens, the empty
+# string, spaces, unicode digits and values of the wrong type
+PLAIN_VALUES = {
+    float: ["0", "0.5", "-1", "-.5", "1e400", "nan", "1_0", " 3 ", "-\uff12"],
+    int: ["0", "3", "-1", "1_0", "\uff12"],
+    None: ["[[1]]", "[]", "0:1:2", "-4:4:3", "1,2", "-0.3,0.1", "none", "a b", "-1 2", ""]}
+ODD_VALUES = ["-", "-x", "-\u00b2", "--t", "-h", "", "x", "1.5", "[[1]]", "sphere", "bogus"]
+
+
+@st.composite
+def _argv(draw) -> list:
+    """A leaf and its options, required ones mostly and others at will, in
+    any order, flags bare and the rest with a value of their type (for a
+    choice, one or a prefix of one), or at most one with an odd value; then,
+    two times in five, one or two odd changes: -h, --, an unknown name or
+    extra token, a prefix of a name, name=value, a repeat, a dropped last
+    token."""
+    path = draw(st.sampled_from(LEAVES))
+    declared = cli._Options()
+    _row(path)[1](declared)
+    names = draw(st.permutations([name for name, kw in declared.options.items()
+                                  if draw(st.integers(0, 7 if kw.get("required") else 1))]))
+    odd_at, groups = draw(st.integers(0, 3 * len(names))), []
+    for i, name in enumerate(names):
+        kw = declared.options[name]
+        choices = [*kw["choices"], kw["choices"][0][:-1]] if "choices" in kw else None
+        values = ODD_VALUES if i == odd_at else choices or PLAIN_VALUES[kw.get("type")]
+        groups.append([name] if "action" in kw else [name, draw(st.sampled_from(values))])
+    argv = [token for group in groups for token in group]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        name = draw(st.sampled_from(list(declared.options)))
+        odd = draw(st.sampled_from(["-h", "--help", "--", "--bogus", "extra", "prefix", "=",
+                                    "repeat", "drop"]))
+        at = draw(st.integers(0, len(argv)))
+        if odd == "drop":
+            argv = argv[:-1]
+            continue
+        token = {"prefix": name[:draw(st.integers(2, len(name)))],
+                 "=": f"{name}={draw(st.sampled_from(ODD_VALUES))}"}.get(odd, odd)
+        argv[at:at] = [name, draw(st.sampled_from(ODD_VALUES))] if odd == "repeat" else [token]
+    return [*path, *argv]
+
+
+def _parsed(parse, argv) -> tuple:
+    """(the namespace as text, exit code, stdout, stderr) of ``parse(argv)``."""
+    out, err, code, ns = io.StringIO(), io.StringIO(), None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = repr(sorted(vars(parse(argv)).items()))  # repr: nan equals nan
+        except SystemExit as exc:
+            code = exc.code
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_argv())
+def test_a_request_read_from_its_row_is_the_request_argparse_reads(argv):
+    # _parse reads plain argv itself and hands the rest to the tree: either
+    # way the namespace, exit code and every byte printed are argparse's
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _parsed(cli._parse, argv) == _parsed(cli.build_parser().parse_args, argv)
 
 
 # sha256 of the stdout of each request, recorded before the sphere level
