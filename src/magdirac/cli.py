@@ -380,10 +380,16 @@ def cmd_torus(ns) -> int:
 
 
 def _sphere_model(bounds, ns):
-    from . import sphere
+    from . import oracle, sphere
     t = 0.0 if ns.t is None else ns.t
-    return ({"model": "sphere", "t": t}, bounds.sphere3_data(), t, sphere.lambda1(t),
-            sphere.lambda1_basic(t))
+    lam1 = sphere.lambda1(t)  # refuses a non-finite or oversized t first
+    # basic: LAPACK's least positive value on the weight-0 rows of levels 0..3 (p = 0, 1)
+    rows, cols, values, weight = oracle.sphere_level_entries(3)
+    at, mine = np.cumsum(weight == 0) - 1, weight[rows] == 0
+    block = np.zeros((2, 4, 4), dtype=np.complex128)
+    block[:, at[rows[mine]], at[cols[mine]]] = values[:, mine]
+    basic = np.linalg.eigvalsh(block[0] + t * block[1])
+    return ({"model": "sphere", "t": t}, bounds.sphere3_data(), t, lam1, min(basic[basic > 0]))
 
 
 def _torus_model(bounds, ns):

@@ -20,8 +20,8 @@ Expanding the square gives a form linear in p, f0 = (k + 1 - t)^2 +
 The degenerate cases p = k and p = -1 fold the plus/minus families into the
 same square-root expression, f0(k, k, t) = (1 + t + k)^2 and
 f0(k, -1, t) = (1 - t + k)^2, and f0(k, p, -t) = f0(k, k - p - 1, t) makes
-the spectrum even in t.  The flow-invariant (basic) sector consists of the
-branch modes with k = 2p + 1, where f0 collapses to t^2 + 4(p + 1)^2.
+the spectrum even in t.  The basic (flow-invariant, weight-0) sector is the
+pairs k = 2p + 1, f0 = t^2 + 4(p + 1)^2 (test_weight_zero_rows_are_the_basic_sector).
 """
 
 import numpy as np
@@ -134,17 +134,6 @@ def lambda1(t: float) -> float:
     t = _check_coupling(t)
     _top_level(t, 2.0, "|t|")  # the cutoff is not the caller's to reduce
     return spectrum(t, 2.0).min_abs()
-
-
-def lambda1_basic(t: float) -> float:
-    """First positive eigenvalue on flow-invariant spinors.
-
-    Basic modes are the branch pairs with k = 2p + 1, whose values are
-    1/2 +- sqrt(t^2 + 4(p + 1)^2); the positive ones increase with p, so
-    the minimum sits at p = 0.
-    """
-    t = _check_coupling(t)
-    return 0.5 + np.sqrt(t * t + 4.0)
 
 
 def collision_t(k, p, k2, p2):

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import entries, multiplicity_at
+from helpers import entries, multiplicity_at, sphere_basic
 
 from magdirac import bounds, oracle, sphere, torus
 from magdirac.lattice import Lattice
@@ -243,7 +243,7 @@ def test_basic_estimate_sharpness_and_crossover():
     for t in np.linspace(0.0, 10.0, 41):
         bv = bounds.basic(s3, t).value
         assert abs(bv - (0.5 + np.sqrt(t * t + 4.0))) <= 1e-12
-        assert abs(bv - sphere.lambda1_basic(t)) <= 1e-12
+        assert abs(bv - sphere_basic(t)) <= 1e-12
 
 
 def test_collision_coupling_formula():
@@ -269,9 +269,7 @@ def test_soundness_sweep_bounds_never_violated():
         lam1 = sphere.lambda1(t)
         assert bounds.compare(bounds.friedrich(s3, t), lam1**2)["satisfied"], t
         assert bounds.compare(bounds.hijazi(s3, t), lam1)["satisfied"], t
-        assert bounds.compare(
-            bounds.basic(s3, t), sphere.lambda1_basic(t)
-        )["satisfied"], t
+        assert bounds.compare(bounds.basic(s3, t), sphere_basic(t))["satisfied"], t
         assert bounds.compare(bounds.BOUNDS["diamagnetic"](s3, t), lam1**2)["satisfied"], t
         lam, q = 1.5, 3.0  # the top sector at S = 6
         for sector, q_sector in (("top", q), ("bottom", -q)):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import odd_sphere_data
+from helpers import odd_sphere_data, sphere_basic
 
 from magdirac import bounds, clifford, sphere
 
@@ -122,7 +122,7 @@ def test_basic_three_sphere_closed_form():
         bv = bounds.basic(S3, t)
         assert bv.form == "first_positive"
         assert bv.value == pytest.approx(0.5 + np.sqrt(t * t + 4.0), abs=1e-12)
-        assert bv.value == pytest.approx(sphere.lambda1_basic(t), abs=1e-12)
+        assert bv.value == pytest.approx(sphere_basic(t), abs=1e-12)
 
 
 def test_basic_vacuous_for_negative_curvature():
@@ -213,9 +213,7 @@ def test_soundness_against_exact_sphere_spectrum():
         lam1 = sphere.lambda1(t)
         assert bounds.compare(bounds.friedrich(S3, t), lam1**2)["satisfied"]
         assert bounds.compare(bounds.hijazi(S3, t), lam1)["satisfied"]
-        assert bounds.compare(
-            bounds.basic(S3, t), sphere.lambda1_basic(t)
-        )["satisfied"]
+        assert bounds.compare(bounds.basic(S3, t), sphere_basic(t))["satisfied"]
         top = bounds.diamagnetic_upper(1.5, 3.0, 1.0, t)
         bot = bounds.diamagnetic_upper(1.5, -3.0, 1.0, t)
         best = min(top.value, bot.value)

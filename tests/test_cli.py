@@ -16,10 +16,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import entries, tolerance
+from helpers import entries, readme_examples, tolerance
 from hypothesis import assume, example, given, settings, strategies as st
 
-from magdirac import bounds, cli, torus
+from magdirac import bounds, cli, oracle, torus
 from magdirac.lattice import Lattice
 from magdirac.spectrum import Spectrum
 from magdirac.torus import SpinCData
@@ -574,6 +574,24 @@ def test_bounds_sphere_lambda1_at_large_coupling(capsys):
         assert code == 0 and err == ""
         reference = {b["form"]: b["reference"] for b in json.loads(out)["bounds"]}
         assert reference["absolute"] == 0.5 and reference["squared"] == 0.25
+
+
+def test_bounds_sphere_reads_basic_from_the_level_matrices(capsys, monkeypatch):
+    # 0.25 on the first weight-0 diagonal entry of H0 (level 1, the pair p = 0)
+    # moves the basic reference off the bound
+    real = oracle.sphere_level_entries
+
+    def moved(k_max):
+        rows, cols, values, weight = real(k_max)
+        values = values.copy()
+        values[0, np.flatnonzero((rows == cols) & (weight[rows] == 0))[0]] += 0.25
+        return rows, cols, values, weight
+
+    for equality in (True, False):  # as built, then moved
+        code, out, _ = run(capsys, "bounds", "--model", "sphere", "--t", "0.7", "--which", "basic")
+        (basic,) = json.loads(out)["bounds"]
+        assert code == 0 and basic["equality"] is equality and basic["satisfied"] is True
+        monkeypatch.setattr(oracle, "sphere_level_entries", moved)
 
 
 def test_bounds_torus_empty_spectrum_names_the_cutoff(capsys):
@@ -1417,10 +1435,7 @@ def test_torus_stdout_is_pinned(capsys, request_line):
 
 
 def test_readme_command_examples_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    examples = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("magdirac ")]
+    examples = readme_examples()
     assert len(examples) == 10
     for argv in examples:
         # main parses with _parse; the whole tree gives the same namespace

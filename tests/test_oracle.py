@@ -103,6 +103,28 @@ def test_sphere_level_entries_are_row_major_to_high_levels():
         assert np.array_equal(weight[start:start + dim], w)
 
 
+def test_weight_zero_rows_are_the_basic_sector():
+    # the Kosmann derivative along the Hopf field is -2i(J_3 + sigma_3/2), so the
+    # flow-invariant spinors are the weight-0 rows: a closed block whose pairs
+    # are the branch members k = 2p + 1, f0 = t^2 + 4(p + 1)^2
+    rows, cols, values, weight = oracle.sphere_level_entries(41)
+    zero = weight == 0
+    assert np.count_nonzero(zero) == 42  # two rows in each odd level
+    assert np.array_equal(zero[rows], zero[cols])  # no entry couples weight 0 to another
+    at, mine = np.cumsum(zero) - 1, zero[rows]
+    block = np.zeros((2, 42, 42), dtype=np.complex128)
+    block[:, at[rows[mine]], at[cols[mine]]] = values[:, mine]
+    p, ts = np.arange(21), np.array([0.0, 0.7, 1.3, -3.2])[:, None]
+    got = np.linalg.eigvalsh(block[0] + ts[..., None] * block[1])
+
+    def gap(f):  # largest distance of the block's eigenvalues from the pairs 1/2 +- sqrt(f)
+        return np.max(np.abs(got - np.sort(np.hstack([0.5 - np.sqrt(f), 0.5 + np.sqrt(f)]))))
+
+    assert gap(ts ** 2 + 4.0 * (p + 1) ** 2) <= 1e-13  # 7.1e-15 measured
+    assert gap(sphere.f0(2 * p + 1, p, ts)) <= 1e-13
+    assert gap(sphere.f0(2 * p, p, ts)) > 0.1  # a mutated sector, k = 2p
+
+
 def test_sphere_level_matrix_spectrum_is_the_closed_form():
     # the whole level solved densely, without the split by weight
     for k in range(13):

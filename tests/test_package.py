@@ -1,6 +1,7 @@
 """The package surface, and which modules each command loads."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from helpers import readme_examples
 
 import magdirac
 
@@ -71,8 +73,9 @@ LOADS = {
     "sphere --t 0.3 --cutoff 3": _SPHERE,
     "sphere-curve --k-max 2 --t-range -1:1:3": _SPHERE,
     "collisions --k-max 3": _SPHERE,
-    "bounds --model sphere --t 0.5": _SPHERE | {"magdirac.bounds"},
-    "bounds --model sphere --t 0.5 --which diamagnetic": _SPHERE | {"magdirac.bounds"},
+    # the sphere's basic reference is solved from the oracle's level matrices
+    "bounds --model sphere --t 0.5": _ORACLE | {"magdirac.bounds"},
+    "bounds --model sphere --t 0.5 --which diamagnetic": _ORACLE | {"magdirac.bounds"},
     "torus --basis [[1,0],[0,1]] --cutoff 3": _TORUS,
     "bounds --model torus": _TORUS | {"magdirac.bounds"},
     "bounds --model torus --which friedrich": _TORUS | {"magdirac.bounds"},
@@ -89,12 +92,17 @@ LOADS = {
 }
 
 
+def _package_env() -> dict:
+    """The environment of an interpreter that imports this package."""
+    package_root = str(Path(magdirac.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.fixture(scope="module")
 def loaded():
     """request -> (exit code, modules loaded), each from a fresh interpreter."""
-    package_root = str(Path(magdirac.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _package_env()
 
     def probe(request_line):
         code = _PROBE if request_line else _BARE
@@ -110,3 +118,77 @@ def loaded():
 @pytest.mark.parametrize("request_line", LOADS)
 def test_a_command_loads_only_the_modules_it_runs(loaded, request_line):
     assert loaded[request_line] == ("0", LOADS[request_line])
+
+
+# runs the requests of argv[1] (a JSON list of argv) through cli.main under
+# sys.setprofile; prints their exit codes and every code object entered, as
+# (file, qualified name, first line)
+_REACH_PROBE = """
+import contextlib, io, json, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_qualname,
+                     frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+from magdirac import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+# the README examples, the output formats they leave out, one help request and
+# one usage error, with the exit code of each
+REACH_REQUESTS = [(argv, 0) for argv in readme_examples()] + [
+    ("sphere --t 0.5 --cutoff 3".split(), 0),
+    ("sphere --t 0.5 --cutoff 3 --csv".split(), 0),
+    ("collisions --k-max 3 --json".split(), 0),
+    ("torus --basis [[1]] --cutoff 5 --csv".split(), 0),
+    (["-h"], 0),
+    ("sphere --cutoff 3".split(), 1),
+]
+
+# (module file, qualified name) -> why no command enters the function, or which
+# ROADMAP item will; an entry covers the functions nested in it.  The list only
+# shrinks: a function that a command reaches must leave it.
+UNREACHED = {
+    ("__init__.py", "__dir__"): "dir(magdirac), the package surface; no command lists it",
+    ("clifford.py", "two_form_action"): "item 21: only identity_checks uses it",
+    ("oracle.py", "FourierPotential.bandwidth"): "item 21: only identity_checks uses it",
+    ("oracle.py", "FourierPotential.evaluate"): "item 2: the sup norm of a genuine field",
+    ("oracle.py", "FourierPotential.is_closed"): "item 2: the co-exact check of a field",
+    ("oracle.py", "HermitianMatrix.__init__"): "the dense constructor of the tests' operators",
+    ("oracle.py", "_identity_terms"): "item 21: only identity_checks uses it",
+    ("oracle.py", "_pairs"): "item 21: only identity_checks uses it",
+    ("oracle.py", "_summed"): "item 21: only identity_checks uses it",
+    ("oracle.py", "identity_checks"): "item 21: the verify identity target",
+    ("oracle.py", "sphere_level_matrix"): "item 7: the eigenvectors of the bounds' references",
+    ("sphere.py", "member_labels"): "failure reports, which no correct build prints",
+}
+
+
+def _defined(code):
+    """Every function and lambda whose code ``code`` holds, nested ones too;
+    comprehensions and generator expressions are left out, since whether
+    they have code objects of their own depends on the Python version."""
+    for const in code.co_consts:
+        if hasattr(const, "co_qualname"):
+            if not const.co_name.startswith("<") or const.co_name == "<lambda>":
+                yield const
+            yield from _defined(const)
+
+
+def test_every_function_is_reached_by_a_command():
+    package = Path(magdirac.__file__).resolve().parent
+    argvs, expected = zip(*REACH_REQUESTS)
+    proc = subprocess.run([sys.executable, "-c", _REACH_PROBE, json.dumps(argvs)],
+                          capture_output=True, env=_package_env(), check=True, timeout=60)
+    codes, entered = json.loads(proc.stdout)
+    assert codes == list(expected)
+    entered = {(Path(f).name, q, line) for f, q, line in entered if Path(f).parent == package}
+    defined = {(path.name, code.co_qualname, code.co_firstlineno)
+               for path in package.glob("*.py")
+               for code in _defined(compile(path.read_text(), str(path), "exec"))}
+    unreached = {(f, q.split(".<locals>.")[0]) for f, q, _ in defined - entered}
+    assert unreached == set(UNREACHED)

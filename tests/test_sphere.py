@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import entries, multiplicity_at
+from helpers import entries, landau_rows, multiplicity_at
 from hypothesis import example, given, settings, strategies as st
 
 from magdirac import sphere
@@ -158,11 +158,23 @@ def test_lambda1_cases():
         assert sphere.lambda1(t) == pytest.approx(expected, abs=1e-9)
 
 
-def test_lambda1_basic_closed_form():
-    for t in np.linspace(-6, 6, 25):
-        assert sphere.lambda1_basic(t) == pytest.approx(
-            0.5 + np.sqrt(t * t + 4.0), abs=1e-12
-        )
+def _holds(spec, values, mults) -> bool:
+    """Whether ``spec`` is the multiset of ``values`` with ``mults``, member
+    by member within the merge tolerance."""
+    got, want = np.repeat(spec.values(), spec.multiplicities()), np.sort(np.repeat(values, mults))
+    return len(got) == len(want) and np.max(np.abs(got - want)) <= spectrum_mod.merge_tolerance()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37, 1.0, 1.3, -2.5, 3.9])
+def test_fibre_charge_and_landau_level_rows_are_the_spectrum(t):
+    # every member is a row (q, l): fibre charge q = 1 + 2p - k and Landau level
+    # l = min(k - p, p + 1) of the base S^2, multiplicity 2l + |q| = k + 1
+    cutoff = 9.3
+    values, mults, l = landau_rows(t, int(np.ceil(cutoff + abs(t))) + 1)
+    keep = np.abs(values) <= cutoff + 1e-12
+    spec = sphere.spectrum(t, cutoff)
+    assert _holds(spec, values[keep], mults[keep])
+    assert not _holds(spec, values[keep], (mults + (l >= 1))[keep])  # mutant 2l + |q| + 1
 
 
 def test_collision_example_and_consistency():
